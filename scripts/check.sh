@@ -21,6 +21,19 @@ REPORT="$BUILD_DIR/check_fig2_report.json"
   > /dev/null
 "$BUILD_DIR/tools/report_check" "$REPORT"
 
+# Malformed input is an invalid report (exit 1), never an abort: a truncated
+# file, and a parseable one whose sweep metrics lack the proxy location.
+TRUNCATED="$BUILD_DIR/check_truncated_report.json"
+NO_PROXY="$BUILD_DIR/check_no_proxy_report.json"
+head -c 2000 "$REPORT" > "$TRUNCATED"
+sed 's/"proxy": {/"proxi": {/' "$REPORT" > "$NO_PROXY"
+for BAD in "$TRUNCATED" "$NO_PROXY"; do
+  STATUS=0
+  "$BUILD_DIR/tools/report_check" "$BAD" 2> /dev/null || STATUS=$?
+  [ "$STATUS" -eq 1 ] \
+    || { echo "report_check exited $STATUS on malformed $BAD"; exit 1; }
+done
+
 # Loopback daemon smoke test: a real baps_proxyd on an ephemeral port, a
 # 200-request trace slice over TCP and the same slice in-process — the
 # per-request outcome streams must be byte-identical.

@@ -1,10 +1,12 @@
 #include "obs/report.hpp"
 
-#include <array>
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <map>
 #include <optional>
+#include <string_view>
+#include <tuple>
 
 #include "sim/config.hpp"
 #include "wire/frame.hpp"
@@ -74,37 +76,6 @@ JsonValue metrics_to_json(const sim::Metrics& m) {
        {"churn", churn}});
 }
 
-JsonValue sweep_to_json(const std::vector<core::CacheSizePoint>& points) {
-  JsonArray out;
-  for (const auto& p : points) {
-    JsonArray orgs;
-    for (const auto& [org, m] : p.by_org) {
-      orgs.push_back(json_object({{"org", JsonValue(sim::org_name(org))},
-                                  {"metrics", metrics_to_json(m)}}));
-    }
-    out.push_back(json_object(
-        {{"relative_cache_size", JsonValue(p.relative_cache_size)},
-         {"orgs", JsonValue(std::move(orgs))}}));
-  }
-  return JsonValue(std::move(out));
-}
-
-JsonValue client_scaling_to_json(
-    const std::vector<core::ClientScalingPoint>& points) {
-  JsonArray out;
-  for (const auto& p : points) {
-    out.push_back(json_object(
-        {{"client_fraction", JsonValue(p.client_fraction)},
-         {"num_clients", JsonValue(p.num_clients)},
-         {"browsers_aware", metrics_to_json(p.browsers_aware)},
-         {"proxy_and_local", metrics_to_json(p.proxy_and_local)},
-         {"hit_ratio_increment_pct", JsonValue(p.hit_ratio_increment_pct)},
-         {"byte_hit_ratio_increment_pct",
-          JsonValue(p.byte_hit_ratio_increment_pct)}}));
-  }
-  return JsonValue(std::move(out));
-}
-
 ReportBuilder::ReportBuilder(std::string tool) {
   doc_.set("schema", JsonValue(kReportSchema));
   doc_.set("tool", JsonValue(std::move(tool)));
@@ -140,28 +111,42 @@ ReportBuilder& ReportBuilder::add_phases(const PhaseTimers& phases) {
 
 ReportBuilder& ReportBuilder::add_sweep(
     const std::vector<core::CacheSizePoint>& points) {
-  doc_.set("sweep", sweep_to_json(points));
+  // One entry per point, one metrics object per organization.
+  JsonArray sweep;
+  for (const auto& p : points) {
+    JsonArray orgs;
+    for (const auto& [org, m] : p.by_org) {
+      orgs.push_back(json_object({{"org", JsonValue(sim::org_name(org))},
+                                  {"metrics", metrics_to_json(m)}}));
+    }
+    sweep.push_back(json_object(
+        {{"relative_cache_size", JsonValue(p.relative_cache_size)},
+         {"orgs", JsonValue(std::move(orgs))}}));
+  }
+  doc_.set("sweep", JsonValue(std::move(sweep)));
   return *this;
 }
 
 ReportBuilder& ReportBuilder::add_client_scaling(
     const std::vector<core::ClientScalingPoint>& points,
     const std::string& trace_label) {
-  JsonValue entries = client_scaling_to_json(points);
-  if (!trace_label.empty()) {
-    for (auto& entry : entries.as_array()) {
-      entry.set("trace", JsonValue(trace_label));
-    }
-  }
   // Appends across calls so a multi-trace bench (Figure 8 runs three
   // presets) accumulates one flat array.
-  JsonValue* existing = doc_.find("client_scaling");
-  if (existing == nullptr) {
-    doc_.set("client_scaling", std::move(entries));
-  } else {
-    for (auto& entry : entries.as_array()) {
-      existing->as_array().push_back(std::move(entry));
-    }
+  if (doc_.find("client_scaling") == nullptr) {
+    doc_.set("client_scaling", JsonValue(JsonArray{}));
+  }
+  JsonArray& out = doc_.find("client_scaling")->as_array();
+  for (const auto& p : points) {
+    JsonValue entry = json_object(
+        {{"client_fraction", JsonValue(p.client_fraction)},
+         {"num_clients", JsonValue(p.num_clients)},
+         {"browsers_aware", metrics_to_json(p.browsers_aware)},
+         {"proxy_and_local", metrics_to_json(p.proxy_and_local)},
+         {"hit_ratio_increment_pct", JsonValue(p.hit_ratio_increment_pct)},
+         {"byte_hit_ratio_increment_pct",
+          JsonValue(p.byte_hit_ratio_increment_pct)}});
+    if (!trace_label.empty()) entry.set("trace", JsonValue(trace_label));
+    out.push_back(std::move(entry));
   }
   return *this;
 }
@@ -199,24 +184,28 @@ bool fail(std::string* error, const std::string& what) {
   return false;
 }
 
+/// A non-negative integer member; nullopt when absent or of another type.
+std::optional<std::uint64_t> count_member(const JsonValue& obj,
+                                          const char* key) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr || !(v->is_uint() || (v->is_int() && v->as_int() >= 0))) {
+    return std::nullopt;
+  }
+  return v->as_uint();
+}
+
 bool check_ratio(const JsonValue& v, const std::string& where,
                  std::string* error) {
-  if (!v.is_object()) return fail(error, where + ": not an object");
-  const JsonValue* count = v.find("count");
-  const JsonValue* total = v.find("total");
+  const auto count = count_member(v, "count");
+  const auto total = count_member(v, "total");
   const JsonValue* ratio = v.find("ratio");
-  if (!count || !total || !ratio || !count->is_number() ||
-      !total->is_number() || !ratio->is_number()) {
-    return fail(error, where + ": needs numeric count/total/ratio");
+  if (!count || !total || ratio == nullptr || !ratio->is_number()) {
+    return fail(error, where + ": needs integer count/total, numeric ratio");
   }
-  if (count->as_uint() > total->as_uint()) {
-    return fail(error, where + ": count exceeds total");
-  }
+  if (*count > *total) return fail(error, where + ": count exceeds total");
   const double recomputed =
-      total->as_uint()
-          ? static_cast<double>(count->as_uint()) /
-                static_cast<double>(total->as_uint())
-          : 0.0;
+      *total ? static_cast<double>(*count) / static_cast<double>(*total)
+             : 0.0;
   if (std::fabs(recomputed - ratio->as_double()) > 1e-9) {
     return fail(error, where + ": ratio does not match count/total");
   }
@@ -225,27 +214,329 @@ bool check_ratio(const JsonValue& v, const std::string& where,
 
 bool check_metrics(const JsonValue& m, const std::string& where,
                    std::string* error) {
-  if (!m.is_object()) return fail(error, where + ": metrics not an object");
-  if (!check_ratio(m.at("hits"), where + ".hits", error)) return false;
-  if (!check_ratio(m.at("byte_hits"), where + ".byte_hits", error)) {
+  const JsonValue* hits = m.find("hits");
+  const JsonValue* byte_hits = m.find("byte_hits");
+  if (hits == nullptr || byte_hits == nullptr) {
+    return fail(error, where + ": metrics need hits and byte_hits");
+  }
+  if (!check_ratio(*hits, where + ".hits", error) ||
+      !check_ratio(*byte_hits, where + ".byte_hits", error)) {
     return false;
   }
-  const JsonValue* loc = m.find("locations");
-  if (!loc || !loc->is_object()) {
-    return fail(error, where + ": missing locations");
-  }
   // The four locations partition the requests.
-  const std::uint64_t sum = loc->at("local_browser").at("hits").as_uint() +
-                            loc->at("proxy").at("hits").as_uint() +
-                            loc->at("remote_browser").at("hits").as_uint() +
-                            loc->at("miss").at("count").as_uint();
-  if (sum != m.at("hits").at("total").as_uint()) {
+  const JsonValue* loc = m.find("locations");
+  std::uint64_t sum = 0;
+  for (const auto& [name, key] : {std::pair{"local_browser", "hits"},
+                                  {"proxy", "hits"},
+                                  {"remote_browser", "hits"},
+                                  {"miss", "count"}}) {
+    const JsonValue* entry = loc != nullptr ? loc->find(name) : nullptr;
+    const auto n = entry != nullptr ? count_member(*entry, key) : std::nullopt;
+    if (!n) {
+      return fail(error, where + ".locations." + name + ": needs an integer " +
+                             key);
+    }
+    sum += *n;
+  }
+  if (sum != *count_member(*hits, "total")) {
     return fail(error, where + ": location counts do not sum to total");
   }
   return true;
 }
 
+// ---- The metric family table ---------------------------------------------
+
+enum class ValueRule { kNonNegative, kPositive };
+
+/// A label every instance must carry: any non-empty string, or one of
+/// `allowed` when that is non-empty.
+struct LabelRule {
+  std::string_view key;
+  std::vector<std::string_view> allowed = {};
+};
+
+/// One row: the instruments it covers, the labels they need, and the rule
+/// their value (counters, gauges) or observation count (histograms) obeys.
+/// An instance is checked against every row that matches it.
+struct FamilyRule {
+  std::string_view family;  ///< exact name, or a prefix when it ends in '_'
+  MetricKind kind;
+  std::vector<LabelRule> labels = {};
+  ValueRule value = ValueRule::kNonNegative;
+  /// Eager registration leaves an unlabeled zero member; only instances
+  /// holding counts must carry the labels.
+  bool unlabeled_zero_ok = false;
+};
+
+/// sum(lhs...) × scale  op  sum(rhs), per value of the `group` label (one
+/// group when empty). Absent instruments sum to zero.
+struct Relation {
+  enum Op { kEqual, kAtMost } op;
+  std::vector<std::string_view> lhs;
+  std::string_view rhs;
+  std::string_view group = {};
+  double scale = 1.0;
+};
+
+/// Quantile gauges of one distribution (one value of `scope`) must not
+/// decrease along `order`; `complete` families emit every q together.
+struct QuantileRule {
+  std::string_view family;
+  std::string_view scope;
+  const std::vector<std::string_view>& order;
+  bool complete = false;
+};
+
+const std::vector<std::string_view> kQuantiles = {"p50", "p95", "p99", "p999"};
+const std::vector<std::string_view> kConnloadQuantiles = {"p50", "p99",
+                                                          "p999"};
+
+constexpr MetricKind kCounter = MetricKind::kCounter;
+constexpr MetricKind kGauge = MetricKind::kGauge;
+constexpr MetricKind kHistogram = MetricKind::kHistogram;
+
+const FamilyRule kFamilyRules[] = {
+    // Transport (netio/netio_metrics.hpp).
+    {"wire_", kCounter},
+    {"wire_frames_total", kCounter, {{"dir", {"tx", "rx"}}}},
+    {"wire_bytes_total", kCounter, {{"dir", {"tx", "rx"}}}},
+    {"netio_", kCounter},
+    {"netio_", kGauge},
+    {"netio_", kHistogram},
+    // Connection-load bench (bench_connload).
+    {"connload_", kCounter},
+    {"connload_", kGauge},
+    {"connload_", kHistogram},
+    {"connload_roundtrip_quantile_seconds", kGauge,
+     {{"q", kConnloadQuantiles}}},
+    // Durable store (store/tiered_store.hpp).
+    {"store_", kCounter},
+    {"store_bytes_total", kCounter, {{"dir", {"read", "written"}}}},
+    {"store_stage_seconds", kHistogram, {{"op"}}},
+    // Fault injection (fault/fault_plan.hpp).
+    {"fault_injected_total", kCounter, {{"kind"}}},
+    {"fault_recovered_total", kCounter, {{"kind"}}},
+    {"stale_index_hits_total", kCounter},
+    // Tracing (obs/span.hpp).
+    {"trace_spans_total", kCounter, {{"kind"}}},
+    {"trace_stage_seconds", kHistogram, {{"stage"}}},
+    {"latency_quantile_seconds", kGauge, {{"q", kQuantiles}, {"stage"}}},
+    // Replay bench (bench_replay).
+    {"replay_requests_per_second", kGauge, {{"org"}}, ValueRule::kPositive},
+    {"replay_latency_quantile_seconds", kGauge, {{"q", kQuantiles}, {"org"}}},
+    // Sharded replay (sim/sharded_replay.hpp).
+    {"shard_requests_total", kCounter, {{"org"}, {"shard"}},
+     ValueRule::kNonNegative, true},
+    {"shard_merged_requests_total", kCounter, {{"org"}},
+     ValueRule::kNonNegative, true},
+    {"shard_", kGauge},
+    // Simulator, runtime proxy and worker pool.
+    {"sim_", kCounter},
+    {"cache_", kCounter},
+    {"proxy_", kCounter},
+    {"runner_run_seconds", kHistogram},
+    {"sweep_seconds", kHistogram},
+    {"threadpool_", kCounter},
+    {"threadpool_", kGauge},
+    {"threadpool_", kHistogram},
+    {"events_dropped_total", kCounter},
+};
+
+const Relation kRelations[] = {
+    // A frame never costs fewer bytes than its header.
+    {Relation::kAtMost, {"wire_frames_total"}, "wire_bytes_total", "dir",
+     static_cast<double>(wire::kHeaderSize)},
+    // A fault is counted as injected even when its recovery fails.
+    {Relation::kAtMost, {"fault_recovered_total"}, "fault_injected_total",
+     "kind"},
+    // Every disk probe resolves to exactly one of hit or miss (a quarantined
+    // record counts as a miss: nothing was served).
+    {Relation::kEqual, {"store_hits_total", "store_misses_total"},
+     "store_probes_total"},
+    // The counter half of the sharded engine's merge contract.
+    {Relation::kEqual, {"shard_requests_total"}, "shard_merged_requests_total",
+     "org"},
+    // Peak concurrency counts only connections that completed a connect.
+    {Relation::kAtMost, {"connload_connections_peak"},
+     "connload_established_total"},
+};
+
+const QuantileRule kQuantileRules[] = {
+    {"latency_quantile_seconds", "stage", kQuantiles},
+    {"replay_latency_quantile_seconds", "org", kQuantiles},
+    {"connload_roundtrip_quantile_seconds", "", kConnloadQuantiles, true},
+};
+
+bool covers(const FamilyRule& rule, std::string_view name, MetricKind kind) {
+  if (rule.kind != kind) return false;
+  return rule.family.back() == '_' ? name.substr(0, rule.family.size()) ==
+                                         rule.family
+                                   : name == rule.family;
+}
+
+std::string label_value(const JsonValue* labels, std::string_view key) {
+  const JsonValue* v =
+      labels != nullptr ? labels->find(std::string(key)) : nullptr;
+  return v != nullptr && v->is_string() ? v->as_string() : std::string();
+}
+
+std::string scoped(std::string_view name, std::string_view key,
+                   const std::string& value) {
+  std::string out(name);
+  if (!key.empty()) out += "{" + std::string(key) + "=" + value + "}";
+  return out;
+}
+
+bool check_instance(const FamilyRule& rule, const std::string& name,
+                    const JsonValue* labels, const JsonValue* value,
+                    const char* field, std::string* error) {
+  const bool number = value != nullptr && value->is_number();
+  const double x = number ? value->as_double() : 0.0;
+  const bool positive = rule.value == ValueRule::kPositive;
+  if (!number || !std::isfinite(x) || x < 0.0 || (positive && x == 0.0)) {
+    return fail(error, name + ": " + field + " must be " +
+                           (positive ? "finite and positive"
+                                     : "a finite non-negative number"));
+  }
+  const bool unlabeled = labels == nullptr || !labels->is_object() ||
+                         labels->as_object().empty();
+  if (rule.unlabeled_zero_ok && unlabeled && x == 0.0) return true;
+  for (const LabelRule& label : rule.labels) {
+    const std::string v = label_value(labels, label.key);
+    const auto& allowed = label.allowed;
+    if (allowed.empty() ? !v.empty()
+                        : std::find(allowed.begin(), allowed.end(), v) !=
+                              allowed.end()) {
+      continue;
+    }
+    std::string must = allowed.empty() ? "non-empty" : "one of";
+    for (std::string_view a : allowed) {
+      must += (a == allowed.front() ? " " : ", ") + std::string(a);
+    }
+    return fail(error, name + ": " + std::string(label.key) +
+                           " label must be " + must);
+  }
+  return true;
+}
+
+struct Instance {
+  std::string_view name;
+  const JsonValue* labels;
+  double value;
+};
+
+std::string format_number(double x) { return JsonValue(x).dump(); }
+
+bool check_relation(const Relation& rel, const std::vector<Instance>& seen,
+                    std::string* error) {
+  std::map<std::string, std::pair<double, double>> groups;  // lhs, rhs
+  for (const Instance& i : seen) {
+    const bool lhs =
+        std::find(rel.lhs.begin(), rel.lhs.end(), i.name) != rel.lhs.end();
+    if (!lhs && i.name != rel.rhs) continue;
+    auto& sums = groups[label_value(i.labels, rel.group)];
+    (lhs ? sums.first : sums.second) += i.value;
+  }
+  for (const auto& [group, sums] : groups) {
+    const double lhs = sums.first * rel.scale;
+    const bool ok = rel.op == Relation::kEqual ? lhs == sums.second
+                                                : lhs <= sums.second;
+    if (ok) continue;
+    std::string left = rel.scale != 1.0 ? format_number(rel.scale) + " x " : "";
+    for (std::size_t k = 0; k < rel.lhs.size(); ++k) {
+      left += (k ? " + " : "") + scoped(rel.lhs[k], rel.group, group);
+    }
+    return fail(error, left + " (" + format_number(lhs) + ")" +
+                           (rel.op == Relation::kEqual ? " != " : " exceeds ") +
+                           scoped(rel.rhs, rel.group, group) + " (" +
+                           format_number(sums.second) + ")");
+  }
+  return true;
+}
+
+bool check_quantiles(const QuantileRule& rule,
+                     const std::vector<Instance>& seen, std::string* error) {
+  // scope value -> quantiles seen, indexed by position in rule.order.
+  std::map<std::string, std::vector<std::optional<double>>> scopes;
+  for (const Instance& i : seen) {
+    if (i.name != rule.family) continue;
+    auto& qs = scopes[label_value(i.labels, rule.scope)];
+    qs.resize(rule.order.size());
+    const auto q = std::find(rule.order.begin(), rule.order.end(),
+                             label_value(i.labels, "q"));
+    if (q != rule.order.end()) {
+      qs[static_cast<std::size_t>(q - rule.order.begin())] = i.value;
+    }
+  }
+  for (const auto& [scope, qs] : scopes) {
+    const std::string where = scoped(rule.family, rule.scope, scope);
+    double prev = 0.0;
+    for (std::size_t r = 0; r < qs.size(); ++r) {
+      if (!qs[r].has_value()) {
+        if (rule.complete) {
+          return fail(error,
+                      where + ": missing q=" + std::string(rule.order[r]));
+        }
+        continue;
+      }
+      if (*qs[r] < prev) {
+        return fail(error, where + ": quantiles not monotone in q");
+      }
+      prev = *qs[r];
+    }
+  }
+  return true;
+}
+
+/// Walks every registry instrument through the family table, then checks
+/// the relations and quantile orders across instruments.
+bool check_registry(const JsonValue& registry, std::string* error) {
+  std::vector<Instance> seen;
+  for (const auto& [section, kind, field] :
+       {std::tuple{"counters", kCounter, "value"},
+        std::tuple{"gauges", kGauge, "value"},
+        std::tuple{"histograms", kHistogram, "count"}}) {
+    const JsonValue* arr = registry.find(section);
+    if (arr == nullptr || !arr->is_array()) {
+      return fail(error, std::string("registry.") + section + ": not an array");
+    }
+    for (const JsonValue& inst : arr->as_array()) {
+      const JsonValue* name = inst.find("name");
+      if (name == nullptr || !name->is_string()) {
+        return fail(error, std::string("registry.") + section +
+                               ": instrument needs a name");
+      }
+      const JsonValue* labels = inst.find("labels");
+      const JsonValue* value = inst.find(field);
+      for (const FamilyRule& rule : kFamilyRules) {
+        if (covers(rule, name->as_string(), kind) &&
+            !check_instance(rule, name->as_string(), labels, value, field,
+                            error)) {
+          return false;
+        }
+      }
+      if (value != nullptr && value->is_number()) {
+        seen.push_back({name->as_string(), labels, value->as_double()});
+      }
+    }
+  }
+  for (const Relation& rel : kRelations) {
+    if (!check_relation(rel, seen, error)) return false;
+  }
+  for (const QuantileRule& rule : kQuantileRules) {
+    if (!check_quantiles(rule, seen, error)) return false;
+  }
+  return true;
+}
+
 }  // namespace
+
+bool has_validation_rule(std::string_view name, MetricKind kind) {
+  return std::any_of(std::begin(kFamilyRules), std::end(kFamilyRules),
+                     [&](const FamilyRule& rule) {
+                       return covers(rule, name, kind);
+                     });
+}
 
 bool validate_report(const JsonValue& report, std::string* error) {
   if (error) error->clear();
@@ -262,11 +553,12 @@ bool validate_report(const JsonValue& report, std::string* error) {
   if (const JsonValue* phases = report.find("phases")) {
     if (!phases->is_array()) return fail(error, "phases: not an array");
     for (const auto& p : phases->as_array()) {
-      if (!p.is_object() || !p.find("name") || !p.find("seconds") ||
+      const JsonValue* seconds = p.find("seconds");
+      if (!p.find("name") || !seconds || !seconds->is_number() ||
           !p.find("count")) {
         return fail(error, "phases: entry needs name/seconds/count");
       }
-      if (p.at("seconds").as_double() < 0.0) {
+      if (seconds->as_double() < 0.0) {
         return fail(error, "phases: negative wall time");
       }
     }
@@ -274,11 +566,11 @@ bool validate_report(const JsonValue& report, std::string* error) {
   if (const JsonValue* sweep = report.find("sweep")) {
     if (!sweep->is_array()) return fail(error, "sweep: not an array");
     for (const auto& point : sweep->as_array()) {
-      if (!point.is_object() || !point.find("relative_cache_size") ||
-          !point.find("orgs") || !point.at("orgs").is_array()) {
+      const JsonValue* orgs = point.find("orgs");
+      if (!point.find("relative_cache_size") || !orgs || !orgs->is_array()) {
         return fail(error, "sweep: point needs relative_cache_size + orgs");
       }
-      for (const auto& entry : point.at("orgs").as_array()) {
+      for (const auto& entry : orgs->as_array()) {
         const JsonValue* org = entry.find("org");
         const JsonValue* metrics = entry.find("metrics");
         if (!org || !org->is_string() || !metrics) {
@@ -296,7 +588,7 @@ bool validate_report(const JsonValue& report, std::string* error) {
       return fail(error, "client_scaling: not an array");
     }
     for (const auto& point : scaling->as_array()) {
-      if (!point.is_object() || !point.find("client_fraction")) {
+      if (!point.find("client_fraction")) {
         return fail(error, "client_scaling: point needs client_fraction");
       }
       for (const char* side : {"browsers_aware", "proxy_and_local"}) {
@@ -309,583 +601,56 @@ bool validate_report(const JsonValue& report, std::string* error) {
       }
     }
   }
-  if (!validate_transport_metrics(report, error)) return false;
-  if (!validate_replay_metrics(report, error)) return false;
-  if (!validate_fault_metrics(report, error)) return false;
-  if (!validate_trace_metrics(report, error)) return false;
-  if (!validate_latency_metrics(report, error)) return false;
-  if (!validate_store_metrics(report, error)) return false;
-  if (!validate_shard_metrics(report, error)) return false;
-  if (!validate_netio_metrics(report, error)) return false;
-  if (const JsonValue* registry = report.find("registry")) {
-    if (!registry->is_object() || !registry->find("counters") ||
-        !registry->find("gauges") || !registry->find("histograms")) {
-      return fail(error,
-                  "registry: needs counters/gauges/histograms arrays");
-    }
-    for (const char* section : {"counters", "gauges", "histograms"}) {
-      const JsonValue& arr = registry->at(section);
-      if (!arr.is_array()) {
-        return fail(error, std::string("registry.") + section +
-                               ": not an array");
-      }
-      for (const auto& inst : arr.as_array()) {
-        if (!inst.is_object() || !inst.find("name")) {
-          return fail(error, std::string("registry.") + section +
-                                 ": instrument needs a name");
-        }
-      }
-    }
-  }
-  return true;
+  const JsonValue* registry = report.find("registry");
+  return registry == nullptr || check_registry(*registry, error);
 }
 
 namespace {
 
-bool is_transport_counter(const std::string& name) {
-  // store_* rides along: the durable tier's counters are cumulative across
-  // restarts by design, so successive snapshots must be monotone too.
-  return name.rfind("wire_", 0) == 0 || name.rfind("netio_", 0) == 0 ||
-         name.rfind("store_", 0) == 0;
-}
-
-/// Stable identity of one counter instance: name plus labels in their
-/// serialized order (snapshots emit labels sorted, so this matches across
-/// reports from the same process).
-std::string instance_key(const std::string& name, const JsonValue* labels) {
-  std::string key = name;
-  if (labels != nullptr && labels->is_object()) {
-    for (const auto& [k, v] : labels->as_object()) {
-      key += '|';
-      key += k;
-      key += '=';
-      key += v.is_string() ? v.as_string() : v.dump();
-    }
-  }
-  return key;
-}
-
-/// Collects the wire_*/netio_* counters of a report into key → value.
-/// Returns false on structurally broken entries (missing name/value).
-bool collect_transport_counters(const JsonValue& report,
-                                std::map<std::string, double>* out,
-                                std::string* error) {
+/// The wire_* / netio_* / store_* counters of a report, keyed by name plus
+/// labels in serialized order (snapshots sort labels, so keys match across
+/// reports from one process). store_* rides along: the durable tier's
+/// counters are cumulative across restarts by design. Instances that are
+/// not well formed are left to validate_report.
+std::map<std::string, double> transport_counters(const JsonValue& report) {
+  std::map<std::string, double> out;
   const JsonValue* registry = report.find("registry");
-  if (registry == nullptr || !registry->is_object()) return true;
-  const JsonValue* counters = registry->find("counters");
-  if (counters == nullptr || !counters->is_array()) return true;
+  const JsonValue* counters =
+      registry != nullptr ? registry->find("counters") : nullptr;
+  if (counters == nullptr || !counters->is_array()) return out;
   for (const auto& inst : counters->as_array()) {
-    if (!inst.is_object()) continue;
     const JsonValue* name = inst.find("name");
-    if (name == nullptr || !name->is_string() ||
-        !is_transport_counter(name->as_string())) {
+    const JsonValue* value = inst.find("value");
+    if (name == nullptr || !name->is_string() || value == nullptr ||
+        !value->is_number()) {
       continue;
     }
-    const JsonValue* value = inst.find("value");
-    if (value == nullptr || !value->is_number()) {
-      return fail(error, name->as_string() + ": counter needs a numeric value");
+    std::string key = name->as_string();
+    if (key.rfind("wire_", 0) != 0 && key.rfind("netio_", 0) != 0 &&
+        key.rfind("store_", 0) != 0) {
+      continue;
     }
-    if (value->as_double() < 0.0) {
-      return fail(error, name->as_string() + ": counter is negative");
+    if (const JsonValue* labels = inst.find("labels");
+        labels != nullptr && labels->is_object()) {
+      for (const auto& [k, v] : labels->as_object()) {
+        key += "|" + k + "=" + (v.is_string() ? v.as_string() : v.dump());
+      }
     }
-    (*out)[instance_key(name->as_string(), inst.find("labels"))] =
-        value->as_double();
+    out[key] = value->as_double();
   }
-  return true;
+  return out;
 }
 
 }  // namespace
-
-bool validate_transport_metrics(const JsonValue& report, std::string* error) {
-  if (error) error->clear();
-  std::map<std::string, double> counters;
-  if (!collect_transport_counters(report, &counters, error)) return false;
-
-  const JsonValue* registry = report.find("registry");
-  if (registry == nullptr || !registry->is_object()) return true;
-  const JsonValue* arr = registry->find("counters");
-  if (arr == nullptr || !arr->is_array()) return true;
-
-  std::map<std::string, double> frames_by_dir, bytes_by_dir;
-  for (const auto& inst : arr->as_array()) {
-    if (!inst.is_object()) continue;
-    const JsonValue* name = inst.find("name");
-    if (name == nullptr || !name->is_string()) continue;
-    const std::string& n = name->as_string();
-    if (n != "wire_frames_total" && n != "wire_bytes_total") continue;
-    const JsonValue* labels = inst.find("labels");
-    const JsonValue* dir =
-        labels != nullptr ? labels->find("dir") : nullptr;
-    if (dir == nullptr || !dir->is_string() ||
-        (dir->as_string() != "tx" && dir->as_string() != "rx")) {
-      return fail(error, n + ": dir label must be tx or rx");
-    }
-    const JsonValue* value = inst.find("value");
-    if (value == nullptr || !value->is_number()) {
-      return fail(error, n + ": counter needs a numeric value");
-    }
-    auto& sums = n == "wire_frames_total" ? frames_by_dir : bytes_by_dir;
-    sums[dir->as_string()] += value->as_double();
-  }
-  for (const auto& [dir, frames] : frames_by_dir) {
-    if (frames == 0.0) continue;
-    const auto it = bytes_by_dir.find(dir);
-    const double bytes = it == bytes_by_dir.end() ? 0.0 : it->second;
-    if (bytes < frames * static_cast<double>(wire::kHeaderSize)) {
-      return fail(error, "wire_bytes_total{dir=" + dir +
-                             "}: fewer bytes than headers for " +
-                             "wire_frames_total frames");
-    }
-  }
-  return true;
-}
-
-bool validate_replay_metrics(const JsonValue& report, std::string* error) {
-  if (error) error->clear();
-  const JsonValue* registry = report.find("registry");
-  if (registry == nullptr || !registry->is_object()) return true;
-  const JsonValue* arr = registry->find("gauges");
-  if (arr == nullptr || !arr->is_array()) return true;
-
-  for (const auto& inst : arr->as_array()) {
-    if (!inst.is_object()) continue;
-    const JsonValue* name = inst.find("name");
-    if (name == nullptr || !name->is_string() ||
-        name->as_string() != "replay_requests_per_second") {
-      continue;
-    }
-    const JsonValue* labels = inst.find("labels");
-    const JsonValue* org = labels != nullptr ? labels->find("org") : nullptr;
-    if (org == nullptr || !org->is_string() || org->as_string().empty()) {
-      return fail(error,
-                  "replay_requests_per_second: needs a non-empty org label");
-    }
-    const JsonValue* value = inst.find("value");
-    if (value == nullptr || !value->is_number() ||
-        !std::isfinite(value->as_double()) || value->as_double() <= 0.0) {
-      return fail(error, "replay_requests_per_second{org=" + org->as_string() +
-                             "}: value must be finite and positive");
-    }
-  }
-  return true;
-}
-
-bool validate_fault_metrics(const JsonValue& report, std::string* error) {
-  if (error) error->clear();
-  const JsonValue* registry = report.find("registry");
-  if (registry == nullptr || !registry->is_object()) return true;
-  const JsonValue* arr = registry->find("counters");
-  if (arr == nullptr || !arr->is_array()) return true;
-
-  // Per fault kind: injected and recovered totals, summed across instances.
-  std::map<std::string, double> injected, recovered;
-  for (const auto& inst : arr->as_array()) {
-    if (!inst.is_object()) continue;
-    const JsonValue* name = inst.find("name");
-    if (name == nullptr || !name->is_string()) continue;
-    const std::string& n = name->as_string();
-    const bool is_injected = n == "fault_injected_total";
-    const bool is_recovered = n == "fault_recovered_total";
-    if (!is_injected && !is_recovered && n != "stale_index_hits_total") {
-      continue;
-    }
-    const JsonValue* value = inst.find("value");
-    if (value == nullptr || !value->is_number()) {
-      return fail(error, n + ": counter needs a numeric value");
-    }
-    if (value->as_double() < 0.0) {
-      return fail(error, n + ": counter is negative");
-    }
-    if (!is_injected && !is_recovered) continue;  // stale_index_hits_total
-    const JsonValue* labels = inst.find("labels");
-    const JsonValue* kind =
-        labels != nullptr ? labels->find("kind") : nullptr;
-    if (kind == nullptr || !kind->is_string() || kind->as_string().empty()) {
-      return fail(error, n + ": needs a non-empty kind label");
-    }
-    auto& sums = is_injected ? injected : recovered;
-    sums[kind->as_string()] += value->as_double();
-  }
-  // A fault can only be recovered after it was injected, so per kind
-  // recovered <= injected (injecting is counted even when recovery fails).
-  for (const auto& [kind, rec] : recovered) {
-    const auto it = injected.find(kind);
-    const double inj = it == injected.end() ? 0.0 : it->second;
-    if (rec > inj) {
-      return fail(error, "fault_recovered_total{kind=" + kind +
-                             "}: exceeds fault_injected_total");
-    }
-  }
-  return true;
-}
-
-bool validate_trace_metrics(const JsonValue& report, std::string* error) {
-  if (error) error->clear();
-  const JsonValue* registry = report.find("registry");
-  if (registry == nullptr || !registry->is_object()) return true;
-
-  if (const JsonValue* counters = registry->find("counters");
-      counters != nullptr && counters->is_array()) {
-    for (const auto& inst : counters->as_array()) {
-      if (!inst.is_object()) continue;
-      const JsonValue* name = inst.find("name");
-      if (name == nullptr || !name->is_string() ||
-          name->as_string() != "trace_spans_total") {
-        continue;
-      }
-      const JsonValue* labels = inst.find("labels");
-      const JsonValue* kind =
-          labels != nullptr ? labels->find("kind") : nullptr;
-      if (kind == nullptr || !kind->is_string() || kind->as_string().empty()) {
-        return fail(error, "trace_spans_total: needs a non-empty kind label");
-      }
-      const JsonValue* value = inst.find("value");
-      if (value == nullptr || !value->is_number() ||
-          value->as_double() < 0.0) {
-        return fail(error, "trace_spans_total{kind=" + kind->as_string() +
-                               "}: value must be a non-negative number");
-      }
-    }
-  }
-  if (const JsonValue* hists = registry->find("histograms");
-      hists != nullptr && hists->is_array()) {
-    for (const auto& inst : hists->as_array()) {
-      if (!inst.is_object()) continue;
-      const JsonValue* name = inst.find("name");
-      if (name == nullptr || !name->is_string() ||
-          name->as_string() != "trace_stage_seconds") {
-        continue;
-      }
-      const JsonValue* labels = inst.find("labels");
-      const JsonValue* stage =
-          labels != nullptr ? labels->find("stage") : nullptr;
-      if (stage == nullptr || !stage->is_string() ||
-          stage->as_string().empty()) {
-        return fail(error,
-                    "trace_stage_seconds: needs a non-empty stage label");
-      }
-      const JsonValue* count = inst.find("count");
-      if (count == nullptr || !count->is_number() ||
-          count->as_double() < 0.0) {
-        return fail(error, "trace_stage_seconds{stage=" + stage->as_string() +
-                               "}: count must be a non-negative number");
-      }
-    }
-  }
-  return true;
-}
-
-bool validate_latency_metrics(const JsonValue& report, std::string* error) {
-  if (error) error->clear();
-  const JsonValue* registry = report.find("registry");
-  if (registry == nullptr || !registry->is_object()) return true;
-  const JsonValue* arr = registry->find("gauges");
-  if (arr == nullptr || !arr->is_array()) return true;
-
-  // q label order for the monotonicity check.
-  const auto q_rank = [](const std::string& q) -> int {
-    if (q == "p50") return 0;
-    if (q == "p95") return 1;
-    if (q == "p99") return 2;
-    if (q == "p999") return 3;
-    return -1;
-  };
-  // scope key ("stage=..."/"org=...") -> quantiles seen, indexed by rank.
-  std::map<std::string, std::array<std::optional<double>, 4>> scopes;
-
-  for (const auto& inst : arr->as_array()) {
-    if (!inst.is_object()) continue;
-    const JsonValue* name = inst.find("name");
-    if (name == nullptr || !name->is_string()) continue;
-    const std::string& n = name->as_string();
-    const bool is_stage = n == "latency_quantile_seconds";
-    const bool is_replay = n == "replay_latency_quantile_seconds";
-    if (!is_stage && !is_replay) continue;
-    const JsonValue* labels = inst.find("labels");
-    const JsonValue* q = labels != nullptr ? labels->find("q") : nullptr;
-    if (q == nullptr || !q->is_string() || q_rank(q->as_string()) < 0) {
-      return fail(error, n + ": q label must be one of p50/p95/p99/p999");
-    }
-    const char* scope_label = is_stage ? "stage" : "org";
-    const JsonValue* scope =
-        labels != nullptr ? labels->find(scope_label) : nullptr;
-    if (scope == nullptr || !scope->is_string() ||
-        scope->as_string().empty()) {
-      return fail(error, n + ": needs a non-empty " +
-                             std::string(scope_label) + " label");
-    }
-    const JsonValue* value = inst.find("value");
-    if (value == nullptr || !value->is_number() ||
-        !std::isfinite(value->as_double()) || value->as_double() < 0.0) {
-      return fail(error, n + "{" + scope_label + "=" + scope->as_string() +
-                             ",q=" + q->as_string() +
-                             "}: value must be finite and non-negative");
-    }
-    scopes[n + "{" + scope_label + "=" + scope->as_string() + "}"]
-          [static_cast<std::size_t>(q_rank(q->as_string()))] =
-        value->as_double();
-  }
-  // Quantiles of one distribution cannot decrease as q grows.
-  for (const auto& [scope, qs] : scopes) {
-    double prev = -1.0;
-    for (const auto& v : qs) {
-      if (!v.has_value()) continue;
-      if (*v < prev) {
-        return fail(error, scope + ": quantiles not monotone in q");
-      }
-      prev = *v;
-    }
-  }
-  return true;
-}
-
-bool validate_store_metrics(const JsonValue& report, std::string* error) {
-  if (error) error->clear();
-  const JsonValue* registry = report.find("registry");
-  if (registry == nullptr || !registry->is_object()) return true;
-
-  double probes = 0.0, hits = 0.0, misses = 0.0;
-  bool have_probe_family = false;
-  if (const JsonValue* counters = registry->find("counters");
-      counters != nullptr && counters->is_array()) {
-    for (const auto& inst : counters->as_array()) {
-      if (!inst.is_object()) continue;
-      const JsonValue* name = inst.find("name");
-      if (name == nullptr || !name->is_string()) continue;
-      const std::string& n = name->as_string();
-      if (n.rfind("store_", 0) != 0) continue;
-      const JsonValue* value = inst.find("value");
-      if (value == nullptr || !value->is_number()) {
-        return fail(error, n + ": counter needs a numeric value");
-      }
-      if (value->as_double() < 0.0) {
-        return fail(error, n + ": counter is negative");
-      }
-      if (n == "store_bytes_total") {
-        const JsonValue* labels = inst.find("labels");
-        const JsonValue* dir =
-            labels != nullptr ? labels->find("dir") : nullptr;
-        if (dir == nullptr || !dir->is_string() ||
-            (dir->as_string() != "read" && dir->as_string() != "written")) {
-          return fail(error,
-                      "store_bytes_total: dir label must be read or written");
-        }
-      }
-      if (n == "store_probes_total") {
-        probes += value->as_double();
-        have_probe_family = true;
-      } else if (n == "store_hits_total") {
-        hits += value->as_double();
-        have_probe_family = true;
-      } else if (n == "store_misses_total") {
-        misses += value->as_double();
-        have_probe_family = true;
-      }
-    }
-  }
-  // Every disk probe resolves to exactly one of hit or miss (a quarantined
-  // corrupt record counts as a miss — nothing was served).
-  if (have_probe_family && hits + misses != probes) {
-    return fail(error,
-                "store_hits_total + store_misses_total != store_probes_total");
-  }
-
-  if (const JsonValue* hists = registry->find("histograms");
-      hists != nullptr && hists->is_array()) {
-    for (const auto& inst : hists->as_array()) {
-      if (!inst.is_object()) continue;
-      const JsonValue* name = inst.find("name");
-      if (name == nullptr || !name->is_string() ||
-          name->as_string() != "store_stage_seconds") {
-        continue;
-      }
-      const JsonValue* labels = inst.find("labels");
-      const JsonValue* op = labels != nullptr ? labels->find("op") : nullptr;
-      if (op == nullptr || !op->is_string() || op->as_string().empty()) {
-        return fail(error, "store_stage_seconds: needs a non-empty op label");
-      }
-      const JsonValue* count = inst.find("count");
-      if (count == nullptr || !count->is_number() ||
-          count->as_double() < 0.0) {
-        return fail(error, "store_stage_seconds{op=" + op->as_string() +
-                               "}: count must be a non-negative number");
-      }
-    }
-  }
-  return true;
-}
-
-bool validate_shard_metrics(const JsonValue& report, std::string* error) {
-  if (error) error->clear();
-  const JsonValue* registry = report.find("registry");
-  if (registry == nullptr || !registry->is_object()) return true;
-  const JsonValue* counters = registry->find("counters");
-  if (counters == nullptr || !counters->is_array()) return true;
-
-  // Per organization: sum of shard_requests_total{org,shard=*} on one side,
-  // shard_merged_requests_total{org} on the other. Counts are cumulative
-  // across sharded runs, but every run adds the same total to both sides,
-  // so the invariant must hold on any snapshot.
-  std::map<std::string, double> shard_sums, merged_totals;
-  for (const auto& inst : counters->as_array()) {
-    if (!inst.is_object()) continue;
-    const JsonValue* name = inst.find("name");
-    if (name == nullptr || !name->is_string()) continue;
-    const std::string& n = name->as_string();
-    const bool is_shard = n == "shard_requests_total";
-    const bool is_merged = n == "shard_merged_requests_total";
-    if (!is_shard && !is_merged) continue;
-    const JsonValue* value = inst.find("value");
-    if (value == nullptr || !value->is_number() ||
-        value->as_double() < 0.0) {
-      return fail(error, n + ": counter needs a non-negative numeric value");
-    }
-    const JsonValue* labels = inst.find("labels");
-    const JsonValue* org = labels != nullptr ? labels->find("org") : nullptr;
-    if (org == nullptr || !org->is_string() || org->as_string().empty()) {
-      // The eagerly registered family members carry no labels and stay at
-      // zero; any instance holding real counts must name its organization.
-      if (value->as_double() != 0.0) {
-        return fail(error, n + ": non-zero instance needs an org label");
-      }
-      continue;
-    }
-    if (is_shard) {
-      const JsonValue* shard = labels->find("shard");
-      if (shard == nullptr || !shard->is_string() ||
-          shard->as_string().empty()) {
-        return fail(error, "shard_requests_total{org=" + org->as_string() +
-                               "}: needs a non-empty shard label");
-      }
-      shard_sums[org->as_string()] += value->as_double();
-    } else {
-      merged_totals[org->as_string()] += value->as_double();
-    }
-  }
-  for (const auto& [org, sum] : shard_sums) {
-    const auto it = merged_totals.find(org);
-    if (it == merged_totals.end()) {
-      return fail(error, "shard_requests_total{org=" + org +
-                             "}: missing shard_merged_requests_total");
-    }
-    if (sum != it->second) {
-      return fail(error, "shard_requests_total{org=" + org +
-                             "}: shard counters sum to " +
-                             std::to_string(sum) +
-                             " but shard_merged_requests_total is " +
-                             std::to_string(it->second));
-    }
-  }
-  for (const auto& [org, total] : merged_totals) {
-    if (total != 0.0 && shard_sums.find(org) == shard_sums.end()) {
-      return fail(error, "shard_merged_requests_total{org=" + org +
-                             "}: no per-shard counters to account for it");
-    }
-  }
-  return true;
-}
-
-bool validate_netio_metrics(const JsonValue& report, std::string* error) {
-  if (error) error->clear();
-  const JsonValue* registry = report.find("registry");
-  if (registry == nullptr || !registry->is_object()) return true;
-
-  // Counters: every netio_* instance must be a non-negative number.
-  if (const JsonValue* counters = registry->find("counters");
-      counters != nullptr && counters->is_array()) {
-    for (const auto& inst : counters->as_array()) {
-      if (!inst.is_object()) continue;
-      const JsonValue* name = inst.find("name");
-      if (name == nullptr || !name->is_string()) continue;
-      const std::string& n = name->as_string();
-      if (n.rfind("netio_", 0) != 0 && n.rfind("connload_", 0) != 0) {
-        continue;
-      }
-      const JsonValue* value = inst.find("value");
-      if (value == nullptr || !value->is_number() ||
-          value->as_double() < 0.0) {
-        return fail(error, n + ": counter needs a non-negative numeric value");
-      }
-    }
-  }
-
-  const JsonValue* gauges = registry->find("gauges");
-  if (gauges == nullptr || !gauges->is_array()) return true;
-  std::map<std::string, double> quantiles;
-  double peak = -1.0;
-  double established = -1.0;
-  for (const auto& inst : gauges->as_array()) {
-    if (!inst.is_object()) continue;
-    const JsonValue* name = inst.find("name");
-    if (name == nullptr || !name->is_string()) continue;
-    const std::string& n = name->as_string();
-    if (n.rfind("netio_", 0) != 0 && n.rfind("connload_", 0) != 0) continue;
-    const JsonValue* value = inst.find("value");
-    if (value == nullptr || !value->is_number() || value->as_double() < 0.0) {
-      return fail(error, n + ": gauge needs a non-negative numeric value");
-    }
-    if (n == "connload_roundtrip_quantile_seconds") {
-      const JsonValue* labels = inst.find("labels");
-      const JsonValue* q = labels != nullptr ? labels->find("q") : nullptr;
-      if (q == nullptr || !q->is_string() ||
-          (q->as_string() != "p50" && q->as_string() != "p99" &&
-           q->as_string() != "p999")) {
-        return fail(error, "connload_roundtrip_quantile_seconds: needs a q "
-                           "label of p50, p99, or p999");
-      }
-      quantiles[q->as_string()] = value->as_double();
-    } else if (n == "connload_connections_peak") {
-      peak = value->as_double();
-    }
-  }
-  if (const JsonValue* counters = registry->find("counters");
-      counters != nullptr && counters->is_array()) {
-    for (const auto& inst : counters->as_array()) {
-      if (!inst.is_object()) continue;
-      const JsonValue* name = inst.find("name");
-      const JsonValue* value = inst.find("value");
-      if (name != nullptr && name->is_string() && value != nullptr &&
-          value->is_number() &&
-          name->as_string() == "connload_established_total") {
-        established = value->as_double();
-      }
-    }
-  }
-  if (!quantiles.empty()) {
-    // The bench always emits all three together; a lone quantile means the
-    // report was stitched by hand or the bench died mid-emit.
-    for (const char* q : {"p50", "p99", "p999"}) {
-      if (quantiles.count(q) == 0) {
-        return fail(error, std::string("connload_roundtrip_quantile_seconds"
-                                       ": missing q=") + q);
-      }
-    }
-    if (quantiles["p50"] > quantiles["p99"] ||
-        quantiles["p99"] > quantiles["p999"]) {
-      return fail(error, "connload_roundtrip_quantile_seconds: quantiles "
-                         "must be monotone (p50 <= p99 <= p999)");
-    }
-  }
-  // Peak concurrency can never exceed the number of connections that ever
-  // completed a connect.
-  if (peak >= 0.0 && established >= 0.0 && peak > established) {
-    return fail(error, "connload_connections_peak exceeds "
-                       "connload_established_total");
-  }
-  return true;
-}
 
 bool validate_transport_monotonicity(const JsonValue& earlier,
                                      const JsonValue& later,
                                      std::string* error) {
   if (error) error->clear();
-  std::map<std::string, double> before, after;
-  if (!collect_transport_counters(earlier, &before, error)) return false;
-  if (!collect_transport_counters(later, &after, error)) return false;
-  for (const auto& [key, value] : before) {
+  const auto after = transport_counters(later);
+  for (const auto& [key, value] : transport_counters(earlier)) {
     const auto it = after.find(key);
-    if (it == after.end()) continue;
-    if (it->second < value) {
+    if (it != after.end() && it->second < value) {
       return fail(error, key + ": counter went backwards (" +
                              std::to_string(value) + " -> " +
                              std::to_string(it->second) + ")");

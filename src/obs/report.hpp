@@ -23,6 +23,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/runner.hpp"
@@ -39,12 +40,6 @@ inline constexpr const char* kReportSchema = "baps.report.v1";
 /// Full serialization of one simulation's Metrics: counters exact, derived
 /// ratios alongside.
 JsonValue metrics_to_json(const sim::Metrics& m);
-
-/// One sweep entry per point, one metrics object per organization.
-JsonValue sweep_to_json(const std::vector<core::CacheSizePoint>& points);
-
-JsonValue client_scaling_to_json(
-    const std::vector<core::ClientScalingPoint>& points);
 
 /// Accumulates report sections and writes the schema above.
 class ReportBuilder {
@@ -76,85 +71,19 @@ class ReportBuilder {
 
 /// Structural validation of a parsed report against baps.report.v1: schema
 /// id, section shapes, and internal consistency of every metrics object
-/// (counts sum to totals, ratios match their counters). Returns true when
-/// valid; otherwise fills *error with the first violation.
+/// (counts sum to totals, ratios match their counters). The registry
+/// section is checked against the metric family table in report.cpp: the
+/// labels and value rule of each family, plus its cross-metric relations
+/// (sums that must match, bounds, quantiles monotone in q). Malformed input
+/// is rejected, never thrown on. Returns true when valid; otherwise fills
+/// *error with the first violation, naming the family and the rule.
 bool validate_report(const JsonValue& report, std::string* error = nullptr);
 
-/// Family checks for the transport counters in a report's registry section:
-/// every `wire_frames_total` / `wire_bytes_total` instance must carry a
-/// `dir` label of "tx" or "rx", every counter value must be a non-negative
-/// number, and per direction the byte total must be at least the frame
-/// header size times the frame total (a frame can never cost fewer bytes
-/// than its header). Reports without a registry or without wire counters
-/// pass trivially.
-bool validate_transport_metrics(const JsonValue& report,
-                                std::string* error = nullptr);
+enum class MetricKind { kCounter, kGauge, kHistogram };
 
-/// Family check for the replay-throughput gauges bench_replay publishes:
-/// every `replay_requests_per_second` gauge in the registry section must
-/// carry a non-empty `org` label and a finite, strictly positive value.
-/// Reports without a registry or without replay gauges pass trivially.
-bool validate_replay_metrics(const JsonValue& report,
-                             std::string* error = nullptr);
-
-/// Family checks for the fault-injection counters: every
-/// `fault_injected_total` / `fault_recovered_total` instance must carry a
-/// non-empty `kind` label and a non-negative numeric value, per kind the
-/// recovered total must not exceed the injected total, and
-/// `stale_index_hits_total` must be non-negative. Reports without a registry
-/// or without fault counters pass trivially.
-bool validate_fault_metrics(const JsonValue& report,
-                            std::string* error = nullptr);
-
-/// Family checks for the tracing counters/histograms: every
-/// `trace_spans_total` instance must carry a non-empty `kind` label and a
-/// non-negative value, and every `trace_stage_seconds` histogram must carry
-/// a non-empty `stage` label with a non-negative observation count. Reports
-/// without a registry or without trace instruments pass trivially.
-bool validate_trace_metrics(const JsonValue& report,
-                            std::string* error = nullptr);
-
-/// Family checks for derived latency gauges (`latency_quantile_seconds`,
-/// `replay_latency_quantile_seconds`): each instance must carry a `q` label
-/// in {p50, p95, p99, p999} plus a family-specific scope label (`stage` for
-/// latency_quantile_seconds, `org` for the replay family), every value must
-/// be finite and non-negative, and within one scope the quantiles must be
-/// monotone non-decreasing in q (p50 <= p95 <= p99 <= p999 where present).
-/// Reports without a registry or without latency gauges pass trivially.
-bool validate_latency_metrics(const JsonValue& report,
-                              std::string* error = nullptr);
-
-/// Family checks for the durable-store instruments: every `store_*` counter
-/// must be a non-negative number, `store_bytes_total` must carry a `dir`
-/// label of "read" or "written", every `store_stage_seconds` histogram must
-/// carry a non-empty `op` label with a non-negative count, and summed across
-/// instances `store_hits_total + store_misses_total` must equal
-/// `store_probes_total` (every disk probe resolves to exactly one of the
-/// two). Reports without a registry or without store instruments pass
-/// trivially.
-bool validate_store_metrics(const JsonValue& report,
-                            std::string* error = nullptr);
-
-/// Family checks for the sharded-replay counters: every labeled
-/// `shard_requests_total` instance needs non-empty `org` and `shard`
-/// labels, every labeled `shard_merged_requests_total` a non-empty `org`,
-/// all values non-negative, and per organization the shard counters must
-/// sum EXACTLY to the merged total — the counter half of the sharded
-/// engine's merge contract (sim/sharded_replay.hpp). Unlabeled zero-valued
-/// instances (eager family registration) pass; reports without a registry
-/// or without shard counters pass trivially.
-bool validate_shard_metrics(const JsonValue& report,
-                            std::string* error = nullptr);
-
-/// Family checks for the event-loop and connection-load instruments: every
-/// `netio_*` / `connload_*` counter and gauge must be a non-negative number,
-/// every `connload_roundtrip_quantile_seconds` instance needs a `q` label of
-/// p50/p99/p999 with all three present together and monotone non-decreasing
-/// in q, and `connload_connections_peak` can never exceed
-/// `connload_established_total`. Reports without a registry or without these
-/// instruments pass trivially.
-bool validate_netio_metrics(const JsonValue& report,
-                            std::string* error = nullptr);
+/// True when the family table has a row, exact or prefix, covering
+/// instrument `name` of `kind`.
+bool has_validation_rule(std::string_view name, MetricKind kind);
 
 /// Checks that every `wire_*` / `netio_*` / `store_*` counter present in
 /// both reports (matched by name + labels) is monotone non-decreasing from

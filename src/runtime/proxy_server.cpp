@@ -91,17 +91,11 @@ void ProxyServer::set_sampler(obs::TimeSeriesSampler* sampler) {
   sampler_ = sampler;
 }
 
-void ProxyServer::capture_window_snapshot() {
-  window_.capture(obs::Registry::global().snapshot(),
-                  obs::monotonic_seconds());
-}
-
 obs::JsonValue ProxyServer::trace_stats_json(std::uint32_t max_spans) {
   obs::JsonValue out = obs::json_object({});
   out.set("schema", obs::JsonValue("baps.trace_stats.v1"));
   out.set("registry", obs::to_json(obs::with_latency_quantiles(
                           obs::Registry::global().snapshot())));
-  out.set("window", window_.window_json());
   if (tracer_ != nullptr) {
     obs::JsonArray spans;
     for (const obs::SpanRecord& rec : tracer_->recent_spans(max_spans)) {

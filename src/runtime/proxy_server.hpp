@@ -28,7 +28,6 @@
 #include "netio/channel_pool.hpp"
 #include "netio/epoll_server.hpp"
 #include "netio/server.hpp"
-#include "obs/snapshot_window.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
 #include "runtime/proxy_core.hpp"
@@ -82,14 +81,10 @@ class ProxyServer {
   /// still a valid baps.timeseries_window.v1 document.
   void set_sampler(obs::TimeSeriesSampler* sampler);
 
-  /// Captures one timestamped registry snapshot into the rolling window
-  /// (the daemon's poll loop calls this ~once a second).
-  void capture_window_snapshot();
-
   /// The baps.trace_stats.v1 introspection document served to
   /// TraceStatsRequest: live registry snapshot with latency quantiles,
-  /// windowed counter rates, tracer totals, recent spans (up to
-  /// `max_spans`), and the top-K slowest trace trees.
+  /// tracer totals, recent spans (up to `max_spans`), and the top-K slowest
+  /// trace trees. Live rates come from the sampler (TimeSeriesRequest).
   obs::JsonValue trace_stats_json(std::uint32_t max_spans);
 
  private:
@@ -119,7 +114,6 @@ class ProxyServer {
   std::mutex core_mu_;
   obs::Tracer* tracer_ = nullptr;  ///< optional, not owned
   obs::TimeSeriesSampler* sampler_ = nullptr;  ///< optional, not owned
-  obs::SnapshotWindow window_;
 
   std::mutex ports_mu_;
   std::unordered_map<ClientId, std::uint16_t> peer_ports_;

@@ -113,8 +113,8 @@ struct ErrorMsg {
 };
 
 /// Live-introspection request: the proxy answers with a registry snapshot
-/// (current counters/gauges/histograms + windowed rates) and up to
-/// `max_spans` most recent spans, without interrupting service.
+/// (current counters/gauges/histograms) and up to `max_spans` most recent
+/// spans, without interrupting service. Live rates are TimeSeriesRequest's.
 struct TraceStatsRequest {
   static constexpr FrameKind kKind = FrameKind::kTraceStatsRequest;
   /// 0 = no spans, just the metrics snapshot.
@@ -122,8 +122,8 @@ struct TraceStatsRequest {
 };
 
 /// Introspection payload: one JSON document (schema baps.trace_stats.v1,
-/// produced by the proxy's tracer + snapshot window). JSON rather than a
-/// fixed struct so the snapshot can grow fields without a wire rev.
+/// the proxy's registry snapshot plus its tracer's spans). JSON rather than
+/// a fixed struct so the snapshot can grow fields without a wire rev.
 struct TraceStatsResponse {
   static constexpr FrameKind kKind = FrameKind::kTraceStatsResponse;
   std::string json;

@@ -101,6 +101,12 @@ void run_slice(bool event_driven, const trace::Trace& t,
 
   TcpTransport::Params tp;
   tp.proxy_port = server.port();
+  // Holders keep parked peer connections open for the whole slice. With the
+  // default read deadline a holder closes a socket the proxy's pool left
+  // idle for 5 s, and the proxy's retry on a fresh dial adds a peer-fetch
+  // frame to whichever run happened to be slow enough: a timing artefact,
+  // not a transport difference.
+  tp.deadlines.read_ms = 120'000;
   TcpTransport transport(tp);
   BapsSystem::Params sp;
   sp.num_clients = kClients;

@@ -4,7 +4,9 @@
 // dashboards grow columns mid-run and makes fault-free reports silently
 // omit the fault counters; eager registration pins the full schema from
 // interval #0. Registry::global() is shared across tests in this binary, so
-// these are presence assertions, not value assertions.
+// these are presence assertions, not value assertions. Each family must
+// also have a row in report_check's family table (obs/report.cpp), so a new
+// family cannot skip validation.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,6 +14,7 @@
 #include "fault/fault_plan.hpp"
 #include "netio/netio_metrics.hpp"
 #include "obs/registry.hpp"
+#include "obs/report.hpp"
 #include "obs/span.hpp"
 #include "sim/sharded_replay.hpp"
 #include "store/tiered_store.hpp"
@@ -127,6 +130,31 @@ TEST(MetricFamiliesTest, EagerRegistrationIsIdempotent) {
     if (c.name == "store_probes_total") ++store_probes;
   }
   EXPECT_EQ(store_probes, 1u);
+}
+
+TEST(MetricFamiliesTest, EveryRegisteredFamilyHasAValidationRule) {
+  store::register_store_metric_families();
+  fault::register_fault_metric_families();
+  obs::register_trace_metric_families();
+  sim::register_shard_metric_families();
+  netio::register_netio_metric_families();
+  const obs::Snapshot snap = obs::Registry::global().snapshot();
+  ASSERT_FALSE(snap.counters.empty());
+  for (const obs::CounterSample& c : snap.counters) {
+    EXPECT_TRUE(obs::has_validation_rule(c.name, obs::MetricKind::kCounter))
+        << c.name;
+  }
+  for (const obs::GaugeSample& g : snap.gauges) {
+    EXPECT_TRUE(obs::has_validation_rule(g.name, obs::MetricKind::kGauge))
+        << g.name;
+  }
+  for (const obs::HistogramSample& h : snap.histograms) {
+    EXPECT_TRUE(obs::has_validation_rule(h.name, obs::MetricKind::kHistogram))
+        << h.name;
+  }
+  // The table is keyed by kind too: a counter row does not cover a gauge.
+  EXPECT_FALSE(obs::has_validation_rule("store_probes_total",
+                                        obs::MetricKind::kGauge));
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -135,102 +136,140 @@ TEST(ReportTest, ClientScalingSectionValidatesWithTraceLabels) {
             points[1].num_clients);
 }
 
-TEST(ValidateTest, RejectsCorruptedReports) {
+/// validate_report must reject `report`, without throwing, with an error
+/// that names `family` and the violated `rule`.
+void expect_rejected(const JsonValue& report, const std::string& family,
+                     const std::string& rule) {
   std::string error;
+  bool valid = true;
+  EXPECT_NO_THROW(valid = validate_report(report, &error));
+  EXPECT_FALSE(valid);
+  EXPECT_NE(error.find(family), std::string::npos) << error;
+  EXPECT_NE(error.find(rule), std::string::npos) << error;
+}
+
+JsonValue& first_sweep_metrics(JsonValue& report) {
+  return *report.find("sweep")
+              ->as_array()[0]
+              .find("orgs")
+              ->as_array()[0]
+              .find("metrics");
+}
+
+TEST(ValidateTest, RejectsCorruptedReports) {
   // Wrong schema id.
   JsonValue bad;
   bad.set("schema", JsonValue("nope.v0"));
   bad.set("tool", JsonValue("x"));
-  EXPECT_FALSE(validate_report(bad, &error));
+  expect_rejected(bad, "report", "schema");
 
   // A tampered ratio must be caught by the recompute check.
-  JsonValue report = ReportBuilder("report_test")
-                         .add_sweep(shared_sweep())
-                         .build();
-  JsonValue& sweep = *report.find("sweep");
-  JsonValue& metrics =
-      *sweep.as_array()[0].find("orgs")->as_array()[0].find("metrics");
-  metrics.find("hits")->set("ratio", JsonValue(0.123456));
-  EXPECT_FALSE(validate_report(report, &error));
-  EXPECT_NE(error.find("ratio"), std::string::npos) << error;
+  JsonValue report =
+      ReportBuilder("report_test").add_sweep(shared_sweep()).build();
+  first_sweep_metrics(report).find("hits")->set("ratio", JsonValue(0.123456));
+  expect_rejected(report, "hits", "ratio");
 }
 
-JsonValue counter_json(const std::string& name, JsonObject labels,
-                       double value) {
+TEST(ValidateTest, RejectsSweepMetricsMissingALocation) {
+  JsonValue report =
+      ReportBuilder("report_test").add_sweep(shared_sweep()).build();
+  JsonObject& locations =
+      first_sweep_metrics(report).find("locations")->as_object();
+  locations.erase(std::remove_if(locations.begin(), locations.end(),
+                                 [](const auto& kv) {
+                                   return kv.first == "proxy";
+                                 }),
+                  locations.end());
+  expect_rejected(report, "locations.proxy", "needs an integer hits");
+}
+
+TEST(ValidateTest, RejectsNegativeHitCount) {
+  JsonValue report =
+      ReportBuilder("report_test").add_sweep(shared_sweep()).build();
+  first_sweep_metrics(report).find("hits")->set("count", JsonValue(-1));
+  expect_rejected(report, "hits", "integer count");
+}
+
+/// One counter or gauge instance as the registry section serializes it.
+JsonValue sample_json(const std::string& name, JsonObject labels,
+                      double value) {
   return json_object({{"name", JsonValue(name)},
                       {"labels", JsonValue(std::move(labels))},
                       {"value", JsonValue(value)}});
 }
 
-JsonValue report_with_counters(JsonArray counters) {
+JsonValue report_with_registry(JsonArray counters, JsonArray gauges,
+                               JsonArray histograms) {
   JsonValue registry;
   registry.set("counters", JsonValue(std::move(counters)));
-  registry.set("gauges", JsonValue(JsonArray{}));
-  registry.set("histograms", JsonValue(JsonArray{}));
+  registry.set("gauges", JsonValue(std::move(gauges)));
+  registry.set("histograms", JsonValue(std::move(histograms)));
   JsonValue report;
   report.set("schema", JsonValue(kReportSchema));
-  report.set("tool", JsonValue("transport_test"));
+  report.set("tool", JsonValue("report_test"));
   report.set("registry", std::move(registry));
   return report;
 }
 
+JsonValue report_with_counters(JsonArray counters) {
+  return report_with_registry(std::move(counters), {}, {});
+}
+
+JsonValue report_with_gauges(JsonArray gauges) {
+  return report_with_registry({}, std::move(gauges), {});
+}
+
 TEST(TransportMetricsTest, AcceptsConsistentWireCounters) {
   const JsonValue report = report_with_counters({
-      counter_json("wire_frames_total", {{"dir", "tx"}, {"kind", "hello"}},
-                   3),
-      counter_json("wire_frames_total", {{"dir", "tx"}, {"kind", "bye"}}, 2),
-      counter_json("wire_frames_total", {{"dir", "rx"}, {"kind", "hello"}},
-                   5),
-      counter_json("wire_bytes_total", {{"dir", "tx"}}, 5 * 16 + 40),
-      counter_json("wire_bytes_total", {{"dir", "rx"}}, 5 * 16),
-      counter_json("netio_timeouts_total", {{"op", "read"}}, 1),
+      sample_json("wire_frames_total", {{"dir", "tx"}, {"kind", "hello"}},
+                  3),
+      sample_json("wire_frames_total", {{"dir", "tx"}, {"kind", "bye"}}, 2),
+      sample_json("wire_frames_total", {{"dir", "rx"}, {"kind", "hello"}},
+                  5),
+      sample_json("wire_bytes_total", {{"dir", "tx"}}, 5 * 16 + 40),
+      sample_json("wire_bytes_total", {{"dir", "rx"}}, 5 * 16),
+      sample_json("netio_timeouts_total", {{"op", "read"}}, 1),
   });
   std::string error;
-  EXPECT_TRUE(validate_transport_metrics(report, &error)) << error;
   EXPECT_TRUE(validate_report(report, &error)) << error;
 }
 
 TEST(TransportMetricsTest, RejectsBadDirLabel) {
-  const JsonValue report = report_with_counters({
-      counter_json("wire_frames_total", {{"dir", "up"}, {"kind", "hello"}},
-                   1),
-  });
-  std::string error;
-  EXPECT_FALSE(validate_transport_metrics(report, &error));
-  EXPECT_NE(error.find("dir label"), std::string::npos) << error;
-  EXPECT_FALSE(validate_report(report, &error));
+  expect_rejected(report_with_counters({
+                      sample_json("wire_frames_total",
+                                  {{"dir", "up"}, {"kind", "hello"}}, 1),
+                  }),
+                  "wire_frames_total", "dir label must be one of tx, rx");
 }
 
 TEST(TransportMetricsTest, RejectsFrameBytesBelowTheHeaderFloor) {
   // 10 frames can never cost fewer than 10 headers of bytes.
-  const JsonValue report = report_with_counters({
-      counter_json("wire_frames_total", {{"dir", "tx"}, {"kind", "hello"}},
-                   10),
-      counter_json("wire_bytes_total", {{"dir", "tx"}}, 100),
-  });
-  std::string error;
-  EXPECT_FALSE(validate_transport_metrics(report, &error));
-  EXPECT_NE(error.find("fewer bytes"), std::string::npos) << error;
+  expect_rejected(report_with_counters({
+                      sample_json("wire_frames_total",
+                                  {{"dir", "tx"}, {"kind", "hello"}}, 10),
+                      sample_json("wire_bytes_total", {{"dir", "tx"}}, 100),
+                  }),
+                  "wire_frames_total{dir=tx}",
+                  "exceeds wire_bytes_total{dir=tx}");
 }
 
 TEST(TransportMetricsTest, RejectsNegativeTransportCounters) {
-  const JsonValue report = report_with_counters({
-      counter_json("netio_retries_total", {{"op", "fetch"}}, -1),
-  });
-  std::string error;
-  EXPECT_FALSE(validate_transport_metrics(report, &error));
-  EXPECT_NE(error.find("negative"), std::string::npos) << error;
+  expect_rejected(report_with_counters({
+                      sample_json("netio_retries_total", {{"op", "fetch"}},
+                                  -1),
+                  }),
+                  "netio_retries_total", "finite non-negative");
 }
 
 TEST(TransportMetricsTest, MonotonicityAcceptsGrowthAndNewCounters) {
   const JsonValue earlier = report_with_counters({
-      counter_json("wire_frames_total", {{"dir", "tx"}, {"kind", "hello"}},
-                   3),
+      sample_json("wire_frames_total", {{"dir", "tx"}, {"kind", "hello"}},
+                  3),
   });
   const JsonValue later = report_with_counters({
-      counter_json("wire_frames_total", {{"dir", "tx"}, {"kind", "hello"}},
-                   7),
-      counter_json("netio_timeouts_total", {{"op", "read"}}, 2),
+      sample_json("wire_frames_total", {{"dir", "tx"}, {"kind", "hello"}},
+                  7),
+      sample_json("netio_timeouts_total", {{"op", "read"}}, 2),
   });
   std::string error;
   EXPECT_TRUE(validate_transport_monotonicity(earlier, later, &error))
@@ -239,10 +278,10 @@ TEST(TransportMetricsTest, MonotonicityAcceptsGrowthAndNewCounters) {
 
 TEST(TransportMetricsTest, MonotonicityRejectsACounterGoingBackwards) {
   const JsonValue earlier = report_with_counters({
-      counter_json("wire_bytes_total", {{"dir", "rx"}}, 640),
+      sample_json("wire_bytes_total", {{"dir", "rx"}}, 640),
   });
   const JsonValue later = report_with_counters({
-      counter_json("wire_bytes_total", {{"dir", "rx"}}, 639),
+      sample_json("wire_bytes_total", {{"dir", "rx"}}, 639),
   });
   std::string error;
   EXPECT_FALSE(validate_transport_monotonicity(earlier, later, &error));
@@ -253,12 +292,12 @@ TEST(TransportMetricsTest, MonotonicityDistinguishesLabelSets) {
   // tx dropping while rx grows must still fail: instances are matched by
   // their full label set, not just the name.
   const JsonValue earlier = report_with_counters({
-      counter_json("wire_bytes_total", {{"dir", "tx"}}, 100),
-      counter_json("wire_bytes_total", {{"dir", "rx"}}, 100),
+      sample_json("wire_bytes_total", {{"dir", "tx"}}, 100),
+      sample_json("wire_bytes_total", {{"dir", "rx"}}, 100),
   });
   const JsonValue later = report_with_counters({
-      counter_json("wire_bytes_total", {{"dir", "tx"}}, 50),
-      counter_json("wire_bytes_total", {{"dir", "rx"}}, 200),
+      sample_json("wire_bytes_total", {{"dir", "tx"}}, 50),
+      sample_json("wire_bytes_total", {{"dir", "rx"}}, 200),
   });
   std::string error;
   EXPECT_FALSE(validate_transport_monotonicity(earlier, later, &error));
@@ -270,213 +309,170 @@ TEST(TransportMetricsTest, ReportsWithoutWireCountersPassTrivially) {
                                .add_sweep(shared_sweep())
                                .build();
   std::string error;
-  EXPECT_TRUE(validate_transport_metrics(report, &error)) << error;
+  EXPECT_TRUE(validate_report(report, &error)) << error;
   EXPECT_TRUE(
       validate_transport_monotonicity(report, report, &error))
       << error;
 }
 
-JsonValue report_with_gauges(JsonArray gauges) {
-  JsonValue registry;
-  registry.set("counters", JsonValue(JsonArray{}));
-  registry.set("gauges", JsonValue(std::move(gauges)));
-  registry.set("histograms", JsonValue(JsonArray{}));
-  JsonValue report;
-  report.set("schema", JsonValue(kReportSchema));
-  report.set("tool", JsonValue("replay_test"));
-  report.set("registry", std::move(registry));
-  return report;
-}
-
 TEST(ReplayMetricsTest, AcceptsLabeledPositiveGauges) {
   const JsonValue report = report_with_gauges({
-      counter_json("replay_requests_per_second",
-                   {{"org", "browsers-aware-proxy-server"}}, 2.5e6),
-      counter_json("replay_requests_per_second", {{"org", "proxy-cache-only"}},
-                   7.1e6),
-      counter_json("some_other_gauge", {}, 0.0),  // not the family: ignored
+      sample_json("replay_requests_per_second",
+                  {{"org", "browsers-aware-proxy-server"}}, 2.5e6),
+      sample_json("replay_requests_per_second", {{"org", "proxy-cache-only"}},
+                  7.1e6),
+      sample_json("some_other_gauge", {}, 0.0),  // not the family: ignored
   });
   std::string error;
-  EXPECT_TRUE(validate_replay_metrics(report, &error)) << error;
   EXPECT_TRUE(validate_report(report, &error)) << error;
 }
 
 TEST(ReplayMetricsTest, RejectsMissingOrgLabel) {
-  const JsonValue report = report_with_gauges({
-      counter_json("replay_requests_per_second", {}, 1.0e6),
-  });
-  std::string error;
-  EXPECT_FALSE(validate_replay_metrics(report, &error));
-  EXPECT_NE(error.find("org label"), std::string::npos) << error;
-  EXPECT_FALSE(validate_report(report, &error));
+  expect_rejected(report_with_gauges({
+                      sample_json("replay_requests_per_second", {}, 1.0e6),
+                  }),
+                  "replay_requests_per_second", "org label");
 }
 
 TEST(ReplayMetricsTest, RejectsNonPositiveThroughput) {
-  const JsonValue report = report_with_gauges({
-      counter_json("replay_requests_per_second", {{"org", "proxy-cache-only"}},
-                   0.0),
-  });
-  std::string error;
-  EXPECT_FALSE(validate_replay_metrics(report, &error));
-  EXPECT_NE(error.find("finite and positive"), std::string::npos) << error;
+  expect_rejected(report_with_gauges({
+                      sample_json("replay_requests_per_second",
+                                  {{"org", "proxy-cache-only"}}, 0.0),
+                  }),
+                  "replay_requests_per_second", "finite and positive");
 }
 
 TEST(ReplayMetricsTest, ReportsWithoutReplayGaugesPassTrivially) {
   const JsonValue report =
       ReportBuilder("report_test").add_sweep(shared_sweep()).build();
   std::string error;
-  EXPECT_TRUE(validate_replay_metrics(report, &error)) << error;
+  EXPECT_TRUE(validate_report(report, &error)) << error;
 }
 
 TEST(FaultMetricsTest, AcceptsKindLabeledFaultCounters) {
   const JsonValue report = report_with_counters({
-      counter_json("fault_injected_total", {{"kind", "drop_frame"}}, 7),
-      counter_json("fault_recovered_total", {{"kind", "drop_frame"}}, 7),
-      counter_json("fault_injected_total", {{"kind", "peer_depart"}}, 3),
-      counter_json("stale_index_hits_total", {}, 2),
+      sample_json("fault_injected_total", {{"kind", "drop_frame"}}, 7),
+      sample_json("fault_recovered_total", {{"kind", "drop_frame"}}, 7),
+      sample_json("fault_injected_total", {{"kind", "peer_depart"}}, 3),
+      sample_json("stale_index_hits_total", {}, 2),
   });
   std::string error;
-  EXPECT_TRUE(validate_fault_metrics(report, &error)) << error;
   EXPECT_TRUE(validate_report(report, &error)) << error;
 }
 
 TEST(FaultMetricsTest, RejectsRecoveredExceedingInjected) {
-  const JsonValue report = report_with_counters({
-      counter_json("fault_injected_total", {{"kind", "corrupt_frame"}}, 2),
-      counter_json("fault_recovered_total", {{"kind", "corrupt_frame"}}, 3),
-  });
-  std::string error;
-  EXPECT_FALSE(validate_fault_metrics(report, &error));
-  EXPECT_NE(error.find("exceeds"), std::string::npos) << error;
-  EXPECT_FALSE(validate_report(report, &error));
+  expect_rejected(
+      report_with_counters({
+          sample_json("fault_injected_total", {{"kind", "corrupt_frame"}}, 2),
+          sample_json("fault_recovered_total", {{"kind", "corrupt_frame"}},
+                      3),
+      }),
+      "fault_recovered_total{kind=corrupt_frame}",
+      "exceeds fault_injected_total{kind=corrupt_frame}");
 }
 
 TEST(FaultMetricsTest, RejectsRecoveredForAKindNeverInjected) {
-  const JsonValue report = report_with_counters({
-      counter_json("fault_recovered_total", {{"kind", "slow_peer"}}, 1),
-  });
-  std::string error;
-  EXPECT_FALSE(validate_fault_metrics(report, &error));
-  EXPECT_NE(error.find("exceeds"), std::string::npos) << error;
+  expect_rejected(report_with_counters({
+                      sample_json("fault_recovered_total",
+                                  {{"kind", "slow_peer"}}, 1),
+                  }),
+                  "fault_recovered_total{kind=slow_peer}",
+                  "exceeds fault_injected_total");
 }
 
 TEST(FaultMetricsTest, RejectsMissingKindLabel) {
-  const JsonValue report = report_with_counters({
-      counter_json("fault_injected_total", {}, 1),
-  });
-  std::string error;
-  EXPECT_FALSE(validate_fault_metrics(report, &error));
-  EXPECT_NE(error.find("kind label"), std::string::npos) << error;
+  expect_rejected(report_with_counters({
+                      sample_json("fault_injected_total", {}, 1),
+                  }),
+                  "fault_injected_total", "kind label");
 }
 
 TEST(FaultMetricsTest, RejectsNegativeStaleIndexHits) {
-  const JsonValue report = report_with_counters({
-      counter_json("stale_index_hits_total", {}, -1),
-  });
-  std::string error;
-  EXPECT_FALSE(validate_fault_metrics(report, &error));
-  EXPECT_NE(error.find("negative"), std::string::npos) << error;
+  expect_rejected(report_with_counters({
+                      sample_json("stale_index_hits_total", {}, -1),
+                  }),
+                  "stale_index_hits_total", "finite non-negative");
 }
 
 TEST(FaultMetricsTest, ReportsWithoutFaultCountersPassTrivially) {
   const JsonValue report =
       ReportBuilder("report_test").add_sweep(shared_sweep()).build();
   std::string error;
-  EXPECT_TRUE(validate_fault_metrics(report, &error)) << error;
+  EXPECT_TRUE(validate_report(report, &error)) << error;
 }
 
-JsonValue store_stage_json(const std::string& op, double count) {
+JsonValue stage_hist_json(const std::string& name, const std::string& key,
+                          const std::string& value, double count) {
   JsonObject labels;
-  if (!op.empty()) labels.emplace_back("op", JsonValue(op));
-  return json_object({{"name", JsonValue("store_stage_seconds")},
+  if (!value.empty()) labels.emplace_back(key, JsonValue(value));
+  return json_object({{"name", JsonValue(name)},
                       {"labels", JsonValue(std::move(labels))},
                       {"count", JsonValue(count)}});
 }
 
-JsonValue report_with_store_registry(JsonArray counters,
-                                     JsonArray histograms) {
-  JsonValue registry;
-  registry.set("counters", JsonValue(std::move(counters)));
-  registry.set("gauges", JsonValue(JsonArray{}));
-  registry.set("histograms", JsonValue(std::move(histograms)));
-  JsonValue report;
-  report.set("schema", JsonValue(kReportSchema));
-  report.set("tool", JsonValue("store_test"));
-  report.set("registry", std::move(registry));
-  return report;
+JsonValue store_stage_json(const std::string& op, double count) {
+  return stage_hist_json("store_stage_seconds", "op", op, count);
 }
 
 TEST(StoreMetricsTest, AcceptsConsistentStoreFamily) {
-  const JsonValue report = report_with_store_registry(
+  const JsonValue report = report_with_registry(
       {
-          counter_json("store_probes_total", {}, 10),
-          counter_json("store_hits_total", {}, 7),
-          counter_json("store_misses_total", {}, 3),
-          counter_json("store_demotions_total", {}, 12),
-          counter_json("store_promotions_total", {}, 7),
-          counter_json("store_integrity_failures_total", {}, 0),
-          counter_json("store_bytes_total", {{"dir", "read"}}, 9000),
-          counter_json("store_bytes_total", {{"dir", "written"}}, 15000),
+          sample_json("store_probes_total", {}, 10),
+          sample_json("store_hits_total", {}, 7),
+          sample_json("store_misses_total", {}, 3),
+          sample_json("store_demotions_total", {}, 12),
+          sample_json("store_promotions_total", {}, 7),
+          sample_json("store_integrity_failures_total", {}, 0),
+          sample_json("store_bytes_total", {{"dir", "read"}}, 9000),
+          sample_json("store_bytes_total", {{"dir", "written"}}, 15000),
       },
+      {},
       {
           store_stage_json("probe", 10),
           store_stage_json("demote", 12),
           store_stage_json("promote", 7),
       });
   std::string error;
-  EXPECT_TRUE(validate_store_metrics(report, &error)) << error;
   EXPECT_TRUE(validate_report(report, &error)) << error;
 }
 
 TEST(StoreMetricsTest, RejectsProbesNotSplittingIntoHitsAndMisses) {
-  const JsonValue report = report_with_store_registry(
-      {
-          counter_json("store_probes_total", {}, 10),
-          counter_json("store_hits_total", {}, 7),
-          counter_json("store_misses_total", {}, 2),  // one probe unaccounted
-      },
-      {});
-  std::string error;
-  EXPECT_FALSE(validate_store_metrics(report, &error));
-  EXPECT_NE(error.find("store_probes_total"), std::string::npos) << error;
-  EXPECT_FALSE(validate_report(report, &error));
+  expect_rejected(report_with_counters({
+                      sample_json("store_probes_total", {}, 10),
+                      sample_json("store_hits_total", {}, 7),
+                      // One probe unaccounted for.
+                      sample_json("store_misses_total", {}, 2),
+                  }),
+                  "store_hits_total + store_misses_total",
+                  "!= store_probes_total");
 }
 
 TEST(StoreMetricsTest, RejectsBytesWithoutReadOrWrittenDir) {
-  const JsonValue report = report_with_store_registry(
-      {
-          counter_json("store_bytes_total", {{"dir", "sideways"}}, 100),
-      },
-      {});
-  std::string error;
-  EXPECT_FALSE(validate_store_metrics(report, &error));
-  EXPECT_NE(error.find("read or written"), std::string::npos) << error;
+  expect_rejected(report_with_counters({
+                      sample_json("store_bytes_total", {{"dir", "sideways"}},
+                                  100),
+                  }),
+                  "store_bytes_total",
+                  "dir label must be one of read, written");
 }
 
 TEST(StoreMetricsTest, RejectsNegativeStoreCounter) {
-  const JsonValue report = report_with_store_registry(
-      {
-          counter_json("store_integrity_failures_total", {}, -1),
-      },
-      {});
-  std::string error;
-  EXPECT_FALSE(validate_store_metrics(report, &error));
-  EXPECT_NE(error.find("negative"), std::string::npos) << error;
+  expect_rejected(report_with_counters({
+                      sample_json("store_integrity_failures_total", {}, -1),
+                  }),
+                  "store_integrity_failures_total", "finite non-negative");
 }
 
 TEST(StoreMetricsTest, RejectsStageHistogramWithoutOpLabel) {
-  const JsonValue report =
-      report_with_store_registry({}, {store_stage_json("", 3)});
-  std::string error;
-  EXPECT_FALSE(validate_store_metrics(report, &error));
-  EXPECT_NE(error.find("op label"), std::string::npos) << error;
+  expect_rejected(report_with_registry({}, {}, {store_stage_json("", 3)}),
+                  "store_stage_seconds", "op label");
 }
 
 TEST(StoreMetricsTest, StoreCountersJoinMonotonicityChecks) {
-  const JsonValue earlier = report_with_store_registry(
-      {counter_json("store_hits_total", {}, 5)}, {});
-  const JsonValue later = report_with_store_registry(
-      {counter_json("store_hits_total", {}, 4)}, {});
+  const JsonValue earlier =
+      report_with_counters({sample_json("store_hits_total", {}, 5)});
+  const JsonValue later =
+      report_with_counters({sample_json("store_hits_total", {}, 4)});
   std::string error;
   EXPECT_FALSE(validate_transport_monotonicity(earlier, later, &error));
   EXPECT_NE(error.find("store_hits_total"), std::string::npos) << error;
@@ -488,119 +484,125 @@ TEST(StoreMetricsTest, ReportsWithoutStoreInstrumentsPassTrivially) {
   const JsonValue report =
       ReportBuilder("report_test").add_sweep(shared_sweep()).build();
   std::string error;
-  EXPECT_TRUE(validate_store_metrics(report, &error)) << error;
+  EXPECT_TRUE(validate_report(report, &error)) << error;
 }
 
-JsonValue gauge_json(const std::string& name, JsonObject labels,
-                     double value) {
-  return json_object({{"name", JsonValue(name)},
-                      {"labels", JsonValue(std::move(labels))},
-                      {"value", JsonValue(value)}});
+TEST(TraceMetricsTest, RejectsStageHistogramWithoutStageLabel) {
+  expect_rejected(
+      report_with_registry(
+          {}, {}, {stage_hist_json("trace_stage_seconds", "stage", "", 1)}),
+      "trace_stage_seconds", "stage label");
 }
 
-JsonValue report_with_netio_registry(JsonArray counters, JsonArray gauges) {
-  JsonValue registry;
-  registry.set("counters", JsonValue(std::move(counters)));
-  registry.set("gauges", JsonValue(std::move(gauges)));
-  registry.set("histograms", JsonValue(JsonArray{}));
-  JsonValue report;
-  report.set("schema", JsonValue(kReportSchema));
-  report.set("tool", JsonValue("netio_test"));
-  report.set("registry", std::move(registry));
-  return report;
+TEST(LatencyMetricsTest, RejectsQuantilesDecreasingWithinAStage) {
+  expect_rejected(report_with_gauges({
+                      sample_json("latency_quantile_seconds",
+                                  {{"q", "p50"}, {"stage", "fetch"}}, 0.2),
+                      sample_json("latency_quantile_seconds",
+                                  {{"q", "p99"}, {"stage", "fetch"}}, 0.1),
+                      // Another stage is its own distribution.
+                      sample_json("latency_quantile_seconds",
+                                  {{"q", "p50"}, {"stage", "peer"}}, 0.5),
+                  }),
+                  "latency_quantile_seconds{stage=fetch}", "monotone");
+}
+
+TEST(ShardMetricsTest, ShardCountersMustSumToTheMergedCount) {
+  const JsonValue eager = report_with_counters({
+      sample_json("shard_requests_total", {}, 0),
+      sample_json("shard_merged_requests_total", {}, 0),
+  });
+  std::string error;
+  EXPECT_TRUE(validate_report(eager, &error)) << error;
+  expect_rejected(report_with_counters({
+                      sample_json("shard_requests_total",
+                                  {{"org", "baps"}, {"shard", "0"}}, 4),
+                      sample_json("shard_requests_total",
+                                  {{"org", "baps"}, {"shard", "1"}}, 5),
+                      sample_json("shard_merged_requests_total",
+                                  {{"org", "baps"}}, 10),
+                  }),
+                  "shard_requests_total{org=baps} (9)",
+                  "!= shard_merged_requests_total{org=baps} (10)");
+  expect_rejected(report_with_counters({
+                      sample_json("shard_requests_total", {}, 3),
+                  }),
+                  "shard_requests_total", "org label");
 }
 
 TEST(NetioMetricsTest, AcceptsConsistentConnloadFamily) {
-  const JsonValue report = report_with_netio_registry(
+  const JsonValue report = report_with_registry(
       {
-          counter_json("netio_connections_total", {}, 10000),
-          counter_json("netio_epoll_wakeups_total", {}, 123456),
-          counter_json("connload_established_total", {}, 10000),
-          counter_json("connload_roundtrips_total", {}, 10000),
+          sample_json("netio_connections_total", {}, 10000),
+          sample_json("netio_epoll_wakeups_total", {}, 123456),
+          sample_json("connload_established_total", {}, 10000),
+          sample_json("connload_roundtrips_total", {}, 10000),
       },
       {
-          gauge_json("netio_connections_active", {}, 0),
-          gauge_json("connload_connections_peak", {}, 10000),
-          gauge_json("connload_accept_rate_per_second", {}, 9360.4),
-          gauge_json("connload_roundtrip_quantile_seconds", {{"q", "p50"}},
-                     0.016),
-          gauge_json("connload_roundtrip_quantile_seconds", {{"q", "p99"}},
-                     0.048),
-          gauge_json("connload_roundtrip_quantile_seconds", {{"q", "p999"}},
-                     0.058),
-      });
+          sample_json("netio_connections_active", {}, 0),
+          sample_json("connload_connections_peak", {}, 10000),
+          sample_json("connload_accept_rate_per_second", {}, 9360.4),
+          sample_json("connload_roundtrip_quantile_seconds", {{"q", "p50"}},
+                      0.016),
+          sample_json("connload_roundtrip_quantile_seconds", {{"q", "p99"}},
+                      0.048),
+          sample_json("connload_roundtrip_quantile_seconds", {{"q", "p999"}},
+                      0.058),
+      },
+      {});
   std::string error;
-  EXPECT_TRUE(validate_netio_metrics(report, &error)) << error;
   EXPECT_TRUE(validate_report(report, &error)) << error;
 }
 
 TEST(NetioMetricsTest, RejectsNonMonotoneQuantiles) {
-  const JsonValue report = report_with_netio_registry(
-      {},
-      {
-          gauge_json("connload_roundtrip_quantile_seconds", {{"q", "p50"}},
-                     0.050),
-          gauge_json("connload_roundtrip_quantile_seconds", {{"q", "p99"}},
-                     0.048),
-          gauge_json("connload_roundtrip_quantile_seconds", {{"q", "p999"}},
-                     0.058),
-      });
-  std::string error;
-  EXPECT_FALSE(validate_netio_metrics(report, &error));
-  EXPECT_NE(error.find("monotone"), std::string::npos) << error;
+  expect_rejected(report_with_gauges({
+                      sample_json("connload_roundtrip_quantile_seconds",
+                                  {{"q", "p50"}}, 0.050),
+                      sample_json("connload_roundtrip_quantile_seconds",
+                                  {{"q", "p99"}}, 0.048),
+                      sample_json("connload_roundtrip_quantile_seconds",
+                                  {{"q", "p999"}}, 0.058),
+                  }),
+                  "connload_roundtrip_quantile_seconds", "monotone");
 }
 
 TEST(NetioMetricsTest, RejectsALoneQuantileInstance) {
-  const JsonValue report = report_with_netio_registry(
-      {},
-      {
-          gauge_json("connload_roundtrip_quantile_seconds", {{"q", "p50"}},
-                     0.016),
-      });
-  std::string error;
-  EXPECT_FALSE(validate_netio_metrics(report, &error));
-  EXPECT_NE(error.find("missing q="), std::string::npos) << error;
+  expect_rejected(report_with_gauges({
+                      sample_json("connload_roundtrip_quantile_seconds",
+                                  {{"q", "p50"}}, 0.016),
+                  }),
+                  "connload_roundtrip_quantile_seconds", "missing q=");
 }
 
 TEST(NetioMetricsTest, RejectsBadQuantileLabel) {
-  const JsonValue report = report_with_netio_registry(
-      {},
-      {
-          gauge_json("connload_roundtrip_quantile_seconds", {{"q", "p42"}},
-                     0.016),
-      });
-  std::string error;
-  EXPECT_FALSE(validate_netio_metrics(report, &error));
+  expect_rejected(report_with_gauges({
+                      sample_json("connload_roundtrip_quantile_seconds",
+                                  {{"q", "p42"}}, 0.016),
+                  }),
+                  "connload_roundtrip_quantile_seconds",
+                  "q label must be one of p50, p99, p999");
 }
 
 TEST(NetioMetricsTest, RejectsPeakAboveEstablished) {
-  const JsonValue report = report_with_netio_registry(
-      {
-          counter_json("connload_established_total", {}, 100),
-      },
-      {
-          gauge_json("connload_connections_peak", {}, 101),
-      });
-  std::string error;
-  EXPECT_FALSE(validate_netio_metrics(report, &error));
-  EXPECT_NE(error.find("peak"), std::string::npos) << error;
+  expect_rejected(
+      report_with_registry(
+          {sample_json("connload_established_total", {}, 100)},
+          {sample_json("connload_connections_peak", {}, 101)}, {}),
+      "connload_connections_peak", "exceeds connload_established_total");
 }
 
 TEST(NetioMetricsTest, RejectsNegativeNetioGauge) {
-  const JsonValue report = report_with_netio_registry(
-      {},
-      {
-          gauge_json("netio_connections_active", {}, -1),
-      });
-  std::string error;
-  EXPECT_FALSE(validate_netio_metrics(report, &error));
+  expect_rejected(report_with_gauges({
+                      sample_json("netio_connections_active", {}, -1),
+                  }),
+                  "netio_connections_active", "finite non-negative");
 }
 
 TEST(NetioMetricsTest, ReportsWithoutNetioInstrumentsPassTrivially) {
   const JsonValue report =
       ReportBuilder("report_test").add_sweep(shared_sweep()).build();
   std::string error;
-  EXPECT_TRUE(validate_netio_metrics(report, &error)) << error;
+  EXPECT_TRUE(validate_report(report, &error)) << error;
 }
 
 }  // namespace

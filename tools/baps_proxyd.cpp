@@ -212,16 +212,9 @@ int main(int argc, char** argv) {
 
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(max_seconds);
-  // Roughly one registry snapshot per second feeds the rolling window that
-  // STATS responses compute rates from; ten poll ticks ≈ one capture.
-  int ticks_until_capture = 0;
   while (!g_stop.load()) {
     if (max_seconds != 0 && std::chrono::steady_clock::now() >= deadline) {
       break;
-    }
-    if (--ticks_until_capture <= 0) {
-      server.capture_window_snapshot();
-      ticks_until_capture = 10;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
