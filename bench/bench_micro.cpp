@@ -43,6 +43,16 @@ void BM_RsaVerifyDigest(benchmark::State& state) {
 }
 BENCHMARK(BM_RsaVerifyDigest);
 
+// Key generation is dominated by Miller–Rabin's modular exponentiations;
+// the argument is the key seed (7 is the runtime's default).
+void BM_RsaKeygen256(benchmark::State& state) {
+  const auto seed = static_cast<std::uint64_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(baps::crypto::generate_rsa_keypair(256, seed));
+  }
+}
+BENCHMARK(BM_RsaKeygen256)->Arg(7)->Unit(benchmark::kMillisecond);
+
 void BM_HmacMd5_IndexUpdate(benchmark::State& state) {
   const std::string key = "per-client shared key";
   const std::string msg = "remove:17:1234567890123456";

@@ -1,6 +1,7 @@
 #include "crypto/biguint.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/assert.hpp"
 
@@ -17,19 +18,23 @@ void BigUInt::trim() {
 
 BigUInt BigUInt::from_bytes(std::span<const std::uint8_t> big_endian) {
   BigUInt out;
-  for (std::uint8_t byte : big_endian) {
-    out = out.shifted_left(8);
-    if (byte) {
-      if (out.limbs_.empty()) out.limbs_.push_back(0);
-      out.limbs_[0] |= byte;
-    }
+  const std::size_t n = big_endian.size();
+  out.limbs_.assign((n + 3) / 4, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t pos = n - 1 - i;  // byte position from the low end
+    out.limbs_[pos / 4] |= static_cast<std::uint32_t>(big_endian[i])
+                           << (8 * (pos % 4));
   }
+  out.trim();
   return out;
 }
 
 BigUInt BigUInt::from_hex(const std::string& hex) {
   BigUInt out;
-  for (char c : hex) {
+  const std::size_t n = hex.size();
+  out.limbs_.assign((n + 7) / 8, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const char c = hex[i];
     std::uint32_t nib;
     if (c >= '0' && c <= '9') {
       nib = static_cast<std::uint32_t>(c - '0');
@@ -41,12 +46,10 @@ BigUInt BigUInt::from_hex(const std::string& hex) {
       BAPS_REQUIRE(false, std::string("invalid hex character: ") + c);
       return out;
     }
-    out = out.shifted_left(4);
-    if (nib) {
-      if (out.limbs_.empty()) out.limbs_.push_back(0);
-      out.limbs_[0] |= nib;
-    }
+    const std::size_t pos = n - 1 - i;  // nibble position from the low end
+    out.limbs_[pos / 8] |= nib << (4 * (pos % 8));
   }
+  out.trim();
   return out;
 }
 
@@ -215,36 +218,193 @@ std::pair<BigUInt, BigUInt> BigUInt::divmod(const BigUInt& num,
                                             const BigUInt& den) {
   BAPS_REQUIRE(!den.is_zero(), "division by zero");
   if (num < den) return {BigUInt(), num};
-  // Binary long division: O(bits * limbs); fine at our key sizes.
+  const std::size_t n = den.limbs_.size();
+  const std::size_t m = num.limbs_.size() - n;
   BigUInt quotient;
-  quotient.limbs_.assign(num.limbs_.size(), 0);
+  quotient.limbs_.assign(m + 1, 0);
+
+  if (n == 1) {  // short division by one limb
+    const std::uint64_t d = den.limbs_[0];
+    std::uint64_t rem = 0;
+    for (std::size_t i = num.limbs_.size(); i-- > 0;) {
+      const std::uint64_t cur = (rem << 32) | num.limbs_[i];
+      quotient.limbs_[i] = static_cast<std::uint32_t>(cur / d);
+      rem = cur % d;
+    }
+    quotient.trim();
+    return {quotient, BigUInt(rem)};
+  }
+
+  // Knuth, TAOCP vol. 2, 4.3.1, Algorithm D. D1: shift both operands left
+  // so the divisor's top limb has its high bit set; the numerator gains one
+  // limb. 64-bit intermediates keep every shift in range when s == 0.
+  const int s = std::countl_zero(den.limbs_.back());
+  std::vector<std::uint32_t> v(n), u(m + n + 1);
+  const auto shift_into = [s](const std::vector<std::uint32_t>& from,
+                              std::vector<std::uint32_t>& to) {
+    std::uint32_t carry = 0;
+    for (std::size_t i = 0; i < from.size(); ++i) {
+      const std::uint64_t w = static_cast<std::uint64_t>(from[i]) << s;
+      to[i] = static_cast<std::uint32_t>(w) | carry;
+      carry = static_cast<std::uint32_t>(w >> 32);
+    }
+    if (to.size() > from.size()) to[from.size()] = carry;
+  };
+  shift_into(den.limbs_, v);
+  shift_into(num.limbs_, u);
+
+  constexpr std::uint64_t kBase = 1ULL << 32;
+  const std::uint64_t v_top = v[n - 1];
+  const std::uint64_t v_next = v[n - 2];
+  for (std::size_t j = m + 1; j-- > 0;) {
+    // D3: estimate q̂ from the top two numerator limbs; the two-limb test
+    // makes it at most one too large.
+    const std::uint64_t top =
+        (static_cast<std::uint64_t>(u[j + n]) << 32) | u[j + n - 1];
+    std::uint64_t qhat = top / v_top;
+    std::uint64_t rhat = top % v_top;
+    while (qhat >= kBase || qhat * v_next > ((rhat << 32) | u[j + n - 2])) {
+      --qhat;
+      rhat += v_top;
+      if (rhat >= kBase) break;
+    }
+    // D4: u[j..j+n] -= q̂ * v.
+    std::uint64_t mul_carry = 0;
+    std::uint64_t borrow = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t p = qhat * v[i] + mul_carry;
+      mul_carry = p >> 32;
+      const std::uint64_t sub = (p & 0xFFFFFFFFu) + borrow;
+      borrow = u[i + j] < sub ? 1 : 0;
+      u[i + j] = static_cast<std::uint32_t>(u[i + j] - sub);
+    }
+    const std::uint64_t sub = mul_carry + borrow;
+    const bool negative = u[j + n] < sub;
+    u[j + n] = static_cast<std::uint32_t>(u[j + n] - sub);
+    // D6: q̂ was one too large; add the divisor back.
+    if (negative) {
+      --qhat;
+      std::uint64_t carry = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t t = static_cast<std::uint64_t>(u[i + j]) + v[i] +
+                                carry;
+        u[i + j] = static_cast<std::uint32_t>(t);
+        carry = t >> 32;
+      }
+      u[j + n] = static_cast<std::uint32_t>(u[j + n] + carry);
+    }
+    quotient.limbs_[j] = static_cast<std::uint32_t>(qhat);
+  }
+
+  // D8: the remainder is u[0..n) shifted back down.
   BigUInt remainder;
-  for (std::size_t i = num.bit_length(); i-- > 0;) {
-    remainder = remainder.shifted_left(1);
-    if (num.bit(i)) {
-      if (remainder.limbs_.empty()) remainder.limbs_.push_back(0);
-      remainder.limbs_[0] |= 1;
-    }
-    if (remainder >= den) {
-      remainder = remainder - den;
-      quotient.limbs_[i / 32] |= (1u << (i % 32));
-    }
+  remainder.limbs_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t pair =
+        (static_cast<std::uint64_t>(u[i + 1]) << 32) | u[i];
+    remainder.limbs_[i] = static_cast<std::uint32_t>(pair >> s);
   }
   quotient.trim();
+  remainder.trim();
   return {quotient, remainder};
 }
 
+namespace {
+
+// One Montgomery product, CIOS form (Koç, Acar and Kaliski 1996):
+// out = a * b * 2^(-32n) mod m, for a, b < m and m odd with n limbs.
+// t holds n + 2 limbs of scratch; out may alias a or b.
+void mont_mul(const std::uint32_t* a, const std::uint32_t* b,
+              const std::uint32_t* m, std::uint32_t m_inv, std::size_t n,
+              std::uint32_t* t, std::uint32_t* out) {
+  std::fill(t, t + n + 2, 0u);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t carry = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::uint64_t cur = t[j] + static_cast<std::uint64_t>(a[j]) * b[i] +
+                                carry;
+      t[j] = static_cast<std::uint32_t>(cur);
+      carry = cur >> 32;
+    }
+    std::uint64_t cur = t[n] + carry;
+    t[n] = static_cast<std::uint32_t>(cur);
+    t[n + 1] = static_cast<std::uint32_t>(cur >> 32);
+
+    // Add q * m with q chosen so the low limb cancels, then drop that limb.
+    const std::uint32_t q = t[0] * m_inv;
+    carry = (t[0] + static_cast<std::uint64_t>(q) * m[0]) >> 32;
+    for (std::size_t j = 1; j < n; ++j) {
+      cur = t[j] + static_cast<std::uint64_t>(q) * m[j] + carry;
+      t[j - 1] = static_cast<std::uint32_t>(cur);
+      carry = cur >> 32;
+    }
+    cur = t[n] + carry;
+    t[n - 1] = static_cast<std::uint32_t>(cur);
+    t[n] = t[n + 1] + static_cast<std::uint32_t>(cur >> 32);
+  }
+  // t < 2m: one conditional subtraction brings it below m.
+  bool ge = t[n] != 0;
+  if (!ge) {
+    ge = true;
+    for (std::size_t j = n; j-- > 0;) {
+      if (t[j] != m[j]) {
+        ge = t[j] > m[j];
+        break;
+      }
+    }
+  }
+  std::uint64_t borrow = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::uint64_t sub = ge ? m[j] + borrow : 0;
+    out[j] = static_cast<std::uint32_t>(t[j] - sub);
+    borrow = t[j] < sub ? 1 : 0;
+  }
+}
+
+}  // namespace
+
 BigUInt BigUInt::mod_pow(const BigUInt& base, const BigUInt& exp,
                          const BigUInt& m) {
-  BAPS_REQUIRE(!m.is_zero(), "mod_pow modulus must be nonzero");
+  BAPS_REQUIRE(m.is_odd(), "mod_pow modulus must be odd");
   if (m == BigUInt(1)) return BigUInt();
-  BigUInt result(1);
-  BigUInt b = base % m;
-  for (std::size_t i = 0, n = exp.bit_length(); i < n; ++i) {
-    if (exp.bit(i)) result = (result * b) % m;
-    b = (b * b) % m;
+  if (exp.is_zero()) return BigUInt(1);
+  const std::size_t n = m.limbs_.size();
+  // -m^-1 mod 2^32 by Newton's iteration: each step doubles the correct
+  // low bits, and an odd m0 is its own inverse mod 8.
+  const std::uint32_t m0 = m.limbs_[0];
+  std::uint32_t inv = m0;
+  for (int i = 0; i < 4; ++i) inv *= 2u - m0 * inv;
+  const std::uint32_t m_inv = 0u - inv;
+
+  // Operands live padded to n limbs in one buffer: R^2 mod m, the base in
+  // Montgomery form, the accumulator, and the CIOS scratch.
+  const BigUInt r2 = BigUInt(1).shifted_left(64 * n) % m;
+  const BigUInt b = base % m;
+  std::vector<std::uint32_t> buf(4 * n + 2, 0);
+  std::uint32_t* const mont_base = buf.data();
+  std::uint32_t* const acc = mont_base + n;
+  std::uint32_t* const r2_limbs = acc + n;
+  std::uint32_t* const t = r2_limbs + n;
+  std::copy(r2.limbs_.begin(), r2.limbs_.end(), r2_limbs);
+  std::copy(b.limbs_.begin(), b.limbs_.end(), acc);
+  const std::uint32_t* const ml = m.limbs_.data();
+  mont_mul(acc, r2_limbs, ml, m_inv, n, t, mont_base);
+
+  // Left to right: the top exponent bit seeds the accumulator.
+  std::copy(mont_base, mont_base + n, acc);
+  for (std::size_t i = exp.bit_length() - 1; i-- > 0;) {
+    mont_mul(acc, acc, ml, m_inv, n, t, acc);
+    if (exp.bit(i)) mont_mul(acc, mont_base, ml, m_inv, n, t, acc);
   }
-  return result;
+  // Out of Montgomery form: multiply by plain 1 (reuse r2_limbs).
+  std::fill(r2_limbs, r2_limbs + n, 0u);
+  r2_limbs[0] = 1;
+  mont_mul(acc, r2_limbs, ml, m_inv, n, t, acc);
+
+  BigUInt out;
+  out.limbs_.assign(acc, acc + n);
+  out.trim();
+  return out;
 }
 
 BigUInt BigUInt::gcd(BigUInt a, BigUInt b) {

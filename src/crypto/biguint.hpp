@@ -1,6 +1,7 @@
 // Arbitrary-precision unsigned integers, just enough for demonstration-grade
-// RSA (schoolbook multiplication, binary long division, Montgomery-free
-// modular exponentiation). Limbs are 32-bit so products fit in uint64_t.
+// RSA: schoolbook multiplication, Knuth's word-wise long division, and
+// Montgomery (CIOS) modular exponentiation. Limbs are 32-bit so products fit
+// in uint64_t.
 //
 // This is NOT a constant-time implementation and the library's RSA keys are
 // deliberately small (256–512 bits): the reproduction needs the *protocol
@@ -58,7 +59,8 @@ class BigUInt {
   BigUInt shifted_left(std::size_t bits) const;
   BigUInt shifted_right(std::size_t bits) const;
 
-  /// (base ^ exp) mod m, square-and-multiply. m must be nonzero.
+  /// (base ^ exp) mod m, left-to-right square-and-multiply in Montgomery
+  /// form. m must be odd (RSA moduli and Miller–Rabin candidates are).
   static BigUInt mod_pow(const BigUInt& base, const BigUInt& exp,
                          const BigUInt& m);
   static BigUInt gcd(BigUInt a, BigUInt b);

@@ -290,6 +290,11 @@ struct QuantileRule {
 const std::vector<std::string_view> kQuantiles = {"p50", "p95", "p99", "p999"};
 const std::vector<std::string_view> kConnloadQuantiles = {"p50", "p99",
                                                           "p999"};
+// span_kind_name() of every obs::SpanKind.
+const std::vector<std::string_view> kSpanKinds = {
+    "client_fetch", "index_lookup", "cache_probe", "peer_transfer",
+    "origin_fetch", "frame_send",   "frame_recv",  "sign",
+    "verify"};
 
 constexpr MetricKind kCounter = MetricKind::kCounter;
 constexpr MetricKind kGauge = MetricKind::kGauge;
@@ -318,8 +323,8 @@ const FamilyRule kFamilyRules[] = {
     {"fault_recovered_total", kCounter, {{"kind"}}},
     {"stale_index_hits_total", kCounter},
     // Tracing (obs/span.hpp).
-    {"trace_spans_total", kCounter, {{"kind"}}},
-    {"trace_stage_seconds", kHistogram, {{"stage"}}},
+    {"trace_spans_total", kCounter, {{"kind", kSpanKinds}}},
+    {"trace_stage_seconds", kHistogram, {{"stage", kSpanKinds}}},
     {"latency_quantile_seconds", kGauge, {{"q", kQuantiles}, {"stage"}}},
     // Replay bench (bench_replay).
     {"replay_requests_per_second", kGauge, {{"org"}}, ValueRule::kPositive},

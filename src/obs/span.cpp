@@ -34,6 +34,8 @@ std::string span_kind_name(SpanKind kind) {
     case SpanKind::kOriginFetch: return "origin_fetch";
     case SpanKind::kFrameSend: return "frame_send";
     case SpanKind::kFrameRecv: return "frame_recv";
+    case SpanKind::kSign: return "sign";
+    case SpanKind::kVerify: return "verify";
   }
   return "unknown";
 }
@@ -42,7 +44,7 @@ void register_trace_metric_families(Registry* registry) {
   static constexpr SpanKind kAllKinds[] = {
       SpanKind::kClientFetch, SpanKind::kIndexLookup, SpanKind::kCacheProbe,
       SpanKind::kPeerTransfer, SpanKind::kOriginFetch, SpanKind::kFrameSend,
-      SpanKind::kFrameRecv};
+      SpanKind::kFrameRecv, SpanKind::kSign, SpanKind::kVerify};
   for (SpanKind kind : kAllKinds) {
     const std::string name = span_kind_name(kind);
     registry->counter("trace_spans_total", {{"kind", name}});

@@ -41,6 +41,8 @@ enum class SpanKind : std::uint8_t {
   kOriginFetch = 5,   ///< proxy→origin fetch + watermark issuance
   kFrameSend = 6,     ///< one frame written to a socket
   kFrameRecv = 7,     ///< one frame read from a socket (payload + decode)
+  kSign = 8,          ///< proxy: watermark issuance, inside origin_fetch
+  kVerify = 9,        ///< client: watermark verification in browse()
 };
 
 std::string span_kind_name(SpanKind kind);

@@ -162,7 +162,13 @@ ProxyCore::Reply ProxyCore::handle_fetch(ClientId requester, const Url& url,
   ++stats_.origin_fetches;
   counters_.served_origin.inc();
   Document doc{std::move(body), crypto::Watermark{}};
-  doc.mark = crypto::issue_watermark(doc.body, keys_.priv);
+  {
+    const obs::Span sign =
+        traced ? tracer_->start_span(obs::SpanKind::kSign,
+                                     origin_span.context())
+               : obs::Span();
+    doc.mark = crypto::issue_watermark(doc.body, keys_.priv);
+  }
   proxy_cache_.put(key, doc);
   return {std::move(doc), FetchOutcome::Source::kOrigin, false_forward};
 }

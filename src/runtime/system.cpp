@@ -163,13 +163,20 @@ FetchOutcome BapsSystem::browse(ClientId client, const Url& url) {
                        ? tracer_->start_root_span(obs::SpanKind::kClientFetch)
                        : obs::Span();
   if (plan_ != nullptr) fault_tick(client);
+  const auto verify = [&](const Document& doc) {
+    const obs::Span span =
+        root.recording()
+            ? tracer_->start_span(obs::SpanKind::kVerify, root.context())
+            : obs::Span();
+    return crypto::verify_watermark(doc.body, doc.mark, pub_key_);
+  };
 
   // Local browser cache first. A local copy that fails its watermark (e.g.
   // corrupted on disk, or self-tampered) is discarded and refetched rather
   // than served: the client tells the proxy it no longer holds the URL and
   // falls through to the normal request path.
   if (auto doc = clients_[client].browser->get(key)) {
-    if (crypto::verify_watermark(doc->body, doc->mark, pub_key_)) {
+    if (verify(*doc)) {
       ++local_hits_;
       FetchOutcome out;
       out.source = FetchOutcome::Source::kLocalBrowser;
@@ -195,8 +202,7 @@ FetchOutcome BapsSystem::browse(ClientId client, const Url& url) {
 
   FetchOutcome out;
   out.source = reply.source;
-  out.verified =
-      crypto::verify_watermark(reply.doc.body, reply.doc.mark, pub_key_);
+  out.verified = verify(reply.doc);
 
   if (!out.verified) {
     // §6.1: a failed watermark means the peer copy was tampered with. The
@@ -208,8 +214,7 @@ FetchOutcome BapsSystem::browse(ClientId client, const Url& url) {
                               root.context());
     trace_.record(MsgKind::kProxyResponse, "proxy", client_name(client), key);
     out.source = reply.source;
-    out.verified =
-        crypto::verify_watermark(reply.doc.body, reply.doc.mark, pub_key_);
+    out.verified = verify(reply.doc);
     out.tamper_recovered = true;
     BAPS_ENSURE(out.verified, "origin-served document must verify");
     false_forward = false_forward || reply.false_forward;

@@ -93,6 +93,18 @@ TEST_F(RsaTest, TextbookIdentityHolds) {
   EXPECT_EQ(BigUInt::mod_pow(c, keys_->priv.d, keys_->priv.n), m);
 }
 
+TEST(RsaKeygenTest, GoldenKeyAndSignature) {
+  // Pins the bytes the runtime's default key seed produces, so a change to
+  // the big-integer arithmetic cannot silently change keys or watermarks.
+  const RsaKeyPair keys = generate_rsa_keypair(256, 7);
+  EXPECT_EQ(keys.pub.n.to_hex(),
+            "82ff930df92ccc86c84bd7d5fa25a3298d207db1e690e4e5772afc8062be00db");
+  const BigUInt sig = rsa_sign_digest(md5("doc-0"), keys.priv);
+  EXPECT_EQ(sig.to_hex(),
+            "1580dee74203b4077811bfa243196b5363bdaa3350540d27b5c9b0eea170cca0");
+  EXPECT_TRUE(rsa_verify_digest(md5("doc-0"), sig, keys.pub));
+}
+
 TEST(RsaKeygenTest, RejectsTooSmallModulus) {
   EXPECT_THROW(generate_rsa_keypair(128, 1), baps::InvariantError);
 }

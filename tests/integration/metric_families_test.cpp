@@ -80,7 +80,7 @@ TEST(MetricFamiliesTest, EagerRegistrationCoversEveryDocumentedFamily) {
   // stage histogram.
   for (const char* kind :
        {"client_fetch", "index_lookup", "cache_probe", "peer_transfer",
-        "origin_fetch", "frame_send", "frame_recv"}) {
+        "origin_fetch", "frame_send", "frame_recv", "sign", "verify"}) {
     EXPECT_TRUE(has_counter(snap, "trace_spans_total", {{"kind", kind}}))
         << kind;
     EXPECT_TRUE(has_histogram(snap, "trace_stage_seconds", {{"stage", kind}}))

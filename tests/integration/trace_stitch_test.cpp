@@ -147,6 +147,31 @@ TEST(TraceStitchTest, OneTraceSpansClientProxyAndHolder) {
   EXPECT_TRUE(holder_served)
       << "holder side did not stitch into the peer-fetch trace";
 
+  // Crypto stages: every origin fetch signs once, inside its origin_fetch
+  // span, and every browse verifies under its root span.
+  std::map<std::uint64_t, std::size_t> signs_by_parent, verifies_by_parent;
+  std::size_t signs = 0, origins = 0;
+  for (const obs::SpanRecord& s : proxy_spans) {
+    if (s.kind == obs::SpanKind::kSign) {
+      ++signs;
+      ++signs_by_parent[s.parent_id];
+    }
+  }
+  for (const obs::SpanRecord& s : proxy_spans) {
+    if (s.kind != obs::SpanKind::kOriginFetch) continue;
+    ++origins;
+    EXPECT_EQ(signs_by_parent[s.span_id], 1u) << "origin span " << s.span_id;
+  }
+  EXPECT_GT(origins, 0u);
+  EXPECT_EQ(signs, origins);
+  for (const obs::SpanRecord& s : client_spans) {
+    if (s.kind == obs::SpanKind::kVerify) ++verifies_by_parent[s.parent_id];
+  }
+  for (const obs::SpanRecord& s : client_spans) {
+    if (s.parent_id != 0) continue;
+    EXPECT_GE(verifies_by_parent[s.span_id], 1u) << "trace " << s.trace_id;
+  }
+
   // Both registries saw per-stage metrics.
   EXPECT_NE(client_reg.snapshot().counter("trace_spans_total",
                                           {{"kind", "client_fetch"}}),

@@ -7,6 +7,8 @@
 #include <sstream>
 
 #include "core/runner.hpp"
+#include "obs/registry.hpp"
+#include "obs/span.hpp"
 #include "trace/presets.hpp"
 
 namespace baps::obs {
@@ -491,6 +493,23 @@ TEST(TraceMetricsTest, RejectsStageHistogramWithoutStageLabel) {
   expect_rejected(
       report_with_registry(
           {}, {}, {stage_hist_json("trace_stage_seconds", "stage", "", 1)}),
+      "trace_stage_seconds", "stage label");
+}
+
+TEST(TraceMetricsTest, StageLabelMustNameASpanKind) {
+  // Every kind the tracer registers validates, so a new SpanKind needs its
+  // name in the rule table.
+  Registry registry;
+  register_trace_metric_families(&registry);
+  const JsonValue eager = ReportBuilder("report_test")
+                              .add_sweep(shared_sweep())
+                              .set_registry(registry.snapshot())
+                              .build();
+  std::string error;
+  EXPECT_TRUE(validate_report(eager, &error)) << error;
+  expect_rejected(
+      report_with_registry(
+          {}, {}, {stage_hist_json("trace_stage_seconds", "stage", "rsa", 1)}),
       "trace_stage_seconds", "stage label");
 }
 
