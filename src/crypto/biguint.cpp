@@ -311,36 +311,39 @@ std::pair<BigUInt, BigUInt> BigUInt::divmod(const BigUInt& num,
 
 namespace {
 
-// One Montgomery product, CIOS form (Koç, Acar and Kaliski 1996):
-// out = a * b * 2^(-32n) mod m, for a, b < m and m odd with n limbs.
-// t holds n + 2 limbs of scratch; out may alias a or b.
-void mont_mul(const std::uint32_t* a, const std::uint32_t* b,
-              const std::uint32_t* m, std::uint32_t m_inv, std::size_t n,
-              std::uint32_t* t, std::uint32_t* out) {
-  std::fill(t, t + n + 2, 0u);
+using u128 = unsigned __int128;
+
+// One Montgomery product, CIOS form (Koç, Acar and Kaliski 1996), over
+// 64-bit words with 128-bit products: out = a * b * 2^(-64n) mod m, for
+// a, b < m and m odd with n words. t holds n + 2 words of scratch; out may
+// alias a or b.
+void mont_mul(const std::uint64_t* a, const std::uint64_t* b,
+              const std::uint64_t* m, std::uint64_t m_inv, std::size_t n,
+              std::uint64_t* t, std::uint64_t* out) {
+  std::fill(t, t + n + 2, std::uint64_t{0});
   for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t carry = 0;
     for (std::size_t j = 0; j < n; ++j) {
-      const std::uint64_t cur = t[j] + static_cast<std::uint64_t>(a[j]) * b[i] +
-                                carry;
-      t[j] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
+      const u128 cur = static_cast<u128>(a[j]) * b[i] + t[j] + carry;
+      t[j] = static_cast<std::uint64_t>(cur);
+      carry = static_cast<std::uint64_t>(cur >> 64);
     }
-    std::uint64_t cur = t[n] + carry;
-    t[n] = static_cast<std::uint32_t>(cur);
-    t[n + 1] = static_cast<std::uint32_t>(cur >> 32);
+    u128 cur = static_cast<u128>(t[n]) + carry;
+    t[n] = static_cast<std::uint64_t>(cur);
+    t[n + 1] = static_cast<std::uint64_t>(cur >> 64);
 
-    // Add q * m with q chosen so the low limb cancels, then drop that limb.
-    const std::uint32_t q = t[0] * m_inv;
-    carry = (t[0] + static_cast<std::uint64_t>(q) * m[0]) >> 32;
+    // Add q * m with q chosen so the low word cancels, then drop that word.
+    const std::uint64_t q = t[0] * m_inv;
+    carry = static_cast<std::uint64_t>((static_cast<u128>(q) * m[0] + t[0]) >>
+                                       64);
     for (std::size_t j = 1; j < n; ++j) {
-      cur = t[j] + static_cast<std::uint64_t>(q) * m[j] + carry;
-      t[j - 1] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
+      cur = static_cast<u128>(q) * m[j] + t[j] + carry;
+      t[j - 1] = static_cast<std::uint64_t>(cur);
+      carry = static_cast<std::uint64_t>(cur >> 64);
     }
-    cur = t[n] + carry;
-    t[n - 1] = static_cast<std::uint32_t>(cur);
-    t[n] = t[n + 1] + static_cast<std::uint32_t>(cur >> 32);
+    cur = static_cast<u128>(t[n]) + carry;
+    t[n - 1] = static_cast<std::uint64_t>(cur);
+    t[n] = t[n + 1] + static_cast<std::uint64_t>(cur >> 64);
   }
   // t < 2m: one conditional subtraction brings it below m.
   bool ge = t[n] != 0;
@@ -355,9 +358,16 @@ void mont_mul(const std::uint32_t* a, const std::uint32_t* b,
   }
   std::uint64_t borrow = 0;
   for (std::size_t j = 0; j < n; ++j) {
-    const std::uint64_t sub = ge ? m[j] + borrow : 0;
-    out[j] = static_cast<std::uint32_t>(t[j] - sub);
-    borrow = t[j] < sub ? 1 : 0;
+    const std::uint64_t sub = ge ? m[j] : 0;
+    out[j] = t[j] - sub - borrow;
+    borrow = (t[j] < sub || (t[j] == sub && borrow)) ? 1 : 0;
+  }
+}
+
+// Packs 32-bit limbs into 64-bit words; `out` must start zeroed.
+void pack_words(const std::vector<std::uint32_t>& limbs, std::uint64_t* out) {
+  for (std::size_t i = 0; i < limbs.size(); ++i) {
+    out[i / 2] |= static_cast<std::uint64_t>(limbs[i]) << (32 * (i % 2));
   }
 }
 
@@ -368,27 +378,30 @@ BigUInt BigUInt::mod_pow(const BigUInt& base, const BigUInt& exp,
   BAPS_REQUIRE(m.is_odd(), "mod_pow modulus must be odd");
   if (m == BigUInt(1)) return BigUInt();
   if (exp.is_zero()) return BigUInt(1);
-  const std::size_t n = m.limbs_.size();
-  // -m^-1 mod 2^32 by Newton's iteration: each step doubles the correct
-  // low bits, and an odd m0 is its own inverse mod 8.
-  const std::uint32_t m0 = m.limbs_[0];
-  std::uint32_t inv = m0;
-  for (int i = 0; i < 4; ++i) inv *= 2u - m0 * inv;
-  const std::uint32_t m_inv = 0u - inv;
+  const std::size_t n = (m.limbs_.size() + 1) / 2;  // 64-bit words
 
-  // Operands live padded to n limbs in one buffer: R^2 mod m, the base in
-  // Montgomery form, the accumulator, and the CIOS scratch.
-  const BigUInt r2 = BigUInt(1).shifted_left(64 * n) % m;
+  // Operands live padded to n words in one buffer: the modulus, R^2 mod m,
+  // the base in Montgomery form, the accumulator, and the CIOS scratch.
+  const BigUInt r2 = BigUInt(1).shifted_left(128 * n) % m;
   const BigUInt b = base % m;
-  std::vector<std::uint32_t> buf(4 * n + 2, 0);
-  std::uint32_t* const mont_base = buf.data();
-  std::uint32_t* const acc = mont_base + n;
-  std::uint32_t* const r2_limbs = acc + n;
-  std::uint32_t* const t = r2_limbs + n;
-  std::copy(r2.limbs_.begin(), r2.limbs_.end(), r2_limbs);
-  std::copy(b.limbs_.begin(), b.limbs_.end(), acc);
-  const std::uint32_t* const ml = m.limbs_.data();
-  mont_mul(acc, r2_limbs, ml, m_inv, n, t, mont_base);
+  std::vector<std::uint64_t> buf(5 * n + 2);
+  std::uint64_t* const ml = buf.data();
+  std::uint64_t* const mont_base = ml + n;
+  std::uint64_t* const acc = mont_base + n;
+  std::uint64_t* const r2_words = acc + n;
+  std::uint64_t* const t = r2_words + n;
+  pack_words(m.limbs_, ml);
+
+  // -m^-1 mod 2^64 by Newton's iteration: each step doubles the correct
+  // low bits, and an odd m0 is its own inverse mod 8 (3 -> 96 bits).
+  const std::uint64_t m0 = ml[0];
+  std::uint64_t inv = m0;
+  for (int i = 0; i < 5; ++i) inv *= 2u - m0 * inv;
+  const std::uint64_t m_inv = 0u - inv;
+
+  pack_words(r2.limbs_, r2_words);
+  pack_words(b.limbs_, acc);
+  mont_mul(acc, r2_words, ml, m_inv, n, t, mont_base);
 
   // Left to right: the top exponent bit seeds the accumulator.
   std::copy(mont_base, mont_base + n, acc);
@@ -396,13 +409,16 @@ BigUInt BigUInt::mod_pow(const BigUInt& base, const BigUInt& exp,
     mont_mul(acc, acc, ml, m_inv, n, t, acc);
     if (exp.bit(i)) mont_mul(acc, mont_base, ml, m_inv, n, t, acc);
   }
-  // Out of Montgomery form: multiply by plain 1 (reuse r2_limbs).
-  std::fill(r2_limbs, r2_limbs + n, 0u);
-  r2_limbs[0] = 1;
-  mont_mul(acc, r2_limbs, ml, m_inv, n, t, acc);
+  // Out of Montgomery form: multiply by plain 1 (reuse r2_words).
+  std::fill(r2_words, r2_words + n, std::uint64_t{0});
+  r2_words[0] = 1;
+  mont_mul(acc, r2_words, ml, m_inv, n, t, acc);
 
   BigUInt out;
-  out.limbs_.assign(acc, acc + n);
+  out.limbs_.resize(2 * n);
+  for (std::size_t i = 0; i < 2 * n; ++i) {
+    out.limbs_[i] = static_cast<std::uint32_t>(acc[i / 2] >> (32 * (i % 2)));
+  }
   out.trim();
   return out;
 }

@@ -1,7 +1,9 @@
 // Arbitrary-precision unsigned integers, just enough for demonstration-grade
 // RSA: schoolbook multiplication, Knuth's word-wise long division, and
-// Montgomery (CIOS) modular exponentiation. Limbs are 32-bit so products fit
-// in uint64_t.
+// Montgomery (CIOS) modular exponentiation. Values are stored in 32-bit limbs
+// so the schoolbook and division products fit in uint64_t; mod_pow packs them
+// into 64-bit words on entry and runs its Montgomery products on those, with
+// unsigned __int128 intermediates, then unpacks the result.
 //
 // This is NOT a constant-time implementation and the library's RSA keys are
 // deliberately small (256–512 bits): the reproduction needs the *protocol
@@ -60,7 +62,8 @@ class BigUInt {
   BigUInt shifted_right(std::size_t bits) const;
 
   /// (base ^ exp) mod m, left-to-right square-and-multiply in Montgomery
-  /// form. m must be odd (RSA moduli and Miller–Rabin candidates are).
+  /// form over 64-bit words. m must be odd (RSA moduli, their prime factors
+  /// and Miller–Rabin candidates are).
   static BigUInt mod_pow(const BigUInt& base, const BigUInt& exp,
                          const BigUInt& m);
   static BigUInt gcd(BigUInt a, BigUInt b);

@@ -85,14 +85,30 @@ RsaKeyPair generate_rsa_keypair(std::size_t modulus_bits, std::uint64_t seed) {
     if (!(BigUInt::gcd(e, phi) == BigUInt(1))) continue;
     const BigUInt d = BigUInt::mod_inverse(e, phi);
     if (d.is_zero()) continue;
-    return RsaKeyPair{RsaPublicKey{n, e}, RsaPrivateKey{n, d}};
+    const BigUInt dp = d % (p - BigUInt(1));
+    const BigUInt dq = d % (q - BigUInt(1));
+    const BigUInt qinv = BigUInt::mod_inverse(q, p);
+    return RsaKeyPair{RsaPublicKey{n, e},
+                      RsaPrivateKey{n, d, p, q, dp, dq, qinv}};
   }
+}
+
+BigUInt rsa_private_op(const BigUInt& x, const RsaPrivateKey& key) {
+  BAPS_REQUIRE(x < key.n, "private-key input must be below the modulus");
+  const BigUInt m1 = BigUInt::mod_pow(x, key.dp, key.p);
+  const BigUInt m2 = BigUInt::mod_pow(x, key.dq, key.q);
+  // Garner: h = (m1 - m2) * qinv mod p, so m2 + q * h is below q * p = n and
+  // congruent to m1 mod p and to m2 mod q. q may exceed p, so reduce m2 first.
+  const BigUInt m2_mod_p = m2 % key.p;
+  const BigUInt diff = m1 >= m2_mod_p ? m1 - m2_mod_p : m1 + key.p - m2_mod_p;
+  const BigUInt h = (diff * key.qinv) % key.p;
+  return m2 + key.q * h;
 }
 
 BigUInt rsa_sign_digest(const Md5Digest& digest, const RsaPrivateKey& key) {
   const BigUInt m = BigUInt::from_bytes(digest.bytes);
   BAPS_REQUIRE(m < key.n, "digest must embed below the modulus");
-  return BigUInt::mod_pow(m, key.d, key.n);
+  return rsa_private_op(m, key);
 }
 
 bool rsa_verify_digest(const Md5Digest& digest, const BigUInt& signature,

@@ -4,6 +4,11 @@
 // verifies with the proxy's public key but cannot forge a matching watermark.
 // Keys are small (default 256-bit modulus) because the reproduction needs the
 // protocol's algebraic shape, not production security; the sizes are knobs.
+//
+// Every private-key operation goes through rsa_private_op, which works modulo
+// p and q separately (Chinese Remainder Theorem) and recombines with Garner's
+// formula: two half-size exponentiations cost about a quarter of one full
+// one, and the result is exactly x^d mod n.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +25,14 @@ struct RsaPublicKey {
 
 struct RsaPrivateKey {
   BigUInt n;
-  BigUInt d;  ///< private exponent
+  /// Private exponent. No program path reads it: rsa_private_op uses the CRT
+  /// fields below. It is kept for the textbook identity test.
+  BigUInt d;
+  BigUInt p;     ///< prime factor of n
+  BigUInt q;     ///< the other prime factor
+  BigUInt dp;    ///< d mod (p - 1)
+  BigUInt dq;    ///< d mod (q - 1)
+  BigUInt qinv;  ///< q^-1 mod p
 };
 
 struct RsaKeyPair {
@@ -37,6 +49,10 @@ BigUInt generate_prime(std::size_t bits, std::uint64_t seed);
 /// RSA key pair with a modulus of ~`modulus_bits` bits. Deterministic in seed.
 /// modulus_bits must be >= 136 so a 16-byte MD5 digest embeds below n.
 RsaKeyPair generate_rsa_keypair(std::size_t modulus_bits, std::uint64_t seed);
+
+/// x^d mod n by CRT: m1 = x^dp mod p, m2 = x^dq mod q, then
+/// m2 + q * ((m1 - m2 mod p) * qinv mod p). Requires x < n.
+BigUInt rsa_private_op(const BigUInt& x, const RsaPrivateKey& key);
 
 /// Signature over an MD5 digest: sig = digest^d mod n.
 BigUInt rsa_sign_digest(const Md5Digest& digest, const RsaPrivateKey& key);

@@ -102,7 +102,7 @@ std::optional<PeeledLayer> peel_onion(std::span<const std::uint8_t> blob,
       crypto::BigUInt::from_bytes(blob.subspan(2, ct_len));
   if (!(ct < priv.n)) return std::nullopt;
   const std::vector<std::uint8_t> key_raw =
-      crypto::BigUInt::mod_pow(ct, priv.d, priv.n).to_bytes();
+      crypto::rsa_private_op(ct, priv).to_bytes();
   if (key_raw.size() > kSessionKeyBytes) return std::nullopt;
   // Left-pad to the fixed key width (to_bytes strips leading zeros).
   std::array<std::uint8_t, kSessionKeyBytes> key_bytes{};

@@ -200,6 +200,22 @@ TEST(BigUIntTest, ModPowMatchesSquareAndMultiplyReference) {
   }
 }
 
+// mod_pow's Montgomery products run on 64-bit words with R = 2^(64w) for a
+// w-word modulus. A carry out of the top word, and a borrow through a word
+// the final subtraction leaves equal, need a modulus just below R and an
+// operand just below the modulus; random operands almost never reach them.
+TEST(BigUIntTest, ModPowModulusJustBelowWordBoundary) {
+  Xoshiro256 rng(0xed6e);
+  for (int i = 0; i < 2000; ++i) {
+    const BigUInt r = BigUInt(1).shifted_left(64 * (1 + rng.below(8)));
+    const BigUInt m = r - BigUInt(2 * rng.below(1000) + 1);
+    const BigUInt base = m - BigUInt(rng.below(3) + 1);
+    const BigUInt exp = random_operand(1 + rng.below(4), rng);
+    ASSERT_EQ(BigUInt::mod_pow(base, exp, m), square_and_multiply(base, exp, m))
+        << base.to_hex() << " ^ " << exp.to_hex() << " mod " << m.to_hex();
+  }
+}
+
 TEST(BigUIntTest, ShiftsAreInverse) {
   const BigUInt x = BigUInt::from_hex("123456789abcdef0123456789");
   for (std::size_t s : {1u, 7u, 32u, 33u, 95u}) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace baps::crypto {
 namespace {
@@ -103,6 +106,60 @@ TEST(RsaKeygenTest, GoldenKeyAndSignature) {
   EXPECT_EQ(sig.to_hex(),
             "1580dee74203b4077811bfa243196b5363bdaa3350540d27b5c9b0eea170cca0");
   EXPECT_TRUE(rsa_verify_digest(md5("doc-0"), sig, keys.pub));
+}
+
+// Uniform-ish value below `bound` from random bytes one byte wider.
+BigUInt random_below(const BigUInt& bound, Xoshiro256& rng) {
+  std::vector<std::uint8_t> bytes(bound.to_bytes().size() + 1);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+  return BigUInt::from_bytes(bytes) % bound;
+}
+
+TEST(RsaCrtTest, PrivateOpMatchesTextbookExponentiation) {
+  // The CRT path must agree with x^d mod n on every key and input. Odd
+  // sizes give primes of unequal length, so both p > q and p < q occur.
+  Xoshiro256 rng(0xc47);
+  int keys_checked = 0;
+  bool saw_p_greater = false, saw_q_greater = false;
+  for (std::size_t bits : {136u, 200u, 255u, 256u, 257u, 512u}) {
+    for (std::uint64_t seed = 0; seed < 34; ++seed) {
+      const RsaKeyPair keys = generate_rsa_keypair(bits, 1000 * bits + seed);
+      const RsaPrivateKey& k = keys.priv;
+      const BigUInt one(1);
+      ASSERT_EQ(k.p * k.q, k.n) << bits << "/" << seed;
+      ASSERT_EQ(k.dp, k.d % (k.p - one));
+      ASSERT_EQ(k.dq, k.d % (k.q - one));
+      ASSERT_EQ((k.q * k.qinv) % k.p, one);
+      (k.p > k.q ? saw_p_greater : saw_q_greater) = true;
+
+      std::vector<BigUInt> inputs = {
+          BigUInt(), one, k.p, k.q, k.p + one, k.q + one,
+          k.p * random_below(k.q - one, rng) + k.p,  // ≡ 0 (mod p)
+          k.q * random_below(k.p - one, rng) + k.q,  // ≡ 0 (mod q)
+          k.n - one};
+      for (int i = 0; i < 4; ++i) inputs.push_back(random_below(k.n, rng));
+      for (const BigUInt& m : inputs) {
+        ASSERT_EQ(rsa_private_op(m, k), BigUInt::mod_pow(m, k.d, k.n))
+            << "m=" << m.to_hex() << " n=" << k.n.to_hex();
+      }
+
+      Md5Digest digest;
+      for (auto& b : digest.bytes) b = static_cast<std::uint8_t>(rng());
+      const BigUInt m = BigUInt::from_bytes(digest.bytes);
+      const BigUInt sig = rsa_sign_digest(digest, k);
+      ASSERT_EQ(sig, BigUInt::mod_pow(m, k.d, k.n)) << k.n.to_hex();
+      ASSERT_TRUE(rsa_verify_digest(digest, sig, keys.pub));
+      ++keys_checked;
+    }
+  }
+  EXPECT_GE(keys_checked, 200);
+  EXPECT_TRUE(saw_p_greater);
+  EXPECT_TRUE(saw_q_greater);
+}
+
+TEST(RsaCrtTest, PrivateOpRejectsInputAtOrAboveModulus) {
+  const RsaKeyPair keys = generate_rsa_keypair(256, 7);
+  EXPECT_THROW(rsa_private_op(keys.priv.n, keys.priv), baps::InvariantError);
 }
 
 TEST(RsaKeygenTest, RejectsTooSmallModulus) {
