@@ -13,11 +13,11 @@
 //
 // Against an external daemon (the 10k-connection setting — two processes,
 // each holding N fds):
-//   baps_proxyd --event-driven --port 4160 &
+//   baps_proxyd --port 4160 &
 //   bench_connload --port 4160 --connections 10000
 // Self-contained smoke (in-process proxy, both ends' fds in one process —
 // keep N a few thousand or less):
-//   bench_connload --connections 500 --server epoll
+//   bench_connload --connections 500
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/epoll.h>
@@ -324,7 +324,6 @@ int main(int argc, char** argv) {
   std::uint64_t ramp_batch = 500;
   std::uint64_t reps = 1;
   std::uint64_t max_seconds = 120;
-  std::string server_mode = "epoll";
   std::uint64_t min_peak = 0;
   std::string metrics_out;
 
@@ -346,9 +345,6 @@ int main(int argc, char** argv) {
               "StatsRequest roundtrips per connection (default 1)")
       .option("--max-seconds", &max_seconds, "S",
               "abort the run after S seconds (default 120)")
-      .option("--server", &server_mode, "MODE",
-              "in-process proxy transport when --port 0: epoll | blocking "
-              "(default epoll)")
       .option("--min-peak", &min_peak, "N",
               "exit nonzero unless peak concurrent connections reaches N "
               "(CI gate; default 0: report only)")
@@ -368,10 +364,6 @@ int main(int argc, char** argv) {
     std::cerr << "--connections and --reps must be at least 1\n";
     return 2;
   }
-  if (server_mode != "epoll" && server_mode != "blocking") {
-    std::cerr << "--server must be epoll or blocking\n";
-    return 2;
-  }
 
   // Both ends in one process need 2 fds per connection plus slack.
   netio::raise_fd_limit(port == 0 ? connections * 2 + 256
@@ -382,14 +374,6 @@ int main(int argc, char** argv) {
   if (port == 0) {
     runtime::ProxyServer::Params params;
     params.core.num_clients = 4;
-    params.event_driven = server_mode == "epoll";
-    if (!params.event_driven) {
-      // The blocking pool parks one worker per held session: without a
-      // matching pool the holding fleet would just sit out --max-seconds.
-      // (That a thread-per-connection pool is what bounds the blocking
-      // transport is precisely the point of this bench.)
-      params.net.worker_threads = connections + 2;
-    }
     local = std::make_unique<runtime::ProxyServer>(params);
     if (!local->start(&error)) {
       std::cerr << "cannot start in-process proxy: " << error << "\n";

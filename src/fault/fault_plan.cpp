@@ -143,8 +143,6 @@ std::optional<FaultRates> FaultRates::parse(std::string_view spec,
       rates.slow_peer_budget_ms = static_cast<int>(parsed);
     } else if (key == "polite") {
       rates.polite_departures = parsed != 0.0;
-    } else if (key == "drop_holders") {
-      rates.drop_failed_holders = parsed != 0.0;
     } else {
       return fail("fault rates: unknown key '" + key + "'");
     }

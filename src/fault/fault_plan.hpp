@@ -55,7 +55,7 @@ bool fault_kind_recoverable(FaultKind kind);
 /// Per-kind injection probabilities plus the slow-peer shape. Parsed from
 /// the compact CLI spec `disconnect=0.1,depart=0.01,join=0.5,slow=0.1,`
 /// `drop=0.05,corrupt=0.02,restart=0.001` with optional tuning keys
-/// `slow_ms=`, `slow_budget_ms=`, `polite=0|1`, `drop_holders=0|1`.
+/// `slow_ms=`, `slow_budget_ms=`, `polite=0|1`.
 struct FaultRates {
   std::array<double, kNumFaultKinds> rate{};  ///< probability per decision
 
@@ -67,10 +67,6 @@ struct FaultRates {
   /// Departing peers send index removes first (clean shutdown) instead of
   /// leaving stale entries behind (crash).
   bool polite_departures = false;
-  /// Proxy-side robustness upgrade: a failed peer fetch drops *all* of that
-  /// holder's index entries, not just the one that failed (a dead peer costs
-  /// one false forward instead of one per stale entry).
-  bool drop_failed_holders = false;
 
   double& of(FaultKind kind) { return rate[static_cast<std::size_t>(kind)]; }
   double of(FaultKind kind) const {

@@ -32,18 +32,6 @@ std::uint64_t BrowserIndex::client_entry_count(ClientId client) const {
   return per_client_[client].size();
 }
 
-std::uint64_t BrowserIndex::remove_all(ClientId client) {
-  BAPS_REQUIRE(client < per_client_.size(), "client id out of range");
-  std::vector<DocId> docs;
-  docs.reserve(per_client_[client].size());
-  per_client_[client].for_each([&docs](std::uint64_t doc) {
-    docs.push_back(static_cast<DocId>(doc));
-  });
-  std::sort(docs.begin(), docs.end());  // set order is table order; fix it
-  for (const DocId doc : docs) remove(client, doc);
-  return docs.size();
-}
-
 void BrowserIndex::clear() {
   for (auto& holders : by_doc_) holders.clear();
   sparse_ = util::FlatMap<HolderList>();

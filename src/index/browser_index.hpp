@@ -135,11 +135,6 @@ class BrowserIndex {
   /// Number of docs indexed for one client.
   std::uint64_t client_entry_count(ClientId client) const;
 
-  /// Drops every entry for one client (a believed-dead or departed peer);
-  /// returns how many were removed. Deterministic: docs are removed in
-  /// sorted order so the round-robin cursor evolution is reproducible.
-  std::uint64_t remove_all(ClientId client);
-
   /// Empties the whole index (a proxy restart); keeps sizing/hints.
   void clear();
 

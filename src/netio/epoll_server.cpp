@@ -388,8 +388,8 @@ void EpollFrameServer::read_drain(Connection& c, std::uint64_t now) {
     if (rc == 0) {
       c.peer_eof_ = true;
       // Orderly EOF: whatever is queued still flushes, then the fd closes.
-      // A partial frame left in rbuf_ is a truncated stream — drop it; the
-      // blocking path surfaces the same as read-kClosed mid-frame.
+      // A partial frame left in rbuf_ is a truncated stream — drop it, as
+      // FrameChannel surfaces read-kClosed mid-frame.
       c.close_after_flush();
       return;
     }

@@ -1,10 +1,10 @@
 // Edge-triggered epoll frame server: one event-loop thread multiplexes
 // every connection, so concurrent sessions cost a few hundred bytes of
-// state instead of a blocked thread each — the 10k-connection path the
-// blocking FrameServer (netio/server.hpp) cannot reach. The blocking
-// server remains the reference implementation; this loop must produce
-// bit-identical frame semantics and wire metrics (proved by
-// tests/integration/epoll_differential_test.cpp).
+// state instead of a blocked thread each — the 10k-connection path. It is
+// the proxy's only server (runtime/proxy_server.hpp). Frames are encoded and
+// counted exactly as FrameChannel encodes and counts them (the shared
+// netio_metrics helpers), so either end of a connection sees the same wire
+// metrics.
 //
 // Shape: accept4(SOCK_NONBLOCK) drains the listener per readiness edge
 // (EMFILE parks accepting behind a retry timer instead of spinning); each
@@ -52,8 +52,8 @@ class EpollFrameServer {
     /// Per-connection write-queue budget; above it the connection's inbound
     /// processing pauses until the queue drains below half.
     std::size_t max_write_queue_bytes = 4u << 20;
-    /// Close connections silent for this long; 0 disables (parity with the
-    /// blocking server, whose sessions only end when the peer goes away).
+    /// Close connections silent for this long; 0 disables (sessions then
+    /// end only when the peer goes away or the server stops).
     int idle_timeout_ms = 0;
     /// stop() lets queued writes flush for this long before cutting.
     int drain_timeout_ms = 2000;

@@ -1,8 +1,8 @@
 // Shared wire/netio metric accounting used by BOTH frame transports — the
-// blocking FrameChannel and the epoll event loop. Keeping the counting in
-// one place is what makes the epoll↔blocking differential meaningful: the
-// two paths must bump the exact same families with the exact same labels,
-// so a run over the same trace yields bit-identical counter snapshots.
+// blocking FrameChannel (clients, peer listeners) and the epoll event loop
+// (the proxy). Keeping the counting in one place means both bump the exact
+// same families with the exact same labels, so a frame counts the same
+// whichever side of a connection sends or receives it.
 #pragma once
 
 #include <cstddef>

@@ -4,6 +4,9 @@
 // resource use (excess connections queue); stop() is a clean shutdown —
 // the listener closes, queued connections drop, and in-flight sessions are
 // unblocked by shutting their sockets down, then joined.
+//
+// Its one user is TcpTransport's per-client peer listener, which serves the
+// proxy's PeerFetch frames; the proxy itself serves on EpollFrameServer.
 #pragma once
 
 #include <atomic>

@@ -18,6 +18,15 @@ std::vector<std::string> derive_client_mac_keys(std::uint64_t seed,
   return keys;
 }
 
+crypto::Md5Digest index_update_mac(std::string_view mac_key, ClientId sender,
+                                   bool is_add, std::uint64_t key) {
+  std::string msg = is_add ? "add:" : "remove:";
+  msg += std::to_string(sender);
+  msg += ':';
+  msg += std::to_string(key);
+  return crypto::hmac_md5(mac_key, msg);
+}
+
 ProxyCore::RequestCounters::RequestCounters()
     : requests(obs::Registry::global().counter("proxy_fetch_requests_total")),
       served_proxy(obs::Registry::global().counter(
@@ -55,24 +64,15 @@ void ProxyCore::record(MsgKind kind, std::string from, std::string to,
   }
 }
 
-crypto::Md5Digest ProxyCore::index_update_mac(ClientId sender, bool is_add,
-                                              DocStore::Key key) const {
-  BAPS_REQUIRE(sender < mac_keys_.size(), "client id out of range");
-  std::string msg = is_add ? "add:" : "remove:";
-  msg += std::to_string(sender);
-  msg += ':';
-  msg += std::to_string(key);
-  return crypto::hmac_md5(mac_keys_[sender], msg);
-}
-
 bool ProxyCore::apply_index_update(ClientId claimed_sender, bool is_add,
                                    DocStore::Key key,
                                    const crypto::Md5Digest& mac) {
   BAPS_REQUIRE(claimed_sender < mac_keys_.size(), "client id out of range");
   // The proxy recomputes the MAC under the claimed sender's key: only the
   // real owner of that key can mutate its own index entries.
-  if (!crypto::digest_equal(mac,
-                            index_update_mac(claimed_sender, is_add, key))) {
+  const crypto::Md5Digest expected =
+      index_update_mac(mac_keys_[claimed_sender], claimed_sender, is_add, key);
+  if (!crypto::digest_equal(mac, expected)) {
     ++stats_.rejected_index_updates;
     return false;
   }
@@ -145,11 +145,7 @@ ProxyCore::Reply ProxyCore::handle_fetch(ClientId requester, const Url& url,
       counters_.false_forwards.inc();
       false_forward = true;
       obs::Registry::global().counter("stale_index_hits_total").inc();
-      if (drop_failed_holders_) {
-        index_.remove_all(*holder);
-      } else {
-        index_.remove(*holder, key);
-      }
+      index_.remove(*holder, key);
     }
   }
 

@@ -82,16 +82,6 @@ class ProxyCore {
   bool apply_index_update(ClientId claimed_sender, bool is_add,
                           DocStore::Key key, const crypto::Md5Digest& mac);
 
-  /// MAC the proxy expects over an index update:
-  /// HMAC(key_of(sender), op | sender | url key).
-  crypto::Md5Digest index_update_mac(ClientId sender, bool is_add,
-                                     DocStore::Key key) const;
-
-  /// Robustness policy: when a peer fetch fails, drop ALL of the holder's
-  /// index entries rather than just the failed one — a dead peer costs one
-  /// false forward instead of one per stale entry.
-  void set_drop_failed_holders(bool on) { drop_failed_holders_ = on; }
-
   /// Simulates a proxy crash/restart: the RAM cache and browser index are
   /// lost (the RSA watermark keys and client MAC keys persist — they are
   /// provisioned state, not runtime state). With a disk tier configured the
@@ -141,7 +131,6 @@ class ProxyCore {
   obs::Tracer* tracer_ = nullptr;   ///< optional, not owned
   ProxyStats stats_;
   RequestCounters counters_;
-  bool drop_failed_holders_ = false;
 };
 
 }  // namespace baps::runtime

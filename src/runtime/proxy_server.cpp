@@ -35,51 +35,32 @@ ProxyServer::ProxyServer(const Params& params)
 ProxyServer::~ProxyServer() { stop(); }
 
 bool ProxyServer::start(std::string* error) {
-  if (params_.event_driven) {
-    netio::EpollFrameServer::Params ep = params_.epoll;
-    ep.host = params_.net.host;
-    ep.port = params_.net.port;
-    ep.max_frame_payload = params_.net.max_frame_payload;
-    ep.tracer = tracer_;
-    epoll_server_ = std::make_unique<netio::EpollFrameServer>(
-        ep, [this](netio::EpollFrameServer::Connection& conn,
-                   wire::Frame&& frame) {
-          auto state = std::static_pointer_cast<Session>(conn.state());
-          if (state == nullptr) {
-            state = std::make_shared<Session>();
-            conn.state() = state;
-          }
-          const SessionSender send =
-              [&conn](wire::FrameKind kind, std::string_view payload,
-                      const obs::TraceContext& trace) {
-                return conn.send(kind, payload, trace);
-              };
-          return on_session_frame(*state, frame, send);
-        });
-    return epoll_server_->start(error);
-  }
-  blocking_server_ = std::make_unique<netio::FrameServer>(
-      params_.net, [this](netio::FrameChannel& channel,
-                          const std::atomic<bool>& stop) {
-        session(channel, stop);
+  netio::EpollFrameServer::Params net = params_.net;
+  net.tracer = tracer_;
+  server_ = std::make_unique<netio::EpollFrameServer>(
+      net, [this](netio::EpollFrameServer::Connection& conn,
+                  wire::Frame&& frame) {
+        auto state = std::static_pointer_cast<Session>(conn.state());
+        if (state == nullptr) {
+          state = std::make_shared<Session>();
+          conn.state() = state;
+        }
+        return on_session_frame(*state, frame, conn);
       });
-  return blocking_server_->start(error);
+  return server_->start(error);
 }
 
 void ProxyServer::stop() {
-  if (epoll_server_ != nullptr) epoll_server_->stop();
-  if (blocking_server_ != nullptr) blocking_server_->stop();
+  if (server_ != nullptr) server_->stop();
   peer_pool_.clear();
 }
 
 bool ProxyServer::running() const {
-  if (epoll_server_ != nullptr) return epoll_server_->running();
-  return blocking_server_ != nullptr && blocking_server_->running();
+  return server_ != nullptr && server_->running();
 }
 
 std::uint16_t ProxyServer::port() const {
-  if (epoll_server_ != nullptr) return epoll_server_->port();
-  return blocking_server_ != nullptr ? blocking_server_->port() : 0;
+  return server_ != nullptr ? server_->port() : 0;
 }
 
 void ProxyServer::set_tracer(obs::Tracer* tracer) {
@@ -111,13 +92,9 @@ obs::JsonValue ProxyServer::trace_stats_json(std::uint32_t max_spans) {
 
 std::optional<Document> ProxyServer::peer_fetch(
     ClientId holder, DocStore::Key key, const obs::TraceContext& trace) {
-  std::uint16_t port = 0;
-  {
-    std::lock_guard<std::mutex> lock(ports_mu_);
-    const auto it = peer_ports_.find(holder);
-    if (it == peer_ports_.end()) return std::nullopt;
-    port = it->second;
-  }
+  const auto it = peer_ports_.find(holder);
+  if (it == peer_ports_.end()) return std::nullopt;
+  const std::uint16_t port = it->second;
   wire::PeerFetch request;
   request.key = key;
   // A pooled connection per peer fetch: reuse a warm socket when one is
@@ -148,12 +125,13 @@ std::optional<Document> ProxyServer::peer_fetch(
   return std::nullopt;
 }
 
-bool ProxyServer::on_session_frame(Session& s, const wire::Frame& frame,
-                                   const SessionSender& send) {
-  const auto send_msg = [&send](const auto& m, const obs::TraceContext& trace =
+bool ProxyServer::on_session_frame(
+    Session& s, const wire::Frame& frame,
+    netio::EpollFrameServer::Connection& conn) {
+  const auto send_msg = [&conn](const auto& m, const obs::TraceContext& trace =
                                                    obs::TraceContext{}) {
     using Msg = std::decay_t<decltype(m)>;
-    return send(Msg::kKind, wire::encode(m), trace);
+    return conn.send(Msg::kKind, wire::encode(m), trace);
   };
 
   if (!s.hello_done) {
@@ -164,12 +142,9 @@ bool ProxyServer::on_session_frame(Session& s, const wire::Frame& frame,
     wire::Hello hello;
     if (!wire::decode(frame.payload, &hello)) return false;
     wire::HelloAck ack;
-    {
-      std::lock_guard<std::mutex> lock(core_mu_);
-      ack.rsa_n = core_.public_key().n.to_bytes();
-      ack.rsa_e = core_.public_key().e.to_bytes();
-      ack.max_clients = core_.num_clients();
-    }
+    ack.rsa_n = core_.public_key().n.to_bytes();
+    ack.rsa_e = core_.public_key().e.to_bytes();
+    ack.max_clients = core_.num_clients();
     s.observer = hello.client_id == wire::kObserverClientId;
     s.client_id = hello.client_id;
     if (!s.observer && hello.client_id >= ack.max_clients) {
@@ -178,7 +153,6 @@ bool ProxyServer::on_session_frame(Session& s, const wire::Frame& frame,
     }
     if (!send_msg(ack)) return false;
     if (!s.observer && hello.peer_port != 0) {
-      std::lock_guard<std::mutex> lock(ports_mu_);
       peer_ports_[hello.client_id] = hello.peer_port;
     }
     s.hello_done = true;
@@ -193,15 +167,11 @@ bool ProxyServer::on_session_frame(Session& s, const wire::Frame& frame,
         return false;
       }
       const double start = obs::monotonic_seconds();
-      ProxyCore::Reply reply;
-      {
-        std::lock_guard<std::mutex> lock(core_mu_);
-        // The frame's context (the client's root span) parents the core's
-        // stage spans — this is where cross-process stitching happens on
-        // the proxy side.
-        reply = core_.handle_fetch(s.client_id, request.url,
-                                   request.avoid_peers, frame.trace);
-      }
+      // The frame's context (the client's root span) parents the core's
+      // stage spans — this is where cross-process stitching happens on the
+      // proxy side.
+      ProxyCore::Reply reply = core_.handle_fetch(
+          s.client_id, request.url, request.avoid_peers, frame.trace);
       request_hist("fetch").observe(obs::monotonic_seconds() - start);
       wire::FetchResponse response;
       response.source = to_wire_source(reply.source);
@@ -217,31 +187,23 @@ bool ProxyServer::on_session_frame(Session& s, const wire::Frame& frame,
         return false;
       }
       const double start = obs::monotonic_seconds();
-      bool accepted = false;
-      {
-        std::lock_guard<std::mutex> lock(core_mu_);
-        // The wire says who the update claims to be from — the session's
-        // own id. Spoofing tests impersonate here and the MAC rejects it.
-        accepted = core_.apply_index_update(s.client_id, update.is_add,
-                                            update.key,
-                                            mac_from_wire(update.mac));
-      }
+      // The wire says who the update claims to be from — the session's own
+      // id. Spoofing tests impersonate here and the MAC rejects it.
+      const bool accepted = core_.apply_index_update(
+          s.client_id, update.is_add, update.key, mac_from_wire(update.mac));
       request_hist("index_update").observe(obs::monotonic_seconds() - start);
       wire::IndexAck ack_msg;
       ack_msg.accepted = accepted;
       return send_msg(ack_msg);
     }
     case wire::FrameKind::kStatsRequest: {
+      const ProxyStats& st = core_.stats();
       wire::StatsResponse response;
-      {
-        std::lock_guard<std::mutex> lock(core_mu_);
-        const ProxyStats& st = core_.stats();
-        response.proxy_hits = st.proxy_hits;
-        response.peer_hits = st.peer_hits;
-        response.origin_fetches = st.origin_fetches;
-        response.false_forwards = st.false_forwards;
-        response.rejected_index_updates = st.rejected_index_updates;
-      }
+      response.proxy_hits = st.proxy_hits;
+      response.peer_hits = st.peer_hits;
+      response.origin_fetches = st.origin_fetches;
+      response.false_forwards = st.false_forwards;
+      response.rejected_index_updates = st.rejected_index_updates;
       return send_msg(response);
     }
     case wire::FrameKind::kTraceStatsRequest: {
@@ -250,8 +212,6 @@ bool ProxyServer::on_session_frame(Session& s, const wire::Frame& frame,
         send_msg(wire::ErrorMsg{"bad trace stats request"});
         return false;
       }
-      // Registry and tracer have their own locks — no core_mu_ needed, so
-      // introspection never stalls behind a slow fetch.
       wire::TraceStatsResponse response;
       response.json = trace_stats_json(request.max_spans).dump();
       return send_msg(response);
@@ -262,8 +222,6 @@ bool ProxyServer::on_session_frame(Session& s, const wire::Frame& frame,
         send_msg(wire::ErrorMsg{"bad time series request"});
         return false;
       }
-      // The sampler has its own lock — like trace stats, live telemetry
-      // never queues behind core_mu_.
       wire::TimeSeriesResponse response;
       if (sampler_ != nullptr) {
         response.json = sampler_->window_json(request.max_intervals).dump();
@@ -282,33 +240,6 @@ bool ProxyServer::on_session_frame(Session& s, const wire::Frame& frame,
       send_msg(wire::ErrorMsg{"unexpected frame kind " +
                               wire::frame_kind_name(frame.kind)});
       return false;
-  }
-}
-
-void ProxyServer::session(netio::FrameChannel& channel,
-                          const std::atomic<bool>& stop) {
-  channel.set_tracer(tracer_);
-  Session s;
-  const SessionSender send = [&channel](wire::FrameKind kind,
-                                        std::string_view payload,
-                                        const obs::TraceContext& trace) {
-    NetError err;
-    return channel.send(kind, payload, trace, &err);
-  };
-  while (!stop.load()) {
-    NetError recv_err;
-    const auto frame = channel.recv(&recv_err);
-    if (!frame.has_value()) {
-      if (recv_err.status == netio::NetStatus::kTimeout) {
-        // Pre-Hello silence is a dead dial — drop it (the original
-        // recv_msg<Hello> deadline). Established sessions just check the
-        // stop flag and keep waiting.
-        if (!s.hello_done) return;
-        continue;
-      }
-      return;  // closed, reset, or rejected frame — drop the connection
-    }
-    if (!on_session_frame(s, *frame, send)) return;
   }
 }
 

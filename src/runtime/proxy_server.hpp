@@ -1,33 +1,25 @@
-// The BAPS proxy daemon core: a ProxyCore served over TCP by either frame
-// server. Sessions speak the wire protocol — Hello/HelloAck,
+// The BAPS proxy daemon core: a ProxyCore served over TCP by the epoll
+// event loop. Sessions speak the wire protocol — Hello/HelloAck,
 // FetchRequest/Response, IndexUpdate/Ack, StatsRequest/Response, Bye — and
 // peer fetches go out over pooled connections to the holder's registered
 // peer listener, carrying only the document key (§6.2).
 //
-// Both transports drive ONE session state machine (on_session_frame): the
-// blocking FrameServer loops recv() per worker thread, the epoll server
-// invokes it per decoded frame on the loop thread. Identical inputs produce
-// identical frame outputs and identical wire metrics on either path — the
-// epoll↔blocking differential test pins that down.
-//
-// Proxy state is serialized under one mutex: requests are handled one at a
-// time, which keeps cache, index, and round-robin evolution identical to the
-// in-process loopback for any serial client workload. A holder that is dead
-// or unreachable costs one bounded peer-deadline wait and then degrades to
-// an origin fetch (a false forward) — never a hang.
+// One session state machine (on_session_frame) runs once per decoded frame
+// on the loop thread. That thread owns the core, the peer-port table and the
+// peer pool, so requests are handled one at a time without a lock, which
+// keeps cache, index, and round-robin evolution identical to the in-process
+// loopback for any serial client workload. A holder that is dead or
+// unreachable costs one bounded peer-deadline wait and then degrades to an
+// origin fetch (a false forward) — never a hang.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 
 #include "netio/channel_pool.hpp"
 #include "netio/epoll_server.hpp"
-#include "netio/server.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
 #include "runtime/proxy_core.hpp"
@@ -38,16 +30,17 @@ class ProxyServer {
  public:
   struct Params {
     ProxyCore::Params core;
-    netio::FrameServer::Params net;
+    /// Listener and loop behaviour: host/port, frame size, idle timeout,
+    /// write budget, drain, connection ceiling. `net.tracer` is ignored —
+    /// set_tracer() supplies it.
+    netio::EpollFrameServer::Params net;
     /// Deadlines for outbound peer fetches — kept short so a dead holder
     /// degrades to origin quickly.
     netio::Deadlines peer_deadlines{500, 1000, 1000};
-    /// Serve with the edge-triggered epoll loop instead of the blocking
-    /// worker pool. host/port/max_frame_payload come from `net`; loop
-    /// behaviour (idle timeout, write budget, drain, connection ceiling)
-    /// from `epoll`.
-    bool event_driven = false;
-    netio::EpollFrameServer::Params epoll;
+    /// Read by nothing: every session runs on the epoll loop. Kept only
+    /// because perfbench/perfbench.cpp assigns it; delete with the next
+    /// perfbench change.
+    bool event_driven = true;
     /// Idle peer-fetch connections kept per holder.
     std::size_t peer_pool_idle = 4;
   };
@@ -63,7 +56,6 @@ class ProxyServer {
 
   bool running() const;
   std::uint16_t port() const;
-  bool event_driven() const { return params_.event_driven; }
 
   /// Direct access to the proxy state, for in-process inspection by tests
   /// and the daemon's shutdown report. Not synchronized with live sessions —
@@ -88,39 +80,30 @@ class ProxyServer {
   obs::JsonValue trace_stats_json(std::uint32_t max_spans);
 
  private:
-  /// Per-session protocol state, shared by both transports.
+  /// Per-session protocol state, hung off Connection::state().
   struct Session {
     bool hello_done = false;
     bool observer = false;
     ClientId client_id = 0;
   };
 
-  /// How a session emits one frame; bound to FrameChannel::send on the
-  /// blocking path and Connection::send on the epoll path.
-  using SessionSender = std::function<bool(
-      wire::FrameKind, std::string_view, const obs::TraceContext&)>;
-
-  /// Advances one session by one inbound frame. Returns false when the
-  /// session must end (protocol error, Bye, or a failed send).
+  /// Advances one session by one inbound frame, replying through `conn`.
+  /// Returns false when the session must end (protocol error, Bye, or a
+  /// failed send).
   bool on_session_frame(Session& s, const wire::Frame& frame,
-                        const SessionSender& send);
-
-  void session(netio::FrameChannel& channel, const std::atomic<bool>& stop);
+                        netio::EpollFrameServer::Connection& conn);
   std::optional<Document> peer_fetch(ClientId holder, DocStore::Key key,
                                      const obs::TraceContext& trace);
 
   Params params_;
   ProxyCore core_;
-  std::mutex core_mu_;
   obs::Tracer* tracer_ = nullptr;  ///< optional, not owned
   obs::TimeSeriesSampler* sampler_ = nullptr;  ///< optional, not owned
 
-  std::mutex ports_mu_;
   std::unordered_map<ClientId, std::uint16_t> peer_ports_;
 
   netio::ChannelPool peer_pool_;
-  std::unique_ptr<netio::FrameServer> blocking_server_;
-  std::unique_ptr<netio::EpollFrameServer> epoll_server_;
+  std::unique_ptr<netio::EpollFrameServer> server_;
 };
 
 }  // namespace baps::runtime

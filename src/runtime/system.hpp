@@ -165,9 +165,9 @@ class BapsSystem : private PeerHost {
   /// Emits the per-browse "fetch" event (no-op without a sink).
   void emit_fetch(ClientId client, DocStore::Key key, const FetchOutcome& out,
                   bool false_forward);
-  /// MAC over an index update: HMAC(key_of(sender), op | sender | url key).
-  crypto::Md5Digest index_update_mac(ClientId sender, bool is_add,
-                                     DocStore::Key key) const;
+  /// Tells the proxy `client`'s browser gained (is_add) or lost `key`,
+  /// MAC'd under the client's own key, and logs the envelope.
+  void send_index_update(ClientId client, bool is_add, DocStore::Key key);
   void client_store(ClientId client, const Url& url, Document doc);
 
   Params params_;

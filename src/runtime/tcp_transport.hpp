@@ -1,8 +1,9 @@
 // The client side of the wire protocol: a Transport that speaks to a
 // ProxyServer over TCP. Each client id gets one persistent proxy connection
-// (established lazily with Hello/HelloAck) and one peer listener — a tiny
-// FrameServer that answers PeerFetch frames out of the client host's browser
-// stores. Observer traffic (stats, public key, live telemetry) identifies
+// (established lazily with Hello/HelloAck) and one peer listener — a
+// one-worker netio::FrameServer that answers PeerFetch frames out of the
+// client host's browser stores; one worker suffices because the proxy's
+// event loop sends one peer fetch at a time. Observer traffic (stats, public key, live telemetry) identifies
 // as kObserverClientId, registers nothing, and reuses one pooled
 // connection across polls.
 //

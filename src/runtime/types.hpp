@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crypto/md5.hpp"
@@ -46,6 +47,12 @@ std::string source_name(FetchOutcome::Source source);
 /// with the same seed agree without any key exchange on the wire.
 std::vector<std::string> derive_client_mac_keys(std::uint64_t seed,
                                                 std::uint32_t num_clients);
+
+/// The MAC over one index update, computed by the client that sends it and
+/// recomputed by the proxy that checks it:
+/// HMAC-MD5(mac_key, "add:"|"remove:" + sender + ':' + url key).
+crypto::Md5Digest index_update_mac(std::string_view mac_key, ClientId sender,
+                                   bool is_add, std::uint64_t key);
 
 /// Every protocol message kind that crosses the simulated wire.
 enum class MsgKind {

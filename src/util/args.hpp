@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
@@ -79,7 +80,8 @@ inline bool parse_byte_size(const std::string& s, std::uint64_t* out) {
 
 /// Durations with optional unit suffix: "1s", "250ms", "2m" (minutes), or a
 /// bare number meaning seconds ("0.5"). Result is seconds; negative values
-/// are rejected.
+/// and values that are or scale to nan/inf ("nan", "inf", "1e400") are
+/// rejected.
 inline bool parse_duration_seconds(const std::string& s, double* out) {
   if (s.empty()) return false;
   double scale = 1.0;
@@ -95,8 +97,9 @@ inline bool parse_duration_seconds(const std::string& s, double* out) {
   }
   double v = 0.0;
   if (!parse_number(s.substr(0, digits), &v)) return false;
-  if (v < 0.0) return false;
-  *out = v * scale;
+  const double seconds = v * scale;
+  if (!std::isfinite(seconds) || seconds < 0.0) return false;
+  *out = seconds;
   return true;
 }
 

@@ -31,8 +31,7 @@ TEST(FaultRatesTest, ParsesFullSpec) {
   std::string error;
   const auto rates = FaultRates::parse(
       "disconnect=0.1,depart=0.01,join=0.5,slow=0.2,drop=0.05,"
-      "corrupt=0.02,restart=0.001,slow_ms=80,slow_budget_ms=40,polite=1,"
-      "drop_holders=1",
+      "corrupt=0.02,restart=0.001,slow_ms=80,slow_budget_ms=40,polite=1",
       &error);
   ASSERT_TRUE(rates.has_value()) << error;
   EXPECT_DOUBLE_EQ(rates->of(FaultKind::kPeerDisconnect), 0.1);
@@ -41,7 +40,6 @@ TEST(FaultRatesTest, ParsesFullSpec) {
   EXPECT_EQ(rates->slow_peer_delay_ms, 80);
   EXPECT_EQ(rates->slow_peer_budget_ms, 40);
   EXPECT_TRUE(rates->polite_departures);
-  EXPECT_TRUE(rates->drop_failed_holders);
   EXPECT_TRUE(rates->any());
 }
 
@@ -55,6 +53,8 @@ TEST(FaultRatesTest, EmptySpecIsAllZero) {
 TEST(FaultRatesTest, RejectsBadInput) {
   std::string error;
   EXPECT_FALSE(FaultRates::parse("bogus=0.1", &error).has_value());
+  EXPECT_NE(error.find("unknown key"), std::string::npos) << error;
+  EXPECT_FALSE(FaultRates::parse("drop_holders=1", &error).has_value());
   EXPECT_NE(error.find("unknown key"), std::string::npos) << error;
   EXPECT_FALSE(FaultRates::parse("drop=1.5", &error).has_value());
   EXPECT_FALSE(FaultRates::parse("drop=abc", &error).has_value());

@@ -2,7 +2,7 @@
 // resume (bytes dribbled across many writes decode to the same frames), write
 // backpressure bounds, idle-timeout reaping, graceful drain, per-connection
 // handler state, and a concurrent many-connection sweep — the properties the
-// edge-triggered loop must preserve versus the blocking reference server.
+// proxy's edge-triggered loop relies on.
 #include "netio/epoll_server.hpp"
 
 #include <gtest/gtest.h>
@@ -129,7 +129,7 @@ TEST(EpollFrameServerTest, CoalescedFramesAllReachTheHandler) {
 
 TEST(EpollFrameServerTest, HandlerFalseEndsSessionAfterFlushingReplies) {
   // Replies queued by the final frame must still reach the client (the
-  // blocking server's "send error reply, then drop" pattern).
+  // proxy session's "send error reply, then drop" pattern).
   EpollFrameServer server(
       fast_params(),
       [](EpollFrameServer::Connection& conn, wire::Frame&& frame) {

@@ -237,6 +237,15 @@ TEST(IndexAuthTest, SelfRemovalWithOwnKeyIsAccepted) {
   EXPECT_FALSE(sys.browser_index().holds(1, url_key(url)));
 }
 
+TEST(IndexAuthTest, IndexUpdateMacFormatIsPinned) {
+  // HMAC-MD5(key, "add:3:4660") and HMAC-MD5(key, "remove:3:4660"): clients,
+  // the proxy and perfbench's layer replay all compute this exact message.
+  EXPECT_EQ(index_update_mac("k42", 3, /*is_add=*/true, 0x1234).hex(),
+            "91365902a4e07bcf764489dd3efbb39f");
+  EXPECT_EQ(index_update_mac("k42", 3, /*is_add=*/false, 0x1234).hex(),
+            "77fa93478923bfaf70b183040f891b8d");
+}
+
 TEST(SourceNameTest, AllSourcesNamed) {
   EXPECT_EQ(source_name(FetchOutcome::Source::kLocalBrowser), "local-browser");
   EXPECT_EQ(source_name(FetchOutcome::Source::kOrigin), "origin-server");

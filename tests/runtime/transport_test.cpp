@@ -37,9 +37,6 @@ ProxyServer::Params server_params(const BapsSystem::Params& p) {
   sp.core.proxy_cache_bytes = p.proxy_cache_bytes;
   sp.core.seed = p.seed;
   sp.core.rsa_modulus_bits = p.rsa_modulus_bits;
-  sp.net.worker_threads = 4;
-  sp.net.accept_poll_ms = 10;
-  sp.net.deadlines = netio::Deadlines{1000, 100, 1000};
   sp.peer_deadlines = netio::Deadlines{200, 500, 500};
   return sp;
 }

@@ -246,6 +246,10 @@ TEST(ParseDurationTest, UnitsSuffixesAndRejections) {
   EXPECT_FALSE(parse_duration_seconds("-1s", &s));
   EXPECT_FALSE(parse_duration_seconds("1h", &s));  // no hours unit
   EXPECT_FALSE(parse_duration_seconds("1.5xs", &s));
+  EXPECT_FALSE(parse_duration_seconds("nan", &s));
+  EXPECT_FALSE(parse_duration_seconds("inf", &s));
+  EXPECT_FALSE(parse_duration_seconds("1e400", &s));  // overflows to inf
+  EXPECT_FALSE(parse_duration_seconds("1e308m", &s));  // inf once scaled
 }
 
 TEST(ArgParserTest, DurationOptionParsesSuffixedValues) {

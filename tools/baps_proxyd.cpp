@@ -1,7 +1,8 @@
 // baps_proxyd — the BAPS proxy as a standalone TCP daemon.
 //
 // Serves the wire protocol (Hello, FetchRequest, IndexUpdate, StatsRequest,
-// Bye) on a TCP port. Clients connect with baps_fetch or any TcpTransport.
+// Bye) on a TCP port, every session on one epoll event-loop thread. Clients
+// connect with baps_fetch or any TcpTransport.
 // Runs until SIGINT/SIGTERM (or --max-seconds in scripted runs), then shuts
 // down cleanly and optionally writes a baps.report.v1 JSON report with the
 // final proxy counters and the wire/netio metric registry.
@@ -18,6 +19,7 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -47,8 +49,6 @@ int main(int argc, char** argv) {
   std::uint64_t proxy_cache = 256 << 10;
   std::uint64_t seed = 7;
   std::uint32_t rsa_bits = 256;
-  std::uint64_t workers = 0;
-  bool event_driven = false;
   std::uint64_t max_connections = 0;
   double idle_timeout = 0.0;
   std::uint64_t max_seconds = 0;
@@ -69,19 +69,11 @@ int main(int argc, char** argv) {
       .option("--seed", &seed, "S", "key-derivation seed (default 7)")
       .option("--rsa-bits", &rsa_bits, "B",
               "watermark RSA modulus bits (default 256)")
-      .option("--workers", &workers, "N",
-              "session worker threads (default 0: clients + 2, so every "
-              "persistent client session gets a worker with spare capacity "
-              "for transient observer sessions)")
-      .flag("--event-driven", &event_driven,
-            "serve with the edge-triggered epoll event loop (one thread, "
-            "10k+ concurrent connections) instead of the blocking worker "
-            "pool; --workers is ignored in this mode")
       .option("--max-connections", &max_connections, "N",
-              "epoll mode: accept at most N concurrent connections "
+              "accept at most N concurrent connections "
               "(default 0: bounded only by fds)")
       .duration("--idle-timeout", &idle_timeout, "DUR",
-                "epoll mode: close connections silent for DUR, e.g. 30s "
+                "close connections silent for DUR, e.g. 30s "
                 "(default 0: never)")
       .option("--max-seconds", &max_seconds, "S",
               "exit after S seconds (default 0: run until signalled)")
@@ -116,6 +108,11 @@ int main(int argc, char** argv) {
     std::cerr << "--clients must be at least 1\n";
     return 2;
   }
+  if (idle_timeout * 1000.0 > std::numeric_limits<int>::max()) {
+    std::cerr << "--idle-timeout must be at most "
+              << std::numeric_limits<int>::max() << " ms\n";
+    return 2;
+  }
 
   params.core.num_clients = clients;
   params.core.proxy_cache_bytes = proxy_cache;
@@ -124,16 +121,11 @@ int main(int argc, char** argv) {
   params.core.store.dir = store_dir;
   params.core.store.capacity_bytes = store_capacity;
   params.net.port = port;
-  params.net.worker_threads = workers != 0 ? workers : clients + 2;
-  params.event_driven = event_driven;
-  params.epoll.max_connections = max_connections;
-  params.epoll.idle_timeout_ms = static_cast<int>(idle_timeout * 1000.0);
-  if (event_driven) {
-    // The 10k-connection path needs fds; default shells cap at 1024 and the
-    // loop would misreport the cap as EMFILE backpressure.
-    netio::raise_fd_limit(max_connections != 0 ? max_connections + 64
-                                               : 20000);
-  }
+  params.net.max_connections = max_connections;
+  params.net.idle_timeout_ms = static_cast<int>(idle_timeout * 1000.0);
+  // The 10k-connection path needs fds; default shells cap at 1024 and the
+  // loop would misreport the cap as EMFILE backpressure.
+  netio::raise_fd_limit(max_connections != 0 ? max_connections + 64 : 20000);
 
   if (trace_sample < 0.0 || trace_sample > 1.0) {
     std::cerr << "--trace-sample must be in [0, 1]\n";

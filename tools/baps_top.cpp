@@ -149,7 +149,7 @@ void render(const JsonValue& window, bool plain) {
 
   // Connection load: live count from the event loop's gauge, accept rate
   // from the accepted-connections counter. Absent (all zeros) on daemons
-  // running the blocking transport, which predates these instruments.
+  // that predate these instruments.
   const JsonValue* active_g =
       find_entry(rec, "gauges", "netio_connections_active");
   const JsonValue* active_v =
