@@ -4,8 +4,6 @@
 // message trace demonstrating requester/holder anonymity.
 #include <iostream>
 
-#include "core/api.hpp"
-#include "runtime/onion.hpp"
 #include "runtime/system.hpp"
 
 int main() {
@@ -72,36 +70,5 @@ int main() {
   std::cout << "No client can forge the proxy's RSA watermark, so corrupted "
                "peer copies are\nalways caught at the requester and re-served "
                "from the origin (§6.1).\n\n";
-
-  std::cout << "== 6. Decentralized anonymity: a layered (onion) path ==\n";
-  // The paper's ref [17] variant: no proxy in the loop. Dave routes a
-  // request through two relays; each relay peels one layer and learns only
-  // its neighbors.
-  std::vector<runtime::RelayKeys> path;
-  std::vector<crypto::RsaPrivateKey> privs;
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    const auto kp = crypto::generate_rsa_keypair(256, 7000 + i);
-    path.push_back(runtime::RelayKeys{i, kp.pub});
-    privs.push_back(kp.priv);
-  }
-  const std::string payload = "GET http://news.example/frontpage.html";
-  auto blob = runtime::build_onion(
-      path, std::vector<std::uint8_t>(payload.begin(), payload.end()), 42);
-  for (std::size_t hop = 0; hop < path.size(); ++hop) {
-    const auto peeled = runtime::peel_onion(blob, privs[hop]);
-    if (!peeled) {
-      std::cout << "relay " << hop << " dropped the message\n";
-      return 1;
-    }
-    if (peeled->next) {
-      std::cout << "relay " << hop << " forwards to relay " << *peeled->next
-                << " (learns nothing else)\n";
-    } else {
-      std::cout << "exit relay " << hop << " recovers the request: \""
-                << std::string(peeled->blob.begin(), peeled->blob.end())
-                << "\"\n";
-    }
-    blob = peeled->blob;
-  }
   return 0;
 }

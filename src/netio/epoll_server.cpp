@@ -68,25 +68,36 @@ bool EpollFrameServer::Connection::send(wire::FrameKind kind,
                                         std::string_view payload,
                                         const obs::TraceContext& trace) {
   if (closed_) return false;
-  const bool traced = server_->params_.tracer != nullptr && trace.valid() &&
-                      trace.sampled;
+  const bool sampled = trace.valid() && trace.sampled;
   OutFrame out;
   out.kind = kind;
-  out.traced = traced;
+  out.traced = sampled && server_->tracer_.load() != nullptr;
   out.trace = trace;
-  out.t0 = traced ? obs::monotonic_ns() : 0;
+  out.t0 = out.traced ? obs::monotonic_ns() : 0;
   // Same encoding rule as FrameChannel::send: unsampled contexts stay off
   // the wire so untraced frames are byte-identical across transports.
-  out.bytes = (trace.valid() && trace.sampled)
-                  ? wire::encode_frame(kind, payload, trace)
-                  : wire::encode_frame(kind, payload);
+  out.bytes = sampled ? wire::encode_frame(kind, payload, trace)
+                      : wire::encode_frame(kind, payload);
+  return enqueue(std::move(out));
+}
+
+bool EpollFrameServer::Connection::send_encoded(wire::FrameKind kind,
+                                                std::string bytes) {
+  if (closed_) return false;
+  OutFrame out;
+  out.kind = kind;
+  out.bytes = std::move(bytes);
+  return enqueue(std::move(out));
+}
+
+bool EpollFrameServer::Connection::enqueue(OutFrame out) {
   const std::size_t size = out.bytes.size();
   // Accounted at enqueue, not at flush completion: this is the epoll
   // equivalent of FrameChannel::send counting before write_all. Once the
   // peer can observe the frame the counter already includes it, so the two
   // transports stay bit-identical under snapshots taken downstream of a
   // reply.
-  count_wire_frame(kind, "tx", size);
+  count_wire_frame(out.kind, "tx", size);
   wq_.push_back(std::move(out));
   wq_bytes_ += size;
   if (!paused_ && wq_bytes_ > server_->params_.max_write_queue_bytes) {
@@ -108,7 +119,9 @@ void EpollFrameServer::Connection::close_after_flush() {
 // --- EpollFrameServer -----------------------------------------------------
 
 EpollFrameServer::EpollFrameServer(Params params, FrameHandler handler)
-    : params_(std::move(params)), handler_(std::move(handler)) {
+    : params_(std::move(params)),
+      handler_(std::move(handler)),
+      tracer_(params_.tracer) {
   BAPS_REQUIRE(handler_ != nullptr, "EpollFrameServer needs a handler");
 }
 
@@ -406,8 +419,8 @@ void EpollFrameServer::process_frames(Connection& c, std::uint64_t now) {
     const std::string_view view(c.rbuf_.data() + c.rbuf_off_,
                                 c.rbuf_.size() - c.rbuf_off_);
     if (view.empty()) break;
-    const bool may_trace =
-        params_.tracer != nullptr && params_.tracer->enabled();
+    obs::Tracer* const tracer = tracer_.load();
+    const bool may_trace = tracer != nullptr && tracer->enabled();
     const std::uint64_t t0 = may_trace ? obs::monotonic_ns() : 0;
     wire::DecodeResult r = wire::decode_frame(view, params_.max_frame_payload);
     if (r.status == wire::DecodeStatus::kNeedMore) break;
@@ -420,8 +433,8 @@ void EpollFrameServer::process_frames(Connection& c, std::uint64_t now) {
     c.rbuf_off_ += r.consumed;
     c.last_activity_ms = now;
     if (may_trace && r.frame.trace.sampled) {
-      params_.tracer->record_span(obs::SpanKind::kFrameRecv, r.frame.trace,
-                                  t0, obs::monotonic_ns());
+      tracer->record_span(obs::SpanKind::kFrameRecv, r.frame.trace, t0,
+                          obs::monotonic_ns());
     }
     if (!handler_(c, std::move(r.frame))) {
       c.close_after_flush();
@@ -450,9 +463,10 @@ void EpollFrameServer::flush_writes(Connection& c) {
       if (f.off == f.bytes.size()) {
         // Counted at enqueue (Connection::send); only the span timing waits
         // for the actual flush.
-        if (f.traced && params_.tracer != nullptr) {
-          params_.tracer->record_span(obs::SpanKind::kFrameSend, f.trace,
-                                      f.t0, obs::monotonic_ns());
+        obs::Tracer* const tracer = f.traced ? tracer_.load() : nullptr;
+        if (tracer != nullptr) {
+          tracer->record_span(obs::SpanKind::kFrameSend, f.trace, f.t0,
+                              obs::monotonic_ns());
         }
         c.wq_.pop_front();
       }

@@ -61,7 +61,8 @@ class EpollFrameServer {
     /// parks (like EMFILE) until a connection closes.
     std::size_t max_connections = 0;
     /// When set, frame send/recv spans are recorded exactly like
-    /// FrameChannel records them (sampled contexts only).
+    /// FrameChannel records them (sampled contexts only). set_tracer()
+    /// replaces it on a running server.
     obs::Tracer* tracer = nullptr;
   };
 
@@ -77,6 +78,10 @@ class EpollFrameServer {
     bool send(wire::FrameKind kind, std::string_view payload);
     bool send(wire::FrameKind kind, std::string_view payload,
               const obs::TraceContext& trace);
+    /// Enqueues bytes the caller already framed as one `kind` frame, counted
+    /// like send() — fault injection sends a deliberately corrupted frame
+    /// this way. Untraced.
+    bool send_encoded(wire::FrameKind kind, std::string bytes);
 
     /// Close once every queued byte is flushed (orderly protocol end).
     void close_after_flush();
@@ -98,6 +103,8 @@ class EpollFrameServer {
       obs::TraceContext trace;
       std::uint64_t t0 = 0;
     };
+
+    bool enqueue(OutFrame out);
 
     EpollFrameServer* server_ = nullptr;
     int fd_ = -1;
@@ -130,6 +137,10 @@ class EpollFrameServer {
   /// Graceful drain then join; idempotent.
   void stop();
 
+  /// Swaps the frame-span tracer (nullptr detaches; not owned). Safe while
+  /// the loop runs.
+  void set_tracer(obs::Tracer* tracer) { tracer_.store(tracer); }
+
   bool running() const { return running_.load(); }
   std::uint16_t port() const { return port_; }
   std::uint64_t sessions_handled() const { return sessions_handled_.load(); }
@@ -148,6 +159,7 @@ class EpollFrameServer {
 
   Params params_;
   FrameHandler handler_;
+  std::atomic<obs::Tracer*> tracer_;
   TcpListener listener_;
   std::uint16_t port_ = 0;
 

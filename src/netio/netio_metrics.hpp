@@ -1,8 +1,9 @@
 // Shared wire/netio metric accounting used by BOTH frame transports — the
-// blocking FrameChannel (clients, peer listeners) and the epoll event loop
-// (the proxy). Keeping the counting in one place means both bump the exact
-// same families with the exact same labels, so a frame counts the same
-// whichever side of a connection sends or receives it.
+// blocking FrameChannel (client requests, the proxy's outbound peer
+// fetches) and the epoll event loop (the proxy's sessions and each client
+// host's peer server). Keeping the counting in one place means both bump the
+// exact same families with the exact same labels, so a frame counts the
+// same whichever side of a connection sends or receives it.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +25,9 @@ void count_wire_frame(wire::FrameKind kind, const char* dir,
 void count_netio_timeout(const char* op);
 
 /// An inbound byte stream failed frame validation: bumps
-/// wire_decode_errors_total{reason} with the decode_status_name reason.
+/// wire_decode_errors_total{reason} with the decode_status_name reason, or
+/// with a message-level reason ("bad-peer-fetch", "bad-holder") when a
+/// well-framed payload is refused.
 void count_decode_error(const std::string& reason);
 
 /// Eagerly registers the netio/epoll metric families so reports always

@@ -44,7 +44,8 @@ class ThreadCpuTracker {
   };
 
   /// Registers the calling thread under `name`; returns a token for
-  /// unregister(). Names need not be unique (e.g. "netio_worker" x4).
+  /// unregister(). Names need not be unique (e.g. one "netio_epoll" for the
+  /// proxy and one per in-process client host).
   std::uint64_t register_current_thread(std::string name);
   void unregister(std::uint64_t token);
 

@@ -223,7 +223,7 @@ void TimeSeriesSampler::tick_locked(double now_seconds) {
     auto samples = ThreadCpuTracker::global().sample();
     std::vector<bool> used(prev_thread_cpu_.size(), false);
     for (const auto& t : samples) {
-      // Names repeat (e.g. several "netio_worker"s); pair each current
+      // Names repeat (e.g. several "netio_epoll"s); pair each current
       // reading with the first unconsumed previous reading of the same name.
       double before = -1.0;
       for (std::size_t i = 0; i < prev_thread_cpu_.size(); ++i) {

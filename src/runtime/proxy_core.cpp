@@ -119,7 +119,8 @@ ProxyCore::Reply ProxyCore::handle_fetch(ClientId requester, const Url& url,
   }
 
   // 2. The browser index. The peer-fetch message deliberately carries only
-  //    the document key: the holder never learns who asked (§6.2).
+  //    the holder id and the document key: the holder never learns who
+  //    asked (§6.2).
   if (!avoid_peers) {
     std::optional<ClientId> holder;
     {

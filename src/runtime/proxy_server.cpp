@@ -95,7 +95,10 @@ std::optional<Document> ProxyServer::peer_fetch(
   const auto it = peer_ports_.find(holder);
   if (it == peer_ports_.end()) return std::nullopt;
   const std::uint16_t port = it->second;
+  // The frame names the addressee (the host serves several browsers on one
+  // port) and the key — never the requester (§6.2).
   wire::PeerFetch request;
+  request.holder = holder;
   request.key = key;
   // A pooled connection per peer fetch: reuse a warm socket when one is
   // parked, dial otherwise. Any failure — refused (holder died), timeout

@@ -1,8 +1,8 @@
 // The BAPS proxy daemon core: a ProxyCore served over TCP by the epoll
 // event loop. Sessions speak the wire protocol — Hello/HelloAck,
 // FetchRequest/Response, IndexUpdate/Ack, StatsRequest/Response, Bye — and
-// peer fetches go out over pooled connections to the holder's registered
-// peer listener, carrying only the document key (§6.2).
+// peer fetches go out over pooled connections to the port the holder's host
+// registered, carrying only the holder id and the document key (§6.2).
 //
 // One session state machine (on_session_frame) runs once per decoded frame
 // on the loop thread. That thread owns the core, the peer-port table and the

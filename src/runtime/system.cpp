@@ -7,6 +7,23 @@
 
 namespace baps::runtime {
 
+namespace {
+
+/// Releases the held host lock for a scope and takes it back on exit, also
+/// when the wire call throws.
+class Unlocked {
+ public:
+  explicit Unlocked(std::mutex& mu) : mu_(mu) { mu_.unlock(); }
+  ~Unlocked() { mu_.lock(); }
+  Unlocked(const Unlocked&) = delete;
+  Unlocked& operator=(const Unlocked&) = delete;
+
+ private:
+  std::mutex& mu_;
+};
+
+}  // namespace
+
 std::string msg_kind_name(MsgKind kind) {
   switch (kind) {
     case MsgKind::kClientRequest: return "client-request";
@@ -69,10 +86,11 @@ void BapsSystem::init_clients() {
     clients_[c].browser =
         std::make_unique<DocStore>(params_.browser_cache_bytes);
     clients_[c].mac_key = std::move(mac_keys[c]);
-    // Browser-cache replacement sends the paper's invalidation message.
+    // Browser-cache replacement sends the paper's invalidation message —
+    // after put() returns (client_store), never from inside the store.
     clients_[c].browser->set_eviction_listener(
-        [this, c](DocStore::Key key, const Document&) {
-          send_index_update(c, /*is_add=*/false, key);
+        [this](DocStore::Key key, const Document&) {
+          evicted_.push_back(key);
         });
   }
 }
@@ -81,13 +99,28 @@ void BapsSystem::send_index_update(ClientId client, bool is_add,
                                    DocStore::Key key) {
   trace_.record(is_add ? MsgKind::kIndexAdd : MsgKind::kIndexRemove,
                 client_name(client), "proxy", key);
-  transport_->index_update(
-      client, is_add, key,
-      index_update_mac(clients_[client].mac_key, client, is_add, key));
+  const crypto::Md5Digest mac =
+      index_update_mac(clients_[client].mac_key, client, is_add, key);
+  const Unlocked unlocked(mu_);
+  transport_->index_update(client, is_add, key, mac);
+}
+
+ProxyCore::Reply BapsSystem::request(ClientId client, const Url& url,
+                                     DocStore::Key key, bool avoid_peers,
+                                     const obs::TraceContext& trace) {
+  trace_.record(MsgKind::kClientRequest, client_name(client), "proxy", key);
+  ProxyCore::Reply reply;
+  {
+    const Unlocked unlocked(mu_);
+    reply = transport_->fetch(client, url, avoid_peers, trace);
+  }
+  trace_.record(MsgKind::kProxyResponse, "proxy", client_name(client), key);
+  return reply;
 }
 
 std::optional<Document> BapsSystem::serve_peer_fetch(ClientId holder,
                                                      DocStore::Key key) {
+  const std::lock_guard<std::mutex> lock(mu_);
   BAPS_REQUIRE(holder < clients_.size(), "holder id out of range");
   ClientState& peer = clients_[holder];
   // A departed peer serves nothing: the proxy's entry for it is stale and
@@ -145,12 +178,19 @@ void BapsSystem::emit_fetch(ClientId client, DocStore::Key key,
 
 void BapsSystem::client_store(ClientId client, const Url& url, Document doc) {
   const DocStore::Key key = url_key(url);
-  if (clients_[client].browser->put(key, std::move(doc))) {
-    send_index_update(client, /*is_add=*/true, key);
+  const bool stored = clients_[client].browser->put(key, std::move(doc));
+  // The removes for what put() evicted go first, in eviction order, then
+  // the add: the same message stream as sending them from the listener.
+  const std::vector<DocStore::Key> evicted = std::move(evicted_);
+  evicted_.clear();
+  for (const DocStore::Key gone : evicted) {
+    send_index_update(client, /*is_add=*/false, gone);
   }
+  if (stored) send_index_update(client, /*is_add=*/true, key);
 }
 
 FetchOutcome BapsSystem::browse(ClientId client, const Url& url) {
+  const std::lock_guard<std::mutex> lock(mu_);
   BAPS_REQUIRE(client < clients_.size(), "client id out of range");
   const DocStore::Key key = url_key(url);
   // Every browse roots a new trace; the sampler decides per trace id whether
@@ -187,11 +227,8 @@ FetchOutcome BapsSystem::browse(ClientId client, const Url& url) {
     send_index_update(client, /*is_add=*/false, key);
   }
 
-  trace_.record(MsgKind::kClientRequest, client_name(client), "proxy", key);
-  ProxyCore::Reply reply = transport_->fetch(client, url,
-                                             /*avoid_peers=*/false,
-                                             root.context());
-  trace_.record(MsgKind::kProxyResponse, "proxy", client_name(client), key);
+  ProxyCore::Reply reply =
+      request(client, url, key, /*avoid_peers=*/false, root.context());
   bool false_forward = reply.false_forward;
 
   FetchOutcome out;
@@ -203,10 +240,7 @@ FetchOutcome BapsSystem::browse(ClientId client, const Url& url) {
     // client rejects it and re-requests, bypassing peers; the proxy serves
     // a fresh, correctly watermarked copy from the origin.
     ++tamper_detections_;
-    trace_.record(MsgKind::kClientRequest, client_name(client), "proxy", key);
-    reply = transport_->fetch(client, url, /*avoid_peers=*/true,
-                              root.context());
-    trace_.record(MsgKind::kProxyResponse, "proxy", client_name(client), key);
+    reply = request(client, url, key, /*avoid_peers=*/true, root.context());
     out.source = reply.source;
     out.verified = verify(reply.doc);
     out.tamper_recovered = true;
@@ -236,7 +270,18 @@ const index::BrowserIndex& BapsSystem::browser_index() const {
   return loopback_->core().index();
 }
 
+std::uint64_t BapsSystem::local_hits() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return local_hits_;
+}
+
+std::uint64_t BapsSystem::tamper_detections() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return tamper_detections_;
+}
+
 void BapsSystem::attach_fault_plan(fault::FaultPlan* plan) {
+  const std::lock_guard<std::mutex> lock(mu_);
   plan_ = plan;
   transport_->set_fault_plan(plan);
 }
@@ -245,10 +290,10 @@ void BapsSystem::fault_tick(ClientId requester) {
   plan_->begin_request();
   // A request from a departed client is that client coming back online;
   // membership repair, not an injection.
-  if (clients_[requester].departed) rejoin_client(requester);
+  if (clients_[requester].departed) rejoin(requester);
   if (loopback_ != nullptr &&
       plan_->should_inject(fault::FaultKind::kProxyRestart)) {
-    restart_proxy();
+    restart();
   }
   if (plan_->decide(fault::FaultKind::kPeerDepart)) {
     std::vector<ClientId> candidates;
@@ -260,7 +305,7 @@ void BapsSystem::fault_tick(ClientId requester) {
       const ClientId victim = candidates[plan_->pick(
           fault::FaultKind::kPeerDepart,
           static_cast<std::uint32_t>(candidates.size()))];
-      depart_client(victim, plan_->rates().polite_departures);
+      depart(victim, plan_->rates().polite_departures);
     }
   }
   if (plan_->decide(fault::FaultKind::kPeerJoin)) {
@@ -270,7 +315,7 @@ void BapsSystem::fault_tick(ClientId requester) {
     }
     if (!candidates.empty()) {
       plan_->note_injected(fault::FaultKind::kPeerJoin);
-      rejoin_client(candidates[plan_->pick(
+      rejoin(candidates[plan_->pick(
           fault::FaultKind::kPeerJoin,
           static_cast<std::uint32_t>(candidates.size()))]);
     }
@@ -278,6 +323,11 @@ void BapsSystem::fault_tick(ClientId requester) {
 }
 
 void BapsSystem::depart_client(ClientId client, bool polite) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  depart(client, polite);
+}
+
+void BapsSystem::depart(ClientId client, bool polite) {
   BAPS_REQUIRE(client < clients_.size(), "client id out of range");
   ClientState& state = clients_[client];
   BAPS_REQUIRE(!state.departed, "client is already departed");
@@ -295,17 +345,28 @@ void BapsSystem::depart_client(ClientId client, bool polite) {
 }
 
 void BapsSystem::rejoin_client(ClientId client) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  rejoin(client);
+}
+
+void BapsSystem::rejoin(ClientId client) {
   BAPS_REQUIRE(client < clients_.size(), "client id out of range");
   BAPS_REQUIRE(clients_[client].departed, "client is not departed");
   clients_[client].departed = false;  // cold cache: cleared on departure
 }
 
 bool BapsSystem::client_departed(ClientId client) const {
+  const std::lock_guard<std::mutex> lock(mu_);
   BAPS_REQUIRE(client < clients_.size(), "client id out of range");
   return clients_[client].departed;
 }
 
 void BapsSystem::restart_proxy() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  restart();
+}
+
+void BapsSystem::restart() {
   BAPS_REQUIRE(loopback_ != nullptr,
                "restart_proxy() is only reachable on the loopback transport");
   loopback_->core().restart();
@@ -320,23 +381,27 @@ void BapsSystem::restart_proxy() {
 }
 
 void BapsSystem::set_tampering(ClientId client, bool tampering) {
+  const std::lock_guard<std::mutex> lock(mu_);
   BAPS_REQUIRE(client < clients_.size(), "client id out of range");
   clients_[client].tampering = tampering;
 }
 
 bool BapsSystem::spoof_index_remove(ClientId attacker, ClientId victim,
                                     const Url& url) {
+  const std::lock_guard<std::mutex> lock(mu_);
   BAPS_REQUIRE(attacker < clients_.size() && victim < clients_.size(),
                "client id out of range");
   const DocStore::Key key = url_key(url);
   // The attacker claims to be the victim but can only MAC with its own key.
   trace_.record(MsgKind::kIndexRemove, client_name(attacker), "proxy", key);
-  return transport_->index_update(
-      victim, /*is_add=*/false, key,
-      index_update_mac(clients_[attacker].mac_key, attacker, false, key));
+  const crypto::Md5Digest mac =
+      index_update_mac(clients_[attacker].mac_key, attacker, false, key);
+  const Unlocked unlocked(mu_);
+  return transport_->index_update(victim, /*is_add=*/false, key, mac);
 }
 
 void BapsSystem::drop_silently(ClientId client, const Url& url) {
+  const std::lock_guard<std::mutex> lock(mu_);
   BAPS_REQUIRE(client < clients_.size(), "client id out of range");
   // Bypass the eviction listener: erase() in DocStore routes through
   // ObjectCache::erase, which never fires the listener — so the proxy's
@@ -345,6 +410,7 @@ void BapsSystem::drop_silently(ClientId client, const Url& url) {
 }
 
 bool BapsSystem::client_has(ClientId client, const Url& url) const {
+  const std::lock_guard<std::mutex> lock(mu_);
   BAPS_REQUIRE(client < clients_.size(), "client id out of range");
   return clients_[client].browser->contains(url_key(url));
 }

@@ -10,9 +10,23 @@
 // the same client logic runs against a proxy daemon over real sockets and
 // produces an identical FetchOutcome stream.
 //
-// The §6.2 property holds by construction — a peer fetch carries only the
-// document key, never the requester — and the tests verify it against both
-// the recorded traffic and the raw frames on the wire.
+// The §6.2 property holds by construction — a peer fetch names only the
+// holder it is addressed to and the document key, never the requester — and
+// the tests verify it against both the recorded traffic and the raw frames
+// on the wire.
+//
+// The host lock. A BapsSystem is one client host: its browsers' caches
+// answer peer fetches (serve_peer_fetch, called by the transport) while its
+// users browse. Every public entry point holds the host lock, and so does
+// every serve. The lock is released only while a request is on the wire —
+// around Transport::fetch and Transport::index_update — so a serve waits at
+// most for one stretch of local work, and never sees a store mid-mutation
+// (eviction removes are collected during DocStore::put and sent after it).
+// Over TCP the serves arrive on the transport's peer-server thread, so
+// several hosts sharing a proxy may be driven concurrently with no caller
+// lock. Loopback serves run inside the released fetch, on the caller's
+// thread; its embedded proxy core is not thread-safe, so drive a loopback
+// system from one thread.
 //
 // The paper's decentralized anonymity protocols (its reference [17],
 // HPL-2001-204) are out of scope; the proxy-relay mode implemented here is
@@ -21,6 +35,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "crypto/hmac.hpp"
@@ -76,6 +91,7 @@ class BapsSystem : private PeerHost {
   /// proxy and the holder, never the requester (§6.2), and tests audit the
   /// emitted stream for that.
   void set_event_sink(obs::EventSink* sink) {
+    const std::lock_guard<std::mutex> lock(mu_);
     sink_ = sink;
     trace_.set_sink(sink);
   }
@@ -87,6 +103,7 @@ class BapsSystem : private PeerHost {
   /// Attach before traffic flows. With no tracer, or a sample rate of 0,
   /// behaviour and metrics are unchanged.
   void set_tracer(obs::Tracer* tracer) {
+    const std::lock_guard<std::mutex> lock(mu_);
     tracer_ = tracer;
     transport_->set_tracer(tracer);
   }
@@ -96,14 +113,14 @@ class BapsSystem : private PeerHost {
 
   std::uint64_t peer_hits() const { return transport_->stats().peer_hits; }
   std::uint64_t proxy_hits() const { return transport_->stats().proxy_hits; }
-  std::uint64_t local_hits() const { return local_hits_; }
+  std::uint64_t local_hits() const;
   std::uint64_t origin_fetches() const {
     return transport_->stats().origin_fetches;
   }
   std::uint64_t false_forwards() const {
     return transport_->stats().false_forwards;
   }
-  std::uint64_t tamper_detections() const { return tamper_detections_; }
+  std::uint64_t tamper_detections() const;
 
   // --- fault injection ----------------------------------------------------
   /// Attaches a seeded fault plan (nullptr detaches; not owned, must outlive
@@ -156,6 +173,10 @@ class BapsSystem : private PeerHost {
   void init_clients();
   /// Per-request fault decisions: churn (depart/join) and proxy restart.
   void fault_tick(ClientId requester);
+  // depart_client / rejoin_client / restart_proxy with the lock held.
+  void depart(ClientId client, bool polite);
+  void rejoin(ClientId client);
+  void restart();
 
   // PeerHost: the transport delivers proxy-initiated peer fetches here.
   std::uint32_t num_clients() const override { return params_.num_clients; }
@@ -166,10 +187,17 @@ class BapsSystem : private PeerHost {
   void emit_fetch(ClientId client, DocStore::Key key, const FetchOutcome& out,
                   bool false_forward);
   /// Tells the proxy `client`'s browser gained (is_add) or lost `key`,
-  /// MAC'd under the client's own key, and logs the envelope.
+  /// MAC'd under the client's own key, and logs the envelope. Releases the
+  /// host lock while the update is on the wire.
   void send_index_update(ClientId client, bool is_add, DocStore::Key key);
+  /// One client request to the proxy with its envelopes logged. Releases
+  /// the host lock while the request is on the wire.
+  ProxyCore::Reply request(ClientId client, const Url& url, DocStore::Key key,
+                           bool avoid_peers, const obs::TraceContext& trace);
   void client_store(ClientId client, const Url& url, Document doc);
 
+  /// The host lock (see the file comment).
+  mutable std::mutex mu_;
   Params params_;
   std::unique_ptr<LoopbackTransport> loopback_;  ///< null with an external
                                                  ///< transport
@@ -182,6 +210,8 @@ class BapsSystem : private PeerHost {
   obs::Tracer* tracer_ = nullptr;     ///< optional, not owned
 
   fault::FaultPlan* plan_ = nullptr;  ///< optional, not owned
+  /// Keys the browser stores evicted during the current put(), in order.
+  std::vector<DocStore::Key> evicted_;
 
   std::uint64_t local_hits_ = 0;
   std::uint64_t tamper_detections_ = 0;

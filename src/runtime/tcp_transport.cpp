@@ -1,6 +1,7 @@
 #include "runtime/tcp_transport.hpp"
 
 #include "fault/fault_plan.hpp"
+#include "netio/netio_metrics.hpp"
 #include "runtime/wire_bridge.hpp"
 #include "util/assert.hpp"
 
@@ -25,9 +26,7 @@ TcpTransport::~TcpTransport() {
     observer_channel_->send_msg(wire::Bye{}, &err);
     observer_channel_->close();
   }
-  for (auto& server : peer_servers_) {
-    if (server != nullptr) server->stop();
-  }
+  if (peer_server_ != nullptr) peer_server_->stop();
 }
 
 void TcpTransport::bind_peer_host(PeerHost* host) {
@@ -36,86 +35,79 @@ void TcpTransport::bind_peer_host(PeerHost* host) {
   host_ = host;
   const std::uint32_t n = host->num_clients();
   channels_.resize(n);
-  peer_servers_.resize(n);
-  peer_ports_.resize(n, 0);
-  // One peer listener per client: answers PeerFetch out of that client's
-  // browser store. A single worker suffices — the proxy serializes peer
-  // fetches — and keeps the listener's resource cost trivial.
-  for (std::uint32_t c = 0; c < n; ++c) {
-    netio::FrameServer::Params net;
-    net.host = params_.proxy_host;
-    net.port = 0;
-    net.worker_threads = 1;
-    net.deadlines = params_.deadlines;
-    net.max_frame_payload = params_.max_frame_payload;
-    peer_servers_[c] = std::make_unique<netio::FrameServer>(
-        net, [this, c](netio::FrameChannel& channel,
-                       const std::atomic<bool>& stop) {
-          // Reads tracer_ per connection: the tracer is attached after
-          // construction but before any traffic flows.
-          channel.set_tracer(tracer_);
-          while (!stop.load()) {
-            NetError err;
-            // recv (not recv_msg): the holder needs the frame's trace
-            // context to stitch its serve span into the request's trace.
-            const auto frame = channel.recv(&err);
-            if (!frame.has_value()) return;
-            wire::PeerFetch request;
-            if (frame->kind != wire::PeerFetch::kKind ||
-                !wire::decode(frame->payload, &request)) {
-              return;
-            }
-            wire::PeerDeliver deliver;
-            const bool traced = tracer_ != nullptr && frame->trace.sampled;
-            const std::uint64_t t0 = traced ? obs::monotonic_ns() : 0;
-            // The frame carries only the key — this handler cannot know,
-            // and therefore cannot leak, who originally asked (§6.2).
-            if (auto doc = host_->serve_peer_fetch(c, request.key)) {
-              deliver.found = true;
-              deliver.body = std::move(doc->body);
-              deliver.watermark = watermark_to_bytes(doc->mark);
-            }
-            if (traced) {
-              tracer_->record_span(obs::SpanKind::kPeerTransfer,
-                                   frame->trace, t0, obs::monotonic_ns());
-            }
-            if (plan_ != nullptr && deliver.found) {
-              if (plan_->should_inject(fault::FaultKind::kDropFrame)) {
-                // The frame is lost in flight: the proxy's peer read
-                // deadline expires and the fetch degrades to origin.
-                continue;
-              }
-              if (plan_->should_inject(fault::FaultKind::kCorruptFrame)) {
-                // Flip one payload byte after encoding so the frame CRC no
-                // longer matches: the proxy rejects it at the wire layer.
-                std::string raw = wire::encode_frame(
-                    wire::PeerDeliver::kKind, wire::encode(deliver));
-                raw.back() = static_cast<char>(raw.back() ^ 0x01);
-                NetError raw_err;
-                if (!channel.connection().write_all(
-                        raw.data(), raw.size(),
-                        channel.deadlines().write_ms, &raw_err)) {
-                  return;
-                }
-                continue;
-              }
-            }
-            if (!channel.send_msg(deliver, frame->trace, &err)) return;
-          }
-        });
-    std::string error;
-    BAPS_REQUIRE(peer_servers_[c]->start(&error),
-                 "peer listener failed to start: " + error);
-    peer_ports_[c] = peer_servers_[c]->port();
+  killed_ = std::vector<std::atomic<bool>>(n);
+  // One peer server for the whole host: every browser's Hello advertises
+  // its port, and each PeerFetch names the browser that serves it.
+  netio::EpollFrameServer::Params net;
+  net.host = params_.proxy_host;
+  net.max_frame_payload = params_.max_frame_payload;
+  net.tracer = tracer_;
+  peer_server_ = std::make_unique<netio::EpollFrameServer>(
+      net, [this](netio::EpollFrameServer::Connection& conn,
+                  wire::Frame&& frame) { return serve(conn, frame); });
+  std::string error;
+  BAPS_REQUIRE(peer_server_->start(&error),
+               "peer server failed to start: " + error);
+}
+
+void TcpTransport::set_tracer(obs::Tracer* tracer) {
+  tracer_ = tracer;
+  if (peer_server_ != nullptr) peer_server_->set_tracer(tracer);
+}
+
+bool TcpTransport::serve(netio::EpollFrameServer::Connection& conn,
+                         const wire::Frame& frame) {
+  // The holder id comes from outside the host: anything that is not a
+  // well-formed PeerFetch for one of our browsers ends the connection.
+  wire::PeerFetch request;
+  if (frame.kind != wire::PeerFetch::kKind ||
+      !wire::decode(frame.payload, &request)) {
+    netio::count_decode_error("bad-peer-fetch");
+    return false;
   }
+  if (request.holder >= killed_.size()) {
+    netio::count_decode_error("bad-holder");
+    return false;
+  }
+  // A killed holder answers nothing: the proxy sees the connection close
+  // and degrades to the origin.
+  if (killed_[request.holder].load()) return false;
+  wire::PeerDeliver deliver;
+  const bool traced = tracer_ != nullptr && frame.trace.sampled;
+  const std::uint64_t t0 = traced ? obs::monotonic_ns() : 0;
+  // The frame names the holder and the key only — this handler cannot know,
+  // and therefore cannot leak, who originally asked (§6.2).
+  if (auto doc = host_->serve_peer_fetch(request.holder, request.key)) {
+    deliver.found = true;
+    deliver.body = std::move(doc->body);
+    deliver.watermark = watermark_to_bytes(doc->mark);
+  }
+  if (traced) {
+    tracer_->record_span(obs::SpanKind::kPeerTransfer, frame.trace, t0,
+                         obs::monotonic_ns());
+  }
+  if (plan_ != nullptr && deliver.found) {
+    if (plan_->should_inject(fault::FaultKind::kDropFrame)) {
+      // The frame is lost in flight: the proxy's peer read deadline expires
+      // and the fetch degrades to origin.
+      return true;
+    }
+    if (plan_->should_inject(fault::FaultKind::kCorruptFrame)) {
+      // Flip one payload byte after encoding so the frame CRC no longer
+      // matches: the proxy rejects it at the wire layer.
+      std::string raw =
+          wire::encode_frame(wire::PeerDeliver::kKind, wire::encode(deliver));
+      raw.back() = static_cast<char>(raw.back() ^ 0x01);
+      return conn.send_encoded(wire::PeerDeliver::kKind, std::move(raw));
+    }
+  }
+  return conn.send(wire::PeerDeliver::kKind, wire::encode(deliver),
+                   frame.trace);
 }
 
 void TcpTransport::kill_peer_server(ClientId client) {
-  BAPS_REQUIRE(client < peer_servers_.size(), "client id out of range");
-  if (peer_servers_[client] != nullptr) {
-    peer_servers_[client]->stop();
-    peer_servers_[client].reset();
-  }
+  BAPS_REQUIRE(client < killed_.size(), "client id out of range");
+  killed_[client].store(true);
 }
 
 void TcpTransport::drop_channel(ClientId client) {
@@ -145,7 +137,7 @@ netio::FrameChannel* TcpTransport::channel_for(ClientId client) {
         channel->set_tracer(tracer_);
         wire::Hello hello;
         hello.client_id = client;
-        hello.peer_port = peer_ports_[client];
+        hello.peer_port = peer_port();
         if (!channel->send_msg(hello, e)) return false;
         const auto ack = channel->recv_msg<wire::HelloAck>(e);
         if (!ack.has_value()) return false;

@@ -1,11 +1,20 @@
 // The client side of the wire protocol: a Transport that speaks to a
 // ProxyServer over TCP. Each client id gets one persistent proxy connection
-// (established lazily with Hello/HelloAck) and one peer listener — a
-// one-worker netio::FrameServer that answers PeerFetch frames out of the
-// client host's browser stores; one worker suffices because the proxy's
-// event loop sends one peer fetch at a time. Observer traffic (stats, public key, live telemetry) identifies
-// as kObserverClientId, registers nothing, and reuses one pooled
-// connection across polls.
+// (established lazily with Hello/HelloAck). The host gets one peer server:
+// an EpollFrameServer whose single loop thread answers every browser's
+// PeerFetch frames out of the host's browser stores. Every Hello advertises
+// that server's port, and each PeerFetch names the holder it is addressed
+// to. A serve calls PeerHost::serve_peer_fetch on the loop thread; the host
+// (BapsSystem) serialises it against its own browse() with its host lock.
+// Observer traffic (stats, public key, live telemetry) identifies as
+// kObserverClientId, registers nothing, and reuses one pooled connection
+// across polls.
+//
+// Threads: one calling thread per client id at a time (each id owns its
+// proxy connection); different ids may be driven concurrently. The bound
+// PeerHost must stay alive while the proxy can still route peer fetches
+// here, i.e. until traffic to this host has stopped or the transport is
+// destroyed.
 //
 // Failure policy: refused/reset proxy connections are retried with bounded
 // backoff (the daemon may still be starting); timeouts are not retried.
@@ -13,6 +22,7 @@
 // violation — the engine's callers assume fetch() returns a document.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -20,9 +30,9 @@
 #include <string>
 #include <vector>
 
+#include "netio/epoll_server.hpp"
 #include "netio/frame_channel.hpp"
 #include "netio/retry.hpp"
-#include "netio/server.hpp"
 #include "runtime/transport.hpp"
 
 namespace baps::runtime {
@@ -50,10 +60,11 @@ class TcpTransport final : public Transport {
   crypto::RsaPublicKey proxy_public_key() override;
   ProxyStats stats() override;
 
-  /// Client-side tracer: request frames carry sampled contexts, proxy and
-  /// peer channels record frame spans, and the peer listeners record a
-  /// peer_transfer span for each serve. Attach before traffic flows.
-  void set_tracer(obs::Tracer* tracer) override { tracer_ = tracer; }
+  /// Client-side tracer: request frames carry sampled contexts, proxy
+  /// channels and the peer server record frame spans, and the peer server
+  /// records a peer_transfer span for each serve. Attach before traffic
+  /// flows.
+  void set_tracer(obs::Tracer* tracer) override;
 
   /// One-shot observer TraceStatsRequest: the proxy's live introspection
   /// JSON (baps.trace_stats.v1), `max_spans` most recent spans included.
@@ -64,10 +75,16 @@ class TcpTransport final : public Transport {
   /// interval records (0 = everything in the sampler's ring).
   std::string time_series(std::uint32_t max_intervals);
 
+  /// The port every Hello advertises: the host's one peer server (0 until
+  /// bind_peer_host).
+  std::uint16_t peer_port() const {
+    return peer_server_ != nullptr ? peer_server_->port() : 0;
+  }
+
   // --- fault injection ----------------------------------------------------
-  /// Kills `client`'s peer listener without telling the proxy: its index
-  /// registration stays, so the next peer fetch routed there finds a dead
-  /// port and must degrade to an origin fetch within the peer deadline.
+  /// Kills `client`'s peer serving without telling the proxy: its index
+  /// registration stays, but fetches addressed to it get no reply and their
+  /// connection closes, so each must degrade to an origin fetch.
   void kill_peer_server(ClientId client);
 
   /// Frame faults (drop/corrupt) are injected on real wire frames in the
@@ -75,6 +92,10 @@ class TcpTransport final : public Transport {
   void set_fault_plan(fault::FaultPlan* plan) override { plan_ = plan; }
 
  private:
+  /// Answers one frame on the peer server's loop thread; false closes the
+  /// connection.
+  bool serve(netio::EpollFrameServer::Connection& conn,
+             const wire::Frame& frame);
   /// The proxy connection for `client`, dialing + Hello on first use.
   netio::FrameChannel* channel_for(ClientId client);
   void drop_channel(ClientId client);
@@ -87,9 +108,10 @@ class TcpTransport final : public Transport {
   PeerHost* host_ = nullptr;
   fault::FaultPlan* plan_ = nullptr;  ///< optional, not owned
   obs::Tracer* tracer_ = nullptr;     ///< optional, not owned
-  /// Peer listeners, one per client id; null after kill_peer_server.
-  std::vector<std::unique_ptr<netio::FrameServer>> peer_servers_;
-  std::vector<std::uint16_t> peer_ports_;
+  /// The host's one peer server, started by bind_peer_host.
+  std::unique_ptr<netio::EpollFrameServer> peer_server_;
+  /// Per client id: set by kill_peer_server, read on the loop thread.
+  std::vector<std::atomic<bool>> killed_;
   /// Persistent proxy connections, one per client id.
   std::vector<std::unique_ptr<netio::FrameChannel>> channels_;
   /// The pooled observer connection: Hello'd once as kObserverClientId and

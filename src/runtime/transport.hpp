@@ -6,8 +6,12 @@
 //
 // The peer direction (proxy → holder) flows the other way: the transport
 // reaches back into the client host through PeerHost, which serves a
-// holder's browser-cache contents. A PeerFetch carries only the document
-// key in both implementations (§6.2).
+// holder's browser-cache contents. A PeerFetch names only the holder it is
+// addressed to and the document key, never the requester, in both
+// implementations (§6.2). Loopback calls serve_peer_fetch on the thread
+// inside fetch(); TcpTransport calls it on its peer-server thread, so a
+// PeerHost must serialise serves against its own use of the transport (see
+// BapsSystem's host lock).
 #pragma once
 
 #include <cstdint>

@@ -53,13 +53,13 @@ inline constexpr std::uint64_t kDefaultMaxPayload = 16ull << 20;
 /// Every message kind that crosses the wire. Gaps are never reused;
 /// new kinds append.
 enum class FrameKind : std::uint8_t {
-  kHello = 1,          ///< client → proxy: identify + peer listener port
+  kHello = 1,          ///< client → proxy: identify + host peer-server port
   kHelloAck = 2,       ///< proxy → client: proxy public key
   kFetchRequest = 3,   ///< client → proxy: url (+ avoid-peers retry flag)
   kFetchResponse = 4,  ///< proxy → client: document + watermark + source
   kIndexUpdate = 5,    ///< client → proxy: MACed index add/remove
   kIndexAck = 6,       ///< proxy → client: update accepted?
-  kPeerFetch = 7,      ///< proxy → holder: document key — nothing else (§6.2)
+  kPeerFetch = 7,      ///< proxy → holder: holder id + document key (§6.2)
   kPeerDeliver = 8,    ///< holder → proxy: document + watermark
   kStatsRequest = 9,   ///< observer → proxy: counter snapshot request
   kStatsResponse = 10, ///< proxy → observer: counter snapshot

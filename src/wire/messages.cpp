@@ -115,13 +115,14 @@ bool decode(std::string_view payload, IndexAck* out) {
 
 std::string encode(const PeerFetch& m) {
   Writer w;
+  w.u32(m.holder);
   w.u64(m.key);
   return w.take();
 }
 
 bool decode(std::string_view payload, PeerFetch* out) {
   Reader r(payload);
-  return r.u64(&out->key) && r.at_end();
+  return r.u32(&out->holder) && r.u64(&out->key) && r.at_end();
 }
 
 // --- PeerDeliver ----------------------------------------------------------

@@ -3,10 +3,11 @@
 // FrameKind and round-trips through encode()/decode(); decode() is strict —
 // truncated, oversized, or trailing-byte payloads are rejected.
 //
-// The §6.2 anonymity property is structural here: PeerFetch has exactly one
-// field, the document key. There is no slot a requester identity could ride
-// in, and the integration tests assert the frames a holder receives are
-// byte-for-byte this minimal shape.
+// The §6.2 anonymity property is structural here: PeerFetch has exactly two
+// fields, the addressee (the holder whose browser cache serves it) and the
+// document key. There is no slot a requester identity could ride in, and the
+// integration tests assert the frames a holder receives are byte-for-byte
+// this minimal shape.
 #pragma once
 
 #include <array>
@@ -84,7 +85,10 @@ struct IndexAck {
 
 struct PeerFetch {
   static constexpr FrameKind kKind = FrameKind::kPeerFetch;
-  std::uint64_t key = 0;  // the whole message: no requester identity (§6.2)
+  /// The addressee: which of the host's browsers serves the key. The whole
+  /// message is holder + key — no requester identity (§6.2).
+  std::uint32_t holder = 0;
+  std::uint64_t key = 0;
 };
 
 struct PeerDeliver {

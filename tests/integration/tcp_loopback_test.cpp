@@ -6,8 +6,8 @@
 //  - a tampered frame is detected by the CRC and drops the session (§6.1 at
 //    the wire level);
 //  - a proxy-to-holder PeerFetch frame is captured raw off a test-owned
-//    listener and is exactly header + the 8-byte document key — no requester
-//    identity crosses the wire (§6.2);
+//    listener and is exactly header + the 4-byte holder id + the 8-byte
+//    document key — no requester identity crosses the wire (§6.2);
 //  - a holder whose peer port is dead costs one bounded wait and degrades to
 //    an origin fetch, never a hang.
 #include <gtest/gtest.h>
@@ -184,7 +184,7 @@ TEST(TcpLoopbackTest, TamperedFrameIsDetectedAndDropsTheSession) {
   server.stop();
 }
 
-TEST(TcpLoopbackTest, PeerFetchFrameCarriesOnlyTheDocumentKey) {
+TEST(TcpLoopbackTest, PeerFetchFrameCarriesOnlyTheHolderAndTheKey) {
   constexpr std::uint64_t kSeed = 5;
   constexpr std::uint32_t kClients = 3;
   // Proxy cache small enough that filler traffic evicts the target document,
@@ -264,15 +264,18 @@ TEST(TcpLoopbackTest, PeerFetchFrameCarriesOnlyTheDocumentKey) {
   EXPECT_EQ(got->source, wire::WireSource::kRemoteBrowser);
   EXPECT_EQ(got->body, held->body);
 
-  // §6.2: the frame that reached the holder is header + 8-byte key, nothing
-  // else. In particular there is no room for the requester's identity.
+  // §6.2: the frame that reached the holder is header + 4-byte holder id +
+  // 8-byte key, nothing else. The id is the addressee's (client 0), never
+  // the requester's (client 2), and there is no room for anything more.
   ASSERT_TRUE(captured.has_value()) << "no PeerFetch frame captured";
   ASSERT_EQ(captured->status, wire::DecodeStatus::kOk);
   EXPECT_EQ(captured->frame.kind, wire::FrameKind::kPeerFetch);
-  EXPECT_EQ(captured->frame.payload.size(), 8u);
-  EXPECT_EQ(captured_raw.size(), wire::kHeaderSize + 8);
+  EXPECT_EQ(captured->frame.payload.size(), 12u);
+  EXPECT_EQ(captured_raw.size(), wire::kHeaderSize + 12);
   wire::PeerFetch decoded;
   ASSERT_TRUE(wire::decode(captured->frame.payload, &decoded));
+  EXPECT_EQ(decoded.holder, 0u);
+  EXPECT_NE(decoded.holder, 2u);
   EXPECT_EQ(decoded.key, key);
   server.stop();
 }

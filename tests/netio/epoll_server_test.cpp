@@ -1,8 +1,9 @@
 // The epoll frame server against real sockets: echo semantics, partial-frame
 // resume (bytes dribbled across many writes decode to the same frames), write
 // backpressure bounds, idle-timeout reaping, graceful drain, per-connection
-// handler state, and a concurrent many-connection sweep — the properties the
-// proxy's edge-triggered loop relies on.
+// handler state, a concurrent many-connection sweep, prompt stop with idle
+// sessions open, and bind failure reported from start() — the properties the
+// proxy's and the client hosts' edge-triggered loops rely on.
 #include "netio/epoll_server.hpp"
 
 #include <gtest/gtest.h>
@@ -313,6 +314,50 @@ TEST(EpollFrameServerTest, ConnectionCeilingParksAcceptUntilACloseFreesASlot) {
   ASSERT_TRUE(frame.has_value()) << err.message;
   EXPECT_EQ(frame->payload, "c");
   server.stop();
+}
+
+TEST(EpollFrameServerTest, StopUnblocksIdleSessionsQuickly) {
+  // A drain budget far above the bound below: sessions with nothing queued
+  // must close at once instead of waiting it out.
+  EpollFrameServer::Params params = fast_params();
+  params.drain_timeout_ms = 10000;
+  EpollFrameServer server(params, echo_handler());
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  // Connect and go silent.
+  auto channel = dial(server.port());
+  ASSERT_TRUE(channel.has_value());
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  while (server.connections_active() < 1 && Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(server.connections_active(), 1u);
+
+  const auto start = Clock::now();
+  server.stop();
+  const auto stop_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           Clock::now() - start)
+                           .count();
+  EXPECT_LT(stop_ms, 5000) << "stop() must not wait out idle sessions";
+  EXPECT_FALSE(server.running());
+  NetError err;
+  EXPECT_FALSE(channel->recv(&err).has_value());
+  EXPECT_EQ(err.status, NetStatus::kClosed);
+}
+
+TEST(EpollFrameServerTest, StartFailsOnUnbindablePort) {
+  EpollFrameServer first(fast_params(), echo_handler());
+  std::string error;
+  ASSERT_TRUE(first.start(&error)) << error;
+
+  EpollFrameServer::Params params = fast_params();
+  params.port = first.port();  // already taken
+  EpollFrameServer second(params, echo_handler());
+  EXPECT_FALSE(second.start(&error));
+  EXPECT_FALSE(error.empty());
+  EXPECT_FALSE(second.running());
+  first.stop();
 }
 
 }  // namespace

@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "netio/frame_channel.hpp"
+#include "obs/registry.hpp"
 #include "runtime/loopback_transport.hpp"
 #include "runtime/proxy_server.hpp"
 #include "runtime/system.hpp"
 #include "runtime/tcp_transport.hpp"
+#include "wire/messages.hpp"
 
 namespace baps::runtime {
 namespace {
@@ -198,6 +202,60 @@ TEST(TransportTest, ObserverConnectionsRegisterNothing) {
   const ProxyStats stats = transport.stats();  // transient observer session
   EXPECT_EQ(stats.origin_fetches, 1u);
   EXPECT_EQ(stats.proxy_hits, 0u);
+  server.stop();
+}
+
+TEST(TransportTest, PeerFetchForAnUnknownHolderClosesTheConnection) {
+  auto params = small_params();
+  ProxyServer server(server_params(params));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  TcpTransport transport(transport_params(server.port()));
+  BapsSystem sys(params, transport);
+
+  const std::string url = "http://held.test/";
+  const FetchOutcome held = sys.browse(0, url);
+  const obs::Counter& bad_holder = obs::Registry::global().counter(
+      "wire_decode_errors_total", {{"reason", "bad-holder"}});
+  const std::uint64_t before = bad_holder.value();
+
+  const auto dial_peer_server = [&transport]()
+      -> std::optional<netio::FrameChannel> {
+    netio::NetError err;
+    auto conn = netio::TcpConnection::connect(
+        "127.0.0.1", transport.peer_port(), 2000, &err);
+    if (!conn.has_value()) return std::nullopt;
+    return netio::FrameChannel(std::move(*conn),
+                               netio::Deadlines{2000, 3000, 3000});
+  };
+
+  // The holder id arrives from outside the host: one past the last browser
+  // must close the connection and count a decode error, not abort the host.
+  {
+    auto channel = dial_peer_server();
+    ASSERT_TRUE(channel.has_value());
+    netio::NetError err;
+    wire::PeerFetch request;
+    request.holder = params.num_clients;
+    request.key = url_key(url);
+    ASSERT_TRUE(channel->send_msg(request, &err));
+    EXPECT_FALSE(channel->recv(&err).has_value());
+    EXPECT_EQ(err.status, netio::NetStatus::kClosed);
+  }
+  EXPECT_EQ(bad_holder.value(), before + 1);
+
+  // The host keeps serving its real browsers.
+  auto channel = dial_peer_server();
+  ASSERT_TRUE(channel.has_value());
+  netio::NetError err;
+  wire::PeerFetch request;
+  request.holder = 0;
+  request.key = url_key(url);
+  ASSERT_TRUE(channel->send_msg(request, &err));
+  const auto deliver = channel->recv_msg<wire::PeerDeliver>(&err);
+  ASSERT_TRUE(deliver.has_value()) << err.message;
+  EXPECT_TRUE(deliver->found);
+  EXPECT_EQ(deliver->body, held.body);
   server.stop();
 }
 

@@ -4,6 +4,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "wire/codec.hpp"
 
@@ -12,9 +13,11 @@ namespace {
 
 // Strictness harness: a valid encoding must decode, every strict prefix of
 // it must not (truncation), and neither must the encoding plus a trailing
-// byte (a different message shape).
+// byte (a different message shape), nor any of `also_rejected` (e.g. a
+// retired shape of the same kind).
 template <typename Msg>
-void expect_strict(const std::string& payload) {
+void expect_strict(const std::string& payload,
+                   const std::vector<std::string>& also_rejected = {}) {
   Msg out;
   EXPECT_TRUE(decode(payload, &out));
   for (std::size_t len = 0; len < payload.size(); ++len) {
@@ -24,6 +27,10 @@ void expect_strict(const std::string& payload) {
   }
   Msg extended;
   EXPECT_FALSE(decode(payload + '\0', &extended));
+  for (const std::string& other : also_rejected) {
+    Msg rejected;
+    EXPECT_FALSE(decode(other, &rejected)) << other.size() << "-byte input";
+  }
 }
 
 TEST(MessagesTest, HelloRoundTrip) {
@@ -137,16 +144,25 @@ TEST(MessagesTest, IndexUpdateRoundTrip) {
   expect_strict<IndexUpdate>(encode(in));
 }
 
-TEST(MessagesTest, PeerFetchIsExactlyTheKey) {
+TEST(MessagesTest, PeerFetchIsExactlyTheHolderAndTheKey) {
+  constexpr std::uint32_t kHolder = 0;     // the addressee
+  constexpr std::uint32_t kRequester = 2;  // never on the wire
   PeerFetch in;
+  in.holder = kHolder;
   in.key = 0x0123456789ABCDEFull;
   const std::string payload = encode(in);
-  // §6.2 structurally: eight key bytes, no room for a requester identity.
-  EXPECT_EQ(payload.size(), 8u);
+  // §6.2 structurally: four holder bytes and eight key bytes, no room for a
+  // requester identity.
+  EXPECT_EQ(payload.size(), 12u);
   PeerFetch out;
   ASSERT_TRUE(decode(payload, &out));
+  EXPECT_EQ(out.holder, kHolder);
+  EXPECT_NE(out.holder, kRequester);
   EXPECT_EQ(out.key, in.key);
-  expect_strict<PeerFetch>(payload);
+  // The retired key-only shape is rejected, not misread.
+  Writer legacy;
+  legacy.u64(in.key);
+  expect_strict<PeerFetch>(payload, {legacy.take()});
 }
 
 TEST(MessagesTest, PeerDeliverRoundTrip) {
