@@ -8,11 +8,8 @@
 //   --progress     print sweep progress to stderr
 //   --threads <n>  sweep worker threads (default 0 = hardware_concurrency).
 //                  These parallelize ACROSS independent simulations — one
-//                  (organization, cache size) point per task. Parallelism
-//                  INSIDE a single replay is a different axis: bench_replay's
-//                  --shards N splits one replay over N shared-nothing shards
-//                  (see sim/sharded_replay.hpp). The two do not compose;
-//                  bench_replay rejects --threads with a pointer to --shards.
+//                  (organization, cache size) point per task; each replay
+//                  itself runs on one thread.
 #pragma once
 
 #include <cstdlib>
@@ -31,8 +28,7 @@ struct BenchArgs {
   std::string metrics_out;
   bool progress = false;
   /// Sweep worker threads — parallelism ACROSS independent simulations; 0
-  /// lets ThreadPool pick hardware_concurrency. Not to be confused with
-  /// bench_replay's --shards, which parallelizes INSIDE one replay.
+  /// lets ThreadPool pick hardware_concurrency.
   std::uint64_t threads = 0;
   /// Client churn (§5 spirit): per-request churn probability and its seed.
   double churn_rate = 0.0;
@@ -54,8 +50,7 @@ inline BenchArgs parse_args(int argc, char** argv) {
       .flag("--progress", &args.progress, "print sweep progress to stderr")
       .option("--threads", &args.threads, "N",
               "sweep worker threads across independent simulations "
-              "(0 = hardware_concurrency); intra-replay parallelism is "
-              "bench_replay --shards")
+              "(0 = hardware_concurrency)")
       .option("--churn-rate", &args.churn_rate, "P",
               "per-request client churn probability in [0,1] (default 0)")
       .option("--churn-seed", &args.churn_seed, "S",

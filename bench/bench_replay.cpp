@@ -30,62 +30,17 @@
 // store_replay_requests_per_second gauge so the durable tier's throughput is
 // tracked alongside the simulated organizations.
 //
-// --shards LIST (e.g. "1,2,4,8") adds a multi-core section: each listed N
-// replays every organization through the shared-nothing sharded engine
-// (sim/sharded_replay.hpp) and publishes two gauges per (org, N) —
-// replay_requests_per_second{org,shards,mode=wall} for end-to-end wall
-// clock on THIS machine's affinity mask, and {mode=critical_path} for
-// route + slowest-shard + merge, the time an N-core mask converges to.
-// The engine's shard_requests_total / shard_merged_requests_total counters
-// ride along, and report_check verifies sum(shards) == merged.
-// --shard-differential is the correctness gate behind those numbers: it
-// byte-compares the merged sharded metrics against the unsharded engine
-// (N=1 on the pressured config; N=1 and N=4 on an eviction-free config,
-// where doc partitioning must be EXACT) and exits nonzero on any mismatch.
-// Note --threads does not exist here: sweep threads parallelize across
-// independent simulations in the figure benches, while this harness times
-// single replays — use --shards for parallelism inside a replay.
-#include <algorithm>
+// This harness times one replay at a time on one thread. Parallelism lives
+// in the figure benches' --threads, which run independent sweep points on a
+// ThreadPool.
 #include <fstream>
 #include <memory>
-#include <sstream>
 
 #include "bench_common.hpp"
 #include "fault/fault_plan.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
-#include "sim/sharded_replay.hpp"
 #include "store/tiered_store.hpp"
-
-namespace {
-
-/// "1,2,4,8" → {1,2,4,8}; empty/garbage/0 entries are parse errors.
-bool parse_shard_list(const std::string& csv,
-                      std::vector<std::uint32_t>* out, std::string* error) {
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    try {
-      const unsigned long v = std::stoul(item);
-      if (v == 0 || v > 1024) {
-        *error = "--shards entries must be in [1,1024], got '" + item + "'";
-        return false;
-      }
-      out->push_back(static_cast<std::uint32_t>(v));
-    } catch (const std::exception&) {
-      *error = "--shards expects a comma-separated list of counts, got '" +
-               item + "'";
-      return false;
-    }
-  }
-  if (out->empty()) {
-    *error = "--shards expects a non-empty list, e.g. 1,2,4,8";
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace baps;
@@ -94,9 +49,6 @@ int main(int argc, char** argv) {
   args.argv = argv;
   std::uint64_t reps = 5;
   double overhead_guard = 0.0;
-  std::string shards_csv;
-  bool shard_differential = false;
-  std::string threads_str;
   std::string store_dir;
   std::uint64_t store_capacity = 16 << 20;
   std::uint64_t store_ram = 256 << 10;
@@ -118,13 +70,6 @@ int main(int argc, char** argv) {
               "per-request client churn probability in [0,1] (default 0)")
       .option("--churn-seed", &args.churn_seed, "S",
               "seed for the churn event stream")
-      .option("--shards", &shards_csv, "LIST",
-              "also time the sharded engine at each N in LIST (e.g. 1,2,4,8)")
-      .flag("--shard-differential", &shard_differential,
-            "verify sharded merged metrics match the unsharded engine "
-            "byte-for-byte, exit nonzero on mismatch")
-      .option("--threads", &threads_str, "N",
-              "rejected: this harness times single replays; use --shards")
       .option("--store-dir", &store_dir, "DIR",
               "also replay through the runtime disk tier rooted at DIR")
       .bytes("--store-capacity", &store_capacity, "BYTES",
@@ -162,33 +107,10 @@ int main(int argc, char** argv) {
     std::cerr << "--churn-rate must be in [0,1]\n";
     return 2;
   }
-  if (!threads_str.empty()) {
-    std::cerr << "--threads parallelizes independent sweep points in the "
-                 "figure benches; bench_replay times one replay at a time. "
-                 "Use --shards N[,N...] to parallelize inside a replay.\n";
-    return 2;
-  }
-  std::vector<std::uint32_t> shard_list;
-  if (!shards_csv.empty() &&
-      !parse_shard_list(shards_csv, &shard_list, &error)) {
-    std::cerr << error << "\n";
-    return 2;
-  }
-  if (!shard_list.empty() && overhead_guard > 0.0) {
-    std::cerr << "--overhead-guard A/B-times the unsharded engine; combining "
-                 "it with --shards would compare different engines. Run the "
-                 "guard and the shard sweep as separate invocations.\n";
-    return 2;
-  }
   if (!ts_out.empty() && ts_interval <= 0.0) {
     std::cerr << "--ts-out requires --ts-interval > 0\n";
     return 2;
   }
-  // Eager: the shard_* families appear (zero-valued) in every report this
-  // harness writes, sharded run or not, so report_check can always apply
-  // the sum(shards) == merged invariant.
-  sim::register_shard_metric_families();
-
   // Continuous telemetry over the bench. Families are pre-registered so the
   // seq-0 baseline already carries the full schema.
   std::unique_ptr<obs::TimeSeriesSampler> ts_sampler;
@@ -272,113 +194,6 @@ int main(int argc, char** argv) {
   std::cout << "Trace-replay throughput, " << trace::preset_name(trace::Preset::kBu95)
             << ", best of " << reps << " run(s), default RunSpec\n";
   bench::emit(table, args);
-
-  if (!shard_list.empty()) {
-    // Multi-core section: same trace, same config, shared-nothing shards.
-    // Wall req/s is honest end-to-end time under THIS process's CPU affinity
-    // mask; critical-path req/s is route + slowest shard + merge — what the
-    // wall time converges to once the mask actually spans N cores. The
-    // critical path is timed on the SEQUENTIAL schedule (bit-identical to
-    // the parallel one by the engine's determinism contract): when the
-    // affinity mask holds fewer cores than shards, concurrent shard threads
-    // timeshare and each shard's wall clock absorbs descheduled time, which
-    // would inflate max(shard_seconds) toward the serial total. Back-to-back
-    // execution times each shard's actual work instead.
-    const auto scope = phases.scope("sharded_replay");
-    Table stable({"Organization", "Shards", "Best Seconds", "Wall req/s",
-                  "Critical-path req/s", "CP speedup"});
-    for (const core::OrgKind kind : sim::kAllOrganizations) {
-      double cp_baseline = 0.0;  // critical-path req/s at the smallest N
-      for (const std::uint32_t n : shard_list) {
-        sim::ShardedReplayOptions opts;
-        opts.shards = n;
-        double best_secs = 0.0, best_cp_rps = 0.0;
-        for (std::uint64_t rep = 0; rep < reps; ++rep) {
-          const double start = obs::monotonic_seconds();
-          sim::run_organization_sharded(kind, cfg, t, opts);
-          const double secs = obs::monotonic_seconds() - start;
-          if (rep == 0 || secs < best_secs) best_secs = secs;
-          sim::ShardedReplayOptions seq = opts;
-          seq.parallel = false;
-          const sim::ShardedReplayResult r =
-              sim::run_organization_sharded(kind, cfg, t, seq);
-          best_cp_rps =
-              std::max(best_cp_rps, r.critical_path_requests_per_second());
-        }
-        const double wall_rps = static_cast<double>(t.size()) / best_secs;
-        auto& reg = obs::Registry::global();
-        reg.gauge("replay_requests_per_second",
-                  {{"org", sim::org_name(kind)},
-                   {"shards", std::to_string(n)},
-                   {"mode", "wall"}})
-            .set(wall_rps);
-        reg.gauge("replay_requests_per_second",
-                  {{"org", sim::org_name(kind)},
-                   {"shards", std::to_string(n)},
-                   {"mode", "critical_path"}})
-            .set(best_cp_rps);
-        if (cp_baseline == 0.0) cp_baseline = best_cp_rps;
-        stable.row()
-            .cell(sim::org_name(kind))
-            .cell(static_cast<std::uint64_t>(n))
-            .cell(best_secs, 4)
-            .cell(wall_rps, 0)
-            .cell(best_cp_rps, 0)
-            .cell(cp_baseline > 0.0 ? best_cp_rps / cp_baseline : 0.0, 2);
-      }
-    }
-    std::cout << "\nSharded replay (shared-nothing, doc-hash routed; "
-                 "local-browser-only routes by client), best of "
-              << reps << " run(s)\n";
-    bench::emit(stable, args);
-  }
-
-  if (shard_differential) {
-    // The correctness gate: merged sharded metrics must reproduce the
-    // unsharded engine byte for byte in every regime where that is defined
-    // (see the determinism contract in sim/sharded_replay.hpp). Comparison
-    // is on the serialized metrics JSON — the same bit-identity test the
-    // overhead guard uses.
-    const auto scope = phases.scope("shard_differential");
-    // Eviction-free config: caches big enough that nothing evicts, one
-    // memory tier — the regime where doc partitioning must be EXACT for
-    // every organization and any N.
-    core::RunSpec dspec = spec;
-    dspec.memory_fraction = 1.0;
-    sim::SimConfig dcfg = core::build_config(stats, dspec);
-    const std::uint64_t huge = stats.infinite_cache_bytes * 16;
-    dcfg.proxy_cache_bytes = huge;
-    for (auto& bytes : dcfg.browser_cache_bytes) bytes = huge;
-
-    bool ok = true;
-    const auto check = [&](core::OrgKind kind, const sim::SimConfig& c,
-                           std::uint32_t n, const std::string& expect,
-                           const char* what) {
-      sim::ShardedReplayOptions opts;
-      opts.shards = n;
-      const std::string got = obs::metrics_to_json(
-          sim::run_organization_sharded(kind, c, t, opts).merged).dump();
-      if (got != expect) {
-        std::cerr << "shard-differential: " << sim::org_name(kind) << " "
-                  << what << " (N=" << n << ") diverges from the unsharded "
-                  << "engine\n";
-        ok = false;
-      }
-    };
-    for (const core::OrgKind kind : sim::kAllOrganizations) {
-      const std::string pressured =
-          obs::metrics_to_json(sim::run_organization(kind, cfg, t)).dump();
-      check(kind, cfg, 1, pressured, "pressured config");
-      const std::string decoupled =
-          obs::metrics_to_json(sim::run_organization(kind, dcfg, t)).dump();
-      check(kind, dcfg, 1, decoupled, "eviction-free config");
-      check(kind, dcfg, 4, decoupled, "eviction-free config");
-    }
-    if (!ok) return 1;
-    std::cout << "shard-differential: merged metrics bit-identical to the "
-                 "unsharded engine (N=1 pressured; N=1 and N=4 "
-                 "eviction-free) across all five organizations\n";
-  }
 
   if (!store_dir.empty()) {
     // Disk-tier replay: every request probes the two-tier store and a miss

@@ -149,18 +149,6 @@ grep -A2 '"store_integrity_failures_total"' "$STORE_REPORT" \
   || { echo "store smoke: integrity failures reported"; exit 1; }
 echo "check.sh: warm restart recovered hits (warm=$WARM_HITS cold=$COLD_HITS, 0 integrity failures)"
 
-# Sharded-replay smoke: the multi-core engine must reproduce the unsharded
-# replay byte for byte — --shard-differential runs N=1 on the pressured
-# config and N=1/N=4 on an eviction-free config against the classic engine
-# and exits nonzero on any metric mismatch. The emitted report carries the
-# shard_* counter families, which report_check cross-sums (per organization,
-# sum(shard_requests_total) must equal shard_merged_requests_total).
-SHARD_REPORT="$BUILD_DIR/check_shard_report.json"
-"$BUILD_DIR/bench/bench_replay" --scale 0.05 --reps 1 --shards 1,4 \
-  --shard-differential --metrics-out "$SHARD_REPORT" > /dev/null
-"$BUILD_DIR/tools/report_check" "$SHARD_REPORT"
-echo "check.sh: sharded replay (N=4) bit-identical to unsharded, shard sums validated"
-
 # Time-series smoke: a daemon sampling at 250ms streams baps.timeseries.v1
 # JSONL while serving traffic; baps_top polls a live window over the wire
 # (TimeSeriesRequest frame) and must render per-interval rates; after

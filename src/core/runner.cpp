@@ -5,7 +5,6 @@
 #include "obs/registry.hpp"
 #include "obs/timer.hpp"
 #include "sim/config.hpp"
-#include "sim/sharded_replay.hpp"
 #include "util/assert.hpp"
 
 namespace baps::core {
@@ -87,16 +86,8 @@ sim::SimConfig build_config(const trace::TraceStats& stats,
 Metrics run_one(OrgKind kind, const trace::Trace& trace,
                 const trace::TraceStats& stats, const RunSpec& spec) {
   const double start = obs::monotonic_seconds();
-  Metrics m;
-  if (spec.shards > 1) {
-    sim::ShardedReplayOptions opts;
-    opts.shards = spec.shards;
-    m = sim::run_organization_sharded(kind, build_config(stats, spec), trace,
-                                      opts)
-            .merged;
-  } else {
-    m = sim::run_organization(kind, build_config(stats, spec), trace);
-  }
+  const Metrics m =
+      sim::run_organization(kind, build_config(stats, spec), trace);
   publish_run(kind, m, obs::monotonic_seconds() - start);
   return m;
 }

@@ -57,13 +57,6 @@ struct RunSpec {
   /// the seed of its stream. 0 disables churn (bit-identical replay).
   double churn_rate = 0.0;
   std::uint64_t churn_seed = 0;
-
-  /// Shared-nothing shards INSIDE one replay (sim/sharded_replay): documents
-  /// partition by hash, each shard replays on its own worker thread, and the
-  /// per-shard metrics merge at finish(). 1 = the classic unsharded engine.
-  /// Distinct from a sweep's worker threads, which parallelize across
-  /// independent simulations.
-  std::uint32_t shards = 1;
 };
 
 /// Materializes a SimConfig from a spec and the trace's statistics.

@@ -1,8 +1,7 @@
 #include "fault/fault_plan.hpp"
 
-#include <stdexcept>
-
 #include "obs/registry.hpp"
+#include "util/args.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -105,11 +104,7 @@ std::optional<FaultRates> FaultRates::parse(std::string_view spec,
     const std::string key(item.substr(0, eq));
     const std::string value(item.substr(eq + 1));
     double parsed = 0.0;
-    try {
-      std::size_t used = 0;
-      parsed = std::stod(value, &used);
-      if (used != value.size()) throw std::invalid_argument(value);
-    } catch (const std::exception&) {
+    if (!util::parse_number(value, &parsed)) {
       return fail("fault rates: bad value for '" + key + "': " + value);
     }
     std::optional<FaultKind> rate_key;

@@ -110,8 +110,8 @@ class BrowserIndex {
   /// chosen round-robin *per document* so repeated lookups of the same doc
   /// spread load across its peers. The cursor is per-doc state on purpose:
   /// holder choice is then a pure function of the doc's own lookup history,
-  /// so a doc-sharded index (sim/sharded_replay) picks the same holders as
-  /// the unsharded one no matter how lookups of other docs interleave.
+  /// unmoved by how lookups of other docs interleave (the golden metrics pin
+  /// the holders this picks).
   std::optional<ClientId> find_holder(DocId doc, ClientId requester) const {
     const HolderList* holders =
         doc < by_doc_.size() ? &by_doc_[doc] : sparse_.find(doc);

@@ -263,9 +263,6 @@ struct FamilyRule {
   MetricKind kind;
   std::vector<LabelRule> labels = {};
   ValueRule value = ValueRule::kNonNegative;
-  /// Eager registration leaves an unlabeled zero member; only instances
-  /// holding counts must carry the labels.
-  bool unlabeled_zero_ok = false;
 };
 
 /// sum(lhs...) × scale  op  sum(rhs), per value of the `group` label (one
@@ -329,12 +326,6 @@ const FamilyRule kFamilyRules[] = {
     // Replay bench (bench_replay).
     {"replay_requests_per_second", kGauge, {{"org"}}, ValueRule::kPositive},
     {"replay_latency_quantile_seconds", kGauge, {{"q", kQuantiles}, {"org"}}},
-    // Sharded replay (sim/sharded_replay.hpp).
-    {"shard_requests_total", kCounter, {{"org"}, {"shard"}},
-     ValueRule::kNonNegative, true},
-    {"shard_merged_requests_total", kCounter, {{"org"}},
-     ValueRule::kNonNegative, true},
-    {"shard_", kGauge},
     // Simulator, runtime proxy and worker pool.
     {"sim_", kCounter},
     {"cache_", kCounter},
@@ -358,9 +349,6 @@ const Relation kRelations[] = {
     // record counts as a miss: nothing was served).
     {Relation::kEqual, {"store_hits_total", "store_misses_total"},
      "store_probes_total"},
-    // The counter half of the sharded engine's merge contract.
-    {Relation::kEqual, {"shard_requests_total"}, "shard_merged_requests_total",
-     "org"},
     // Peak concurrency counts only connections that completed a connect.
     {Relation::kAtMost, {"connload_connections_peak"},
      "connload_established_total"},
@@ -403,9 +391,6 @@ bool check_instance(const FamilyRule& rule, const std::string& name,
                            (positive ? "finite and positive"
                                      : "a finite non-negative number"));
   }
-  const bool unlabeled = labels == nullptr || !labels->is_object() ||
-                         labels->as_object().empty();
-  if (rule.unlabeled_zero_ok && unlabeled && x == 0.0) return true;
   for (const LabelRule& label : rule.labels) {
     const std::string v = label_value(labels, label.key);
     const auto& allowed = label.allowed;

@@ -57,8 +57,8 @@ std::map<std::string, double> report_gauges(const JsonValue& report,
 }
 
 /// Per-org req/s from a report: replay_requests_per_second gauges whose only
-/// label is `org` (the sharded variants carry extra shards/mode labels and
-/// describe a different machine shape).
+/// label is `org`. Reports come from outside the program, so a gauge with
+/// any other label set is skipped rather than mistaken for a per-org rate.
 std::map<std::string, double> report_org_rps(const JsonValue& report) {
   std::map<std::string, double> out;
   const JsonValue* registry = report.find("registry");
@@ -88,7 +88,8 @@ std::map<std::string, double> report_org_rps(const JsonValue& report) {
 }
 
 /// Per-org req/s from the newest hotpath entry: `requests_per_second`, or
-/// `unsharded_requests_per_second` for entries that split out sharded runs.
+/// `unsharded_requests_per_second`, the key some committed history entries
+/// (the newest among them) record the one-thread replay rates under.
 std::map<std::string, double> hotpath_org_rps(const JsonValue& doc) {
   std::map<std::string, double> out;
   const JsonValue* entries = doc.find("entries");

@@ -72,37 +72,6 @@ struct Metrics {
     return std::pow(10.0, log_latency.quantile(q));
   }
 
-  /// Folds another shard's order-independent state into this one: ratio
-  /// counters, integer counters, and histogram bucket counts — all exact
-  /// under reordering. Deliberately does NOT touch the double accumulators
-  /// (total_service_time_s, total_hit_latency_s, remote_transfer_time_s,
-  /// remote_contention_time_s): double addition is order-dependent, so the
-  /// sharded engine replays those in global trace order from the ReplayLogs
-  /// instead (see sim/sharded_replay).
-  void accumulate_counters(const Metrics& other) {
-    hits.merge_from(other.hits);
-    byte_hits.merge_from(other.byte_hits);
-    local_browser_hits += other.local_browser_hits;
-    proxy_hits += other.proxy_hits;
-    remote_browser_hits += other.remote_browser_hits;
-    misses += other.misses;
-    local_browser_hit_bytes += other.local_browser_hit_bytes;
-    proxy_hit_bytes += other.proxy_hit_bytes;
-    remote_browser_hit_bytes += other.remote_browser_hit_bytes;
-    miss_bytes += other.miss_bytes;
-    memory_hit_bytes += other.memory_hit_bytes;
-    disk_hit_bytes += other.disk_hit_bytes;
-    size_change_misses += other.size_change_misses;
-    remote_transfer_bytes += other.remote_transfer_bytes;
-    index_messages += other.index_messages;
-    false_forwards += other.false_forwards;
-    stale_remote_probes += other.stale_remote_probes;
-    churn_departures += other.churn_departures;
-    churn_rejoins += other.churn_rejoins;
-    churn_wiped_docs += other.churn_wiped_docs;
-    log_latency.merge_from(other.log_latency);
-  }
-
   // Derived helpers ---------------------------------------------------------
   double hit_ratio() const { return hits.ratio(); }
   double byte_hit_ratio() const { return byte_hits.ratio(); }
@@ -130,9 +99,9 @@ struct Metrics {
 };
 
 /// Exact comparison down to the floating-point bit patterns (`==` would
-/// conflate +0.0/-0.0 and choke on NaN; the sharded-vs-unsharded contract
-/// is about the bits). This is the check behind the differential tests and
-/// the check.sh sharded smoke.
+/// conflate +0.0/-0.0 and choke on NaN; a determinism contract is about the
+/// bits). This is the check behind the parallel-vs-sequential sweep test and
+/// perfbench's replay cross-check.
 inline bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }

@@ -26,7 +26,6 @@
 #include "net/lan_model.hpp"
 #include "sim/config.hpp"
 #include "sim/metrics.hpp"
-#include "sim/replay_log.hpp"
 #include "trace/record.hpp"
 #include "util/assert.hpp"
 
@@ -56,29 +55,6 @@ class Organization {
   }
 
   const Metrics& metrics() const { return metrics_; }
-
-  // --- sharded-replay hooks (sim/sharded_replay) -------------------------
-
-  /// Attaches a deferred-accounting log: order-dependent accounting (double
-  /// accumulators, shared-bus transfers) is appended to `log` instead of
-  /// being applied, for replay in global trace order at merge time. Pass
-  /// nullptr to restore normal in-place accounting.
-  void set_replay_log(ReplayLog* log) { log_ = log; }
-
-  /// Global trace position of the next process() call; recorded into log
-  /// entries so the merge pass can verify it interleaves shards correctly.
-  void set_log_index(std::uint32_t index) { log_index_ = index; }
-
-  /// Externally-driven churn departure: empties `client`'s browser slice in
-  /// this organization (the sharded engine owns the churn schedule and
-  /// applies each event to every shard). Bumps churn_wiped_docs only — the
-  /// departure itself is counted once, by the engine.
-  void apply_churn_wipe(trace::ClientId client) { wipe_client(client); }
-
-  /// Marks churn as active even though churn_ is null (the sharded engine
-  /// drives the schedule externally); churn-gated behavior like stale-entry
-  /// invalidation must match an unsharded churning run.
-  void set_external_churn(bool on) { external_churn_ = on; }
 
  protected:
   Organization(const SimConfig& config, std::uint32_t num_clients);
@@ -121,13 +97,8 @@ class Organization {
     metrics_.local_browser_hit_bytes += r.size;
     count_memory_bytes(r, tier);
     const double t = latency_.cache_read(r.size, tier);
-    if (log_ == nullptr) {
-      metrics_.total_service_time_s += t;
-      metrics_.total_hit_latency_s += t;
-    } else {
-      log_->entries.push_back(
-          {t, 0.0, 0, log_index_, ReplayLog::Kind::kLocal, 0});
-    }
+    metrics_.total_service_time_s += t;
+    metrics_.total_hit_latency_s += t;
     metrics_.observe_latency(t);
   }
 
@@ -141,13 +112,8 @@ class Organization {
     // remote-browser overhead; it is uncontended here.
     const double t =
         latency_.cache_read(r.size, tier) + lan_.transfer_time(r.size);
-    if (log_ == nullptr) {
-      metrics_.total_service_time_s += t;
-      metrics_.total_hit_latency_s += t;
-    } else {
-      log_->entries.push_back(
-          {t, 0.0, 0, log_index_, ReplayLog::Kind::kProxy, 0});
-    }
+    metrics_.total_service_time_s += t;
+    metrics_.total_hit_latency_s += t;
     metrics_.observe_latency(t);
   }
 
@@ -161,18 +127,6 @@ class Organization {
     ++metrics_.remote_browser_hits;
     metrics_.remote_browser_hit_bytes += r.size;
     count_memory_bytes(r, tier);
-
-    if (log_ != nullptr) {
-      // The bus hops are order-dependent across shards: defer them (and the
-      // latency observation, which needs the bus wait) to the merge pass.
-      // The transfer byte count is order-independent, so it stays here.
-      metrics_.remote_transfer_bytes +=
-          r.size * static_cast<std::uint64_t>(hops);
-      log_->entries.push_back({latency_.cache_read(r.size, tier), r.timestamp,
-                               r.size, log_index_, ReplayLog::Kind::kRemote,
-                               static_cast<std::uint8_t>(hops)});
-      return;
-    }
     double t = latency_.cache_read(r.size, tier);
     for (int h = 0; h < hops; ++h) {
       const net::TransferResult x = lan_.transfer(r.timestamp, r.size);
@@ -192,12 +146,7 @@ class Organization {
     ++metrics_.misses;
     metrics_.miss_bytes += r.size;
     const double t = latency_.origin_fetch(r.size);
-    if (log_ == nullptr) {
-      metrics_.total_service_time_s += t;
-    } else {
-      log_->entries.push_back(
-          {t, 0.0, 0, log_index_, ReplayLog::Kind::kMiss, 0});
-    }
+    metrics_.total_service_time_s += t;
     metrics_.observe_latency(t);
   }
 
@@ -216,11 +165,9 @@ class Organization {
   /// the §5 failure shape the false-forward counter measures.
   virtual void wipe_client(trace::ClientId client) { (void)client; }
 
-  /// True when clients churn, whether the schedule is driven internally
-  /// (churn_) or by the sharded engine (external_churn_). Churn-gated
-  /// behavior (e.g. stale-index invalidation on a disproved probe) keys off
-  /// this so sharded and unsharded churning runs agree.
-  bool churn_active() const { return churn_ != nullptr || external_churn_; }
+  /// True when clients churn. Churn-gated behavior (e.g. stale-index
+  /// invalidation on a disproved probe) keys off this.
+  bool churn_active() const { return churn_ != nullptr; }
 
   SimConfig config_;
   std::uint32_t num_clients_;
@@ -228,9 +175,6 @@ class Organization {
   net::LanModel lan_;
   Metrics metrics_;
   std::unique_ptr<fault::ChurnModel> churn_;  ///< null when churn is off
-  ReplayLog* log_ = nullptr;        ///< non-null in sharded replay workers
-  std::uint32_t log_index_ = 0;     ///< global trace position for log entries
-  bool external_churn_ = false;
 
  private:
   void churn_step_slow(const trace::Request& r);

@@ -35,11 +35,14 @@ inline std::vector<std::string> split(const std::string& s, char sep) {
 }
 
 /// Whole-string numeric parses: trailing junk is a failure, not a truncation.
+/// A double must also be finite: "nan", "inf" and out-of-range values such
+/// as "1e400" are rejected, since no flag means anything by them and a nan
+/// slips through every range check.
 inline bool parse_number(const std::string& s, double* out) {
   if (s.empty()) return false;
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) return false;
+  if (end != s.c_str() + s.size() || !std::isfinite(v)) return false;
   *out = v;
   return true;
 }

@@ -57,12 +57,6 @@ class RatioCounter {
   std::uint64_t hits() const { return hits_; }
   std::uint64_t total() const { return total_; }
 
-  /// Folds another counter's tallies into this one (shard-merge path).
-  void merge_from(const RatioCounter& other) {
-    hits_ += other.hits_;
-    total_ += other.total_;
-  }
-
   /// Ratio in [0,1]; 0 when empty.
   double ratio() const {
     return total_ ? static_cast<double>(hits_) / static_cast<double>(total_)
@@ -116,22 +110,6 @@ class Histogram {
   /// quantile mass in the underflow bucket resolves to lo and overflow mass
   /// to hi, so the result is always within [lo, hi].
   double quantile(double q) const;
-
-  /// Adds another histogram's bucket counts into this one. Bucket counts are
-  /// integers, so merging shards is exact regardless of the order samples
-  /// were observed in. Both histograms must share the same domain and
-  /// resolution.
-  void merge_from(const Histogram& other) {
-    BAPS_REQUIRE(lo_ == other.lo_ && hi_ == other.hi_ &&
-                     counts_.size() == other.counts_.size(),
-                 "histogram merge requires identical bucket layout");
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      counts_[i] += other.counts_[i];
-    }
-    underflow_ += other.underflow_;
-    overflow_ += other.overflow_;
-    n_ += other.n_;
-  }
 
  private:
   double lo_;

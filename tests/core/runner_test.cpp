@@ -100,23 +100,30 @@ TEST(SweepTest, CacheSizeSweepIsMonotoneInSizePerOrg) {
 }
 
 TEST(SweepTest, ParallelAndSequentialSweepsAgreeExactly) {
-  RunSpec spec;
-  spec.sizing = BrowserSizing::kMinimum;
+  // Each point owns all of its mutable state, so running the points on a
+  // pool must reproduce the sequential sweep down to the floating-point
+  // bits, for every organization, under cache pressure, with and without
+  // client churn.
   const std::vector<double> sizes = {0.05, 0.15};
-  const std::vector<OrgKind> orgs = {OrgKind::kProxyOnly,
-                                     OrgKind::kBrowsersAware};
-  const auto seq = sweep_cache_sizes(shared_trace(), sizes, orgs, spec);
-  ThreadPool pool(4);
-  const auto par = sweep_cache_sizes(shared_trace(), sizes, orgs, spec, &pool);
-  ASSERT_EQ(seq.size(), par.size());
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    for (const OrgKind org : orgs) {
-      const Metrics& a = seq[i].by_org.at(org);
-      const Metrics& b = par[i].by_org.at(org);
-      EXPECT_EQ(a.hits.hits(), b.hits.hits());
-      EXPECT_EQ(a.byte_hits.hits(), b.byte_hits.hits());
-      EXPECT_EQ(a.remote_browser_hits, b.remote_browser_hits);
-      EXPECT_DOUBLE_EQ(a.total_service_time_s, b.total_service_time_s);
+  const std::vector<OrgKind> orgs(std::begin(sim::kAllOrganizations),
+                                  std::end(sim::kAllOrganizations));
+  for (const double churn_rate : {0.0, 0.01}) {
+    RunSpec spec;
+    spec.sizing = BrowserSizing::kMinimum;
+    spec.churn_rate = churn_rate;
+    spec.churn_seed = 7;
+    const auto seq = sweep_cache_sizes(shared_trace(), sizes, orgs, spec);
+    ThreadPool pool(4);
+    const auto par =
+        sweep_cache_sizes(shared_trace(), sizes, orgs, spec, &pool);
+    ASSERT_EQ(seq.size(), par.size());
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+      for (const OrgKind org : orgs) {
+        EXPECT_TRUE(
+            sim::bit_identical(seq[i].by_org.at(org), par[i].by_org.at(org)))
+            << sim::org_name(org) << " at size " << sizes[i] << ", churn "
+            << churn_rate;
+      }
     }
   }
 }

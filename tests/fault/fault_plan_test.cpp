@@ -58,6 +58,8 @@ TEST(FaultRatesTest, RejectsBadInput) {
   EXPECT_NE(error.find("unknown key"), std::string::npos) << error;
   EXPECT_FALSE(FaultRates::parse("drop=1.5", &error).has_value());
   EXPECT_FALSE(FaultRates::parse("drop=abc", &error).has_value());
+  EXPECT_FALSE(FaultRates::parse("drop=nan", &error).has_value());
+  EXPECT_FALSE(FaultRates::parse("slow_ms=inf", &error).has_value());
   EXPECT_FALSE(FaultRates::parse("noequals", &error).has_value());
 }
 

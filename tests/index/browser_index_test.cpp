@@ -71,9 +71,8 @@ TEST(BrowserIndexTest, RoundRobinSpreadsAcrossHolders) {
 
 // The round-robin cursor is per-document: interleaving lookups of other
 // docs must not perturb a doc's own holder rotation. This is what makes
-// holder choice a pure function of that doc's lookup history, which the
-// sharded replay engine (sim/sharded_replay) relies on for doc
-// decomposability.
+// holder choice a pure function of that doc's lookup history, and the
+// golden metrics pin the holders it picks.
 TEST(BrowserIndexTest, RoundRobinIsPerDocument) {
   const auto sequence = [](bool interleave) {
     BrowserIndex idx(8, /*doc_universe=*/0);  // sparse path

@@ -16,7 +16,6 @@
 #include "obs/registry.hpp"
 #include "obs/report.hpp"
 #include "obs/span.hpp"
-#include "sim/sharded_replay.hpp"
 #include "store/tiered_store.hpp"
 
 namespace baps {
@@ -46,7 +45,6 @@ TEST(MetricFamiliesTest, EagerRegistrationCoversEveryDocumentedFamily) {
   store::register_store_metric_families();
   fault::register_fault_metric_families();
   obs::register_trace_metric_families();
-  sim::register_shard_metric_families();
   const obs::Snapshot snap = obs::Registry::global().snapshot();
 
   // Durable store family (report_check's store validator needs probes,
@@ -86,10 +84,6 @@ TEST(MetricFamiliesTest, EagerRegistrationCoversEveryDocumentedFamily) {
     EXPECT_TRUE(has_histogram(snap, "trace_stage_seconds", {{"stage", kind}}))
         << kind;
   }
-
-  // Sharded-replay merge-contract counters.
-  EXPECT_TRUE(has_counter(snap, "shard_requests_total"));
-  EXPECT_TRUE(has_counter(snap, "shard_merged_requests_total"));
 }
 
 TEST(MetricFamiliesTest, NetioFamiliesRegisterEagerly) {
@@ -136,7 +130,6 @@ TEST(MetricFamiliesTest, EveryRegisteredFamilyHasAValidationRule) {
   store::register_store_metric_families();
   fault::register_fault_metric_families();
   obs::register_trace_metric_families();
-  sim::register_shard_metric_families();
   netio::register_netio_metric_families();
   const obs::Snapshot snap = obs::Registry::global().snapshot();
   ASSERT_FALSE(snap.counters.empty());

@@ -382,6 +382,29 @@ TEST(FaultMetricsTest, RejectsRecoveredForAKindNeverInjected) {
                   "exceeds fault_injected_total");
 }
 
+TEST(FaultMetricsTest, RelationSumsEveryInstanceOfAKind) {
+  // Instances that differ only in a label outside the group sum into it.
+  const JsonValue summed = report_with_counters({
+      sample_json("fault_injected_total", {{"kind", "drop_frame"}}, 9),
+      sample_json("fault_recovered_total",
+                  {{"kind", "drop_frame"}, {"host", "a"}}, 4),
+      sample_json("fault_recovered_total",
+                  {{"kind", "drop_frame"}, {"host", "b"}}, 5),
+  });
+  std::string error;
+  EXPECT_TRUE(validate_report(summed, &error)) << error;
+  expect_rejected(report_with_counters({
+                      sample_json("fault_injected_total",
+                                  {{"kind", "drop_frame"}}, 8),
+                      sample_json("fault_recovered_total",
+                                  {{"kind", "drop_frame"}, {"host", "a"}}, 4),
+                      sample_json("fault_recovered_total",
+                                  {{"kind", "drop_frame"}, {"host", "b"}}, 5),
+                  }),
+                  "fault_recovered_total{kind=drop_frame} (9)",
+                  "exceeds fault_injected_total{kind=drop_frame} (8)");
+}
+
 TEST(FaultMetricsTest, RejectsMissingKindLabel) {
   expect_rejected(report_with_counters({
                       sample_json("fault_injected_total", {}, 1),
@@ -524,29 +547,6 @@ TEST(LatencyMetricsTest, RejectsQuantilesDecreasingWithinAStage) {
                                   {{"q", "p50"}, {"stage", "peer"}}, 0.5),
                   }),
                   "latency_quantile_seconds{stage=fetch}", "monotone");
-}
-
-TEST(ShardMetricsTest, ShardCountersMustSumToTheMergedCount) {
-  const JsonValue eager = report_with_counters({
-      sample_json("shard_requests_total", {}, 0),
-      sample_json("shard_merged_requests_total", {}, 0),
-  });
-  std::string error;
-  EXPECT_TRUE(validate_report(eager, &error)) << error;
-  expect_rejected(report_with_counters({
-                      sample_json("shard_requests_total",
-                                  {{"org", "baps"}, {"shard", "0"}}, 4),
-                      sample_json("shard_requests_total",
-                                  {{"org", "baps"}, {"shard", "1"}}, 5),
-                      sample_json("shard_merged_requests_total",
-                                  {{"org", "baps"}}, 10),
-                  }),
-                  "shard_requests_total{org=baps} (9)",
-                  "!= shard_merged_requests_total{org=baps} (10)");
-  expect_rejected(report_with_counters({
-                      sample_json("shard_requests_total", {}, 3),
-                  }),
-                  "shard_requests_total", "org label");
 }
 
 TEST(NetioMetricsTest, AcceptsConsistentConnloadFamily) {

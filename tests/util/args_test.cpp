@@ -44,6 +44,12 @@ TEST(ParseNumberTest, DoubleIsWholeStringStrict) {
   EXPECT_FALSE(parse_number("", &v));
   EXPECT_FALSE(parse_number("1.5x", &v));
   EXPECT_FALSE(parse_number("x1.5", &v));
+  // No flag means anything by a non-finite value, and nan slips past every
+  // range check; a rejected value leaves the target untouched.
+  for (const char* bad : {"nan", "-nan", "inf", "-inf", "infinity", "1e400"}) {
+    EXPECT_FALSE(parse_number(bad, &v)) << bad;
+  }
+  EXPECT_DOUBLE_EQ(v, -3.0);
 }
 
 TEST(ParseNumberTest, Uint64RejectsSignsAndJunk) {
@@ -176,6 +182,19 @@ TEST(ArgParserTest, RejectsMalformedNumber) {
   std::string error;
   EXPECT_FALSE(parser.parse(argv.argc(), argv.argv(), &error));
   EXPECT_NE(error.find("--ratio"), std::string::npos);
+}
+
+TEST(ArgParserTest, DoubleOptionRejectsNonFiniteValues) {
+  double rate = 0.25;
+  ArgParser parser("prog");
+  parser.option("--churn-rate", &rate, "P", "");
+  for (const char* bad : {"nan", "inf", "-inf", "1e400"}) {
+    Argv argv({"--churn-rate", bad});
+    std::string error;
+    EXPECT_FALSE(parser.parse(argv.argc(), argv.argv(), &error)) << bad;
+    EXPECT_NE(error.find("--churn-rate"), std::string::npos) << error;
+    EXPECT_DOUBLE_EQ(rate, 0.25) << bad;
+  }
 }
 
 TEST(ArgParserTest, RejectsCustomValueTheCallbackRefuses) {
