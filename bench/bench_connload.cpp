@@ -297,11 +297,10 @@ void on_connected(Engine& e, Conn& c, std::size_t idx) {
   e.peak_active = std::max(e.peak_active, e.active);
   e.t_last_established = obs::monotonic_seconds();
   c.state = Conn::State::kAwaitHelloAck;
-  // Observer sessions register nothing at the proxy: 10k of them cost the
-  // proxy only their connection state, which is exactly what this bench
-  // measures.
-  wire::Hello hello;
-  hello.client_id = wire::kObserverClientId;
+  // A Hello with no peer port registers nothing at the proxy: 10k of these
+  // sessions cost the proxy only their connection state, which is exactly
+  // what this bench measures.
+  const wire::Hello hello;
   set_epoll(e, c, idx, false);
   queue_frame(e, c, idx, wire::Hello::kKind, wire::encode(hello));
 }

@@ -47,7 +47,9 @@ done
 
 # Loopback daemon smoke test: a real baps_proxyd (epoll loop) on an
 # ephemeral port, a 200-request trace slice over TCP and the same slice
-# in-process — the per-request outcome streams must be byte-identical.
+# in-process — the per-request outcome streams and the summary lines must
+# be byte-identical. Browser caches small enough to evict make the run send
+# index removes, which TCP writes without waiting for a reply.
 PROXYD_LOG="$BUILD_DIR/check_proxyd.log"
 "$BUILD_DIR/tools/baps_proxyd" --port 0 --clients 8 --seed 11 \
   --max-seconds 120 > "$PROXYD_LOG" 2>&1 &
@@ -61,16 +63,25 @@ for _ in $(seq 50); do
 done
 [ -n "$PROXY_PORT" ] || { echo "proxyd never came up"; cat "$PROXYD_LOG"; exit 1; }
 "$BUILD_DIR/tools/baps_fetch" --transport tcp --port "$PROXY_PORT" \
-  --clients 8 --seed 11 --preset bu95 --requests 200 \
-  --sources-out "$BUILD_DIR/check_tcp_sources.txt" > /dev/null 2>&1
+  --clients 8 --seed 11 --preset bu95 --requests 200 --browser-cache 16384 \
+  --sources-out "$BUILD_DIR/check_tcp_sources.txt" \
+  > "$BUILD_DIR/check_tcp_summary.txt" 2> /dev/null
 "$BUILD_DIR/tools/baps_fetch" --transport loopback \
-  --clients 8 --seed 11 --preset bu95 --requests 200 \
-  --sources-out "$BUILD_DIR/check_loop_sources.txt" > /dev/null 2>&1
+  --clients 8 --seed 11 --preset bu95 --requests 200 --browser-cache 16384 \
+  --sources-out "$BUILD_DIR/check_loop_sources.txt" \
+  > "$BUILD_DIR/check_loop_summary.txt" 2> /dev/null
 diff "$BUILD_DIR/check_tcp_sources.txt" "$BUILD_DIR/check_loop_sources.txt"
+diff "$BUILD_DIR/check_tcp_summary.txt" "$BUILD_DIR/check_loop_summary.txt"
+if grep -q ' index_removes=0\b' "$BUILD_DIR/check_tcp_summary.txt" \
+    || ! grep -q ' index_removes=' "$BUILD_DIR/check_tcp_summary.txt"; then
+  echo "tcp/loopback smoke sent no index removes"
+  cat "$BUILD_DIR/check_tcp_summary.txt"
+  exit 1
+fi
 kill "$PROXYD_PID" 2>/dev/null || true
 wait "$PROXYD_PID" 2>/dev/null || true
 trap - EXIT
-echo "check.sh: tcp/loopback sources identical (200 requests)"
+echo "check.sh: tcp/loopback sources and summaries identical (200 requests)"
 
 # Tracing smoke: run the same daemon with sampling at 1.0 on both sides, then
 # assert the two span logs stitch — shared trace ids whose parent links all

@@ -1,5 +1,5 @@
-// A keyed pool of idle FrameChannels: peer fetches and observer polls that
-// used to dial a fresh TCP connection per operation now reuse a warm one —
+// A keyed pool of idle FrameChannels: the proxy's peer fetches, which used
+// to dial a fresh TCP connection per operation, now reuse a warm one —
 // at 10k-connection scale the three-way handshake and slow-start tax per
 // fetch is what dominates, not the frame bytes. Channels are returned to
 // the pool only when the full request/response exchange succeeded; any

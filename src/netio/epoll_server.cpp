@@ -35,6 +35,7 @@ struct EpollCounters {
   obs::Counter& accept_backpressure;
   obs::Counter& writeq_stalls;
   obs::Counter& idle_closes;
+  obs::Counter& hello_timeouts;
   obs::Counter& drained;
   obs::Counter& connections_total;
   obs::Gauge& connections_active;
@@ -47,6 +48,7 @@ struct EpollCounters {
         reg.counter("netio_epoll_accept_backpressure_total"),
         reg.counter("netio_epoll_writeq_stall_total"),
         reg.counter("netio_epoll_idle_closes_total"),
+        reg.counter("netio_epoll_hello_timeouts_total"),
         reg.counter("netio_epoll_drained_total"),
         reg.counter("netio_connections_total"),
         reg.gauge("netio_connections_active"),
@@ -283,15 +285,18 @@ void EpollFrameServer::loop() {
       const auto it = conns_.find(id);
       if (it == conns_.end()) continue;
       Connection& c = *it->second;
-      if (c.closed_ || params_.idle_timeout_ms <= 0) continue;
-      const std::uint64_t budget =
-          static_cast<std::uint64_t>(params_.idle_timeout_ms);
-      if (now - c.last_activity_ms >= budget) {
-        counters.idle_closes.inc();
+      const std::uint64_t due = deadline_ms(c);
+      if (c.closed_ || due == 0) continue;
+      if (now >= due) {
+        const bool no_hello =
+            !c.got_frame_ && params_.hello_timeout_ms > 0 &&
+            now - c.accepted_ms_ >=
+                static_cast<std::uint64_t>(params_.hello_timeout_ms);
+        (no_hello ? counters.hello_timeouts : counters.idle_closes).inc();
         close_conn(c);
       } else {
-        // Activity since arming: re-arm for the remaining quiet budget.
-        timers_.arm(id, now, c.last_activity_ms + budget - now);
+        // Activity since arming: re-arm for what is left.
+        timers_.arm(id, now, due - now);
       }
     }
 
@@ -368,9 +373,9 @@ void EpollFrameServer::accept_drain(std::uint64_t now) {
     counters.connections_total.inc();
     counters.connections_active.set(
         static_cast<double>(conns_.size() - dead_.size()));
-    if (params_.idle_timeout_ms > 0) {
-      timers_.arm(c.id_, now,
-                  static_cast<std::uint64_t>(params_.idle_timeout_ms));
+    c.accepted_ms_ = now;
+    if (const std::uint64_t due = deadline_ms(c); due != 0) {
+      timers_.arm(c.id_, now, due - now);
     }
     // New sockets start readable-empty; data arriving later edges EPOLLIN.
   }
@@ -432,6 +437,7 @@ void EpollFrameServer::process_frames(Connection& c, std::uint64_t now) {
     count_wire_frame(r.frame.kind, "rx", r.consumed);
     c.rbuf_off_ += r.consumed;
     c.last_activity_ms = now;
+    c.got_frame_ = true;
     if (may_trace && r.frame.trace.sampled) {
       tracer->record_span(obs::SpanKind::kFrameRecv, r.frame.trace, t0,
                           obs::monotonic_ns());
@@ -490,6 +496,18 @@ void EpollFrameServer::flush_writes(Connection& c) {
     }
   }
   (void)counters;
+}
+
+std::uint64_t EpollFrameServer::deadline_ms(const Connection& c) const {
+  std::uint64_t due = 0;
+  const auto consider = [&due](std::uint64_t from, int budget_ms) {
+    if (budget_ms <= 0) return;
+    const std::uint64_t at = from + static_cast<std::uint64_t>(budget_ms);
+    due = due == 0 ? at : std::min(due, at);
+  };
+  if (!c.got_frame_) consider(c.accepted_ms_, params_.hello_timeout_ms);
+  consider(c.last_activity_ms, params_.idle_timeout_ms);
+  return due;
 }
 
 void EpollFrameServer::close_conn(Connection& c) {

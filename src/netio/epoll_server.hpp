@@ -12,9 +12,10 @@
 // wire::decode_frame (kNeedMore ⇒ wait for the next edge, so partial
 // frames resume exactly where they left off) and a bounded write queue
 // flushed until EAGAIN (queue over budget ⇒ inbound processing pauses —
-// true backpressure, not unbounded buffering). Idle connections expire
-// via a hashed timer wheel. stop() drains gracefully: accepting stops,
-// queued writes flush within drain_timeout_ms, stragglers are cut.
+// true backpressure, not unbounded buffering). Idle connections, and ones
+// that never send a first frame, expire via a hashed timer wheel. stop()
+// drains gracefully: accepting stops, queued writes flush within
+// drain_timeout_ms, stragglers are cut.
 //
 // The handler seam is per-frame, not per-session: the loop calls the
 // handler once per fully-decoded inbound frame, and the handler replies
@@ -55,6 +56,12 @@ class EpollFrameServer {
     /// Close connections silent for this long; 0 disables (sessions then
     /// end only when the peer goes away or the server stops).
     int idle_timeout_ms = 0;
+    /// Close a connection whose first frame (the proxy's Hello) has not
+    /// arrived this long after accept, counted as
+    /// netio_epoll_hello_timeouts_total; 0 disables. Defaults to the
+    /// blocking read deadline, so a silent socket holds a slot no longer
+    /// than a stalled read would.
+    int hello_timeout_ms = Deadlines{}.read_ms;
     /// stop() lets queued writes flush for this long before cutting.
     int drain_timeout_ms = 2000;
     /// Accept ceiling; 0 = bounded only by fds. At the ceiling accepting
@@ -118,6 +125,8 @@ class EpollFrameServer {
     bool paused_ = false;        ///< inbound parked by write backpressure
     bool read_pending_ = false;  ///< socket had more bytes when we paused
     bool peer_eof_ = false;
+    bool got_frame_ = false;  ///< a first frame has decoded
+    std::uint64_t accepted_ms_ = 0;
     std::uint64_t last_activity_ms = 0;
     std::shared_ptr<void> state_;
   };
@@ -153,6 +162,8 @@ class EpollFrameServer {
   void process_frames(Connection& c, std::uint64_t now_ms);
   void flush_writes(Connection& c);
   void close_conn(Connection& c);
+  /// When `c`'s hello or idle deadline falls due, or 0 when neither is set.
+  std::uint64_t deadline_ms(const Connection& c) const;
   void begin_drain(std::uint64_t now_ms);
   void reap_dead();
   std::uint64_t now_ms() const;

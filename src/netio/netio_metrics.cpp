@@ -31,6 +31,7 @@ void register_netio_metric_families(obs::Registry* registry) {
   registry->counter("netio_epoll_accept_backpressure_total");
   registry->counter("netio_epoll_writeq_stall_total");
   registry->counter("netio_epoll_idle_closes_total");
+  registry->counter("netio_epoll_hello_timeouts_total");
   registry->counter("netio_epoll_drained_total");
   registry->counter("netio_pool_reuse_total");
   registry->counter("netio_pool_dial_total");

@@ -26,8 +26,8 @@ void count_netio_timeout(const char* op);
 
 /// An inbound byte stream failed frame validation: bumps
 /// wire_decode_errors_total{reason} with the decode_status_name reason, or
-/// with a message-level reason ("bad-peer-fetch", "bad-holder") when a
-/// well-framed payload is refused.
+/// with a message-level reason ("bad-peer-fetch", "bad-holder",
+/// "bad-client") when a well-framed payload is refused.
 void count_decode_error(const std::string& reason);
 
 /// Eagerly registers the netio/epoll metric families so reports always
@@ -39,6 +39,7 @@ void count_decode_error(const std::string& reason);
 ///   netio_epoll_accept_backpressure_total — EMFILE/ENFILE pauses
 ///   netio_epoll_writeq_stall_total  counter — bounded write queue full
 ///   netio_epoll_idle_closes_total   counter — timer-wheel idle expiries
+///   netio_epoll_hello_timeouts_total — closed before any first frame
 ///   netio_epoll_drained_total       counter — sessions closed by drain
 ///   netio_pool_reuse_total          counter — pooled channel reuses
 ///   netio_pool_dial_total           counter — fresh dials by the pool

@@ -23,7 +23,8 @@ class LoopbackTransport final : public Transport {
 
   bool index_update(ClientId claimed_sender, bool is_add, DocStore::Key key,
                     const crypto::Md5Digest& mac) override {
-    return core_.apply_index_update(claimed_sender, is_add, key, mac);
+    core_.apply_index_update(claimed_sender, is_add, key, mac);
+    return true;
   }
 
   crypto::RsaPublicKey proxy_public_key() override {

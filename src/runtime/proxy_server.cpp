@@ -1,5 +1,6 @@
 #include "runtime/proxy_server.hpp"
 
+#include "netio/netio_metrics.hpp"
 #include "obs/registry.hpp"
 #include "obs/timer.hpp"
 #include "runtime/wire_bridge.hpp"
@@ -23,6 +24,7 @@ obs::Histogram& request_hist(const std::string& op) {
 ProxyServer::ProxyServer(const Params& params)
     : params_(params),
       core_(params.core),
+      peer_ports_(params.core.num_clients, 0),
       peer_pool_(netio::ChannelPool::Params{
           params.peer_deadlines, params.net.max_frame_payload,
           params.peer_pool_idle}) {
@@ -92,9 +94,8 @@ obs::JsonValue ProxyServer::trace_stats_json(std::uint32_t max_spans) {
 
 std::optional<Document> ProxyServer::peer_fetch(
     ClientId holder, DocStore::Key key, const obs::TraceContext& trace) {
-  const auto it = peer_ports_.find(holder);
-  if (it == peer_ports_.end()) return std::nullopt;
-  const std::uint16_t port = it->second;
+  const std::uint16_t port = peer_ports_[holder];
+  if (port == 0) return std::nullopt;
   // The frame names the addressee (the host serves several browsers on one
   // port) and the key — never the requester (§6.2).
   wire::PeerFetch request;
@@ -137,10 +138,17 @@ bool ProxyServer::on_session_frame(
     return conn.send(Msg::kKind, wire::encode(m), trace);
   };
 
+  // A browser id comes from outside the proxy: one out of range ends the
+  // session and is counted, the same shape as a peer server's bad-holder.
+  const auto bad_client = [&] {
+    netio::count_decode_error("bad-client");
+    send_msg(wire::ErrorMsg{"client id out of range"});
+    return false;
+  };
+
   if (!s.hello_done) {
     // The first frame of every session must be a well-formed Hello; anything
-    // else drops the connection without a reply (matching the original
-    // recv_msg<Hello> behaviour).
+    // else drops the connection without a reply.
     if (frame.kind != wire::Hello::kKind) return false;
     wire::Hello hello;
     if (!wire::decode(frame.payload, &hello)) return false;
@@ -148,16 +156,8 @@ bool ProxyServer::on_session_frame(
     ack.rsa_n = core_.public_key().n.to_bytes();
     ack.rsa_e = core_.public_key().e.to_bytes();
     ack.max_clients = core_.num_clients();
-    s.observer = hello.client_id == wire::kObserverClientId;
-    s.client_id = hello.client_id;
-    if (!s.observer && hello.client_id >= ack.max_clients) {
-      send_msg(wire::ErrorMsg{"client id out of range"});
-      return false;
-    }
     if (!send_msg(ack)) return false;
-    if (!s.observer && hello.peer_port != 0) {
-      peer_ports_[hello.client_id] = hello.peer_port;
-    }
+    s.peer_port = hello.peer_port;
     s.hello_done = true;
     return true;
   }
@@ -165,16 +165,17 @@ bool ProxyServer::on_session_frame(
   switch (frame.kind) {
     case wire::FrameKind::kFetchRequest: {
       wire::FetchRequest request;
-      if (s.observer || !wire::decode(frame.payload, &request)) {
+      if (!wire::decode(frame.payload, &request)) {
         send_msg(wire::ErrorMsg{"bad fetch request"});
         return false;
       }
+      if (request.client >= core_.num_clients()) return bad_client();
       const double start = obs::monotonic_seconds();
       // The frame's context (the client's root span) parents the core's
       // stage spans — this is where cross-process stitching happens on the
       // proxy side.
       ProxyCore::Reply reply = core_.handle_fetch(
-          s.client_id, request.url, request.avoid_peers, frame.trace);
+          request.client, request.url, request.avoid_peers, frame.trace);
       request_hist("fetch").observe(obs::monotonic_seconds() - start);
       wire::FetchResponse response;
       response.source = to_wire_source(reply.source);
@@ -185,19 +186,26 @@ bool ProxyServer::on_session_frame(
     }
     case wire::FrameKind::kIndexUpdate: {
       wire::IndexUpdate update;
-      if (s.observer || !wire::decode(frame.payload, &update)) {
+      if (!wire::decode(frame.payload, &update)) {
         send_msg(wire::ErrorMsg{"bad index update"});
         return false;
       }
+      if (update.sender >= core_.num_clients()) return bad_client();
       const double start = obs::monotonic_seconds();
-      // The wire says who the update claims to be from — the session's own
-      // id. Spoofing tests impersonate here and the MAC rejects it.
-      const bool accepted = core_.apply_index_update(
-          s.client_id, update.is_add, update.key, mac_from_wire(update.mac));
+      // The frame names the claimed sender and only the MAC decides: a
+      // spoofer cannot forge it under the victim's key. Nothing is sent
+      // back — the session's next frame is handled after this one, so the
+      // host already sees the update applied (or counted rejected).
+      if (core_.apply_index_update(update.sender, update.is_add, update.key,
+                                   mac_from_wire(update.mac)) &&
+          s.peer_port != 0) {
+        // Only holders are ever peer-fetched, and a browser becomes one
+        // through an accepted add, so ports are learned from verified
+        // updates only.
+        peer_ports_[update.sender] = s.peer_port;
+      }
       request_hist("index_update").observe(obs::monotonic_seconds() - start);
-      wire::IndexAck ack_msg;
-      ack_msg.accepted = accepted;
-      return send_msg(ack_msg);
+      return true;
     }
     case wire::FrameKind::kStatsRequest: {
       const ProxyStats& st = core_.stats();

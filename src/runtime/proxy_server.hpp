@@ -1,22 +1,30 @@
 // The BAPS proxy daemon core: a ProxyCore served over TCP by the epoll
-// event loop. Sessions speak the wire protocol — Hello/HelloAck,
-// FetchRequest/Response, IndexUpdate/Ack, StatsRequest/Response, Bye — and
-// peer fetches go out over pooled connections to the port the holder's host
-// registered, carrying only the holder id and the document key (§6.2).
+// event loop. Each client host holds one session: Hello/HelloAck, then
+// FetchRequest/Response, IndexUpdate (never answered), StatsRequest/
+// Response, TraceStats and TimeSeries requests, Bye. Fetches and updates
+// name their browser in the frame; an id at or above max_clients ends the
+// session and counts wire_decode_errors_total{reason="bad-client"}. Peer
+// fetches go out over pooled connections to the port the holder's host
+// advertised in its Hello, carrying only the holder id and the document
+// key (§6.2).
 //
 // One session state machine (on_session_frame) runs once per decoded frame
 // on the loop thread. That thread owns the core, the peer-port table and the
 // peer pool, so requests are handled one at a time without a lock, which
 // keeps cache, index, and round-robin evolution identical to the in-process
-// loopback for any serial client workload. A holder that is dead or
-// unreachable costs one bounded peer-deadline wait and then degrades to an
-// origin fetch (a false forward) — never a hang.
+// loopback for any serial client workload. Ordering contract: one session's
+// frames are handled in the order they arrive, so a host's index update is
+// applied before any later request from that host — which is why updates
+// need no ack. Across hosts an update takes effect when the loop reads it.
+// A holder that is dead or unreachable costs one bounded peer-deadline wait
+// and then degrades to an origin fetch (a false forward) — never a hang.
+// A connection that sends no Hello within net.hello_timeout_ms is closed.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "netio/channel_pool.hpp"
 #include "netio/epoll_server.hpp"
@@ -59,7 +67,10 @@ class ProxyServer {
 
   /// Direct access to the proxy state, for in-process inspection by tests
   /// and the daemon's shutdown report. Not synchronized with live sessions —
-  /// use while no client traffic is in flight, or go through the wire.
+  /// use while no client traffic is in flight, or go through the wire. Index
+  /// updates are not acked, so some may still be in flight after a client's
+  /// browse() returns; a stats request on that host's channel is answered
+  /// only after them.
   ProxyCore& core() { return core_; }
 
   /// Attaches the proxy-side tracer: sessions record frame spans, the core
@@ -83,8 +94,7 @@ class ProxyServer {
   /// Per-session protocol state, hung off Connection::state().
   struct Session {
     bool hello_done = false;
-    bool observer = false;
-    ClientId client_id = 0;
+    std::uint16_t peer_port = 0;  ///< the host's peer server; 0 = none
   };
 
   /// Advances one session by one inbound frame, replying through `conn`.
@@ -100,7 +110,9 @@ class ProxyServer {
   obs::Tracer* tracer_ = nullptr;  ///< optional, not owned
   obs::TimeSeriesSampler* sampler_ = nullptr;  ///< optional, not owned
 
-  std::unordered_map<ClientId, std::uint16_t> peer_ports_;
+  /// Peer-server port per browser id, learned from that browser's accepted
+  /// index updates; 0 until one arrives.
+  std::vector<std::uint16_t> peer_ports_;
 
   netio::ChannelPool peer_pool_;
   std::unique_ptr<netio::EpollFrameServer> server_;

@@ -397,7 +397,11 @@ bool BapsSystem::spoof_index_remove(ClientId attacker, ClientId victim,
   const crypto::Md5Digest mac =
       index_update_mac(clients_[attacker].mac_key, attacker, false, key);
   const Unlocked unlocked(mu_);
-  return transport_->index_update(victim, /*is_add=*/false, key, mac);
+  // Updates are not acked. The verdict is the proxy's rejected count, read
+  // before and after on the host's ordered channel.
+  const std::uint64_t rejected = transport_->stats().rejected_index_updates;
+  transport_->index_update(victim, /*is_add=*/false, key, mac);
+  return transport_->stats().rejected_index_updates == rejected;
 }
 
 void BapsSystem::drop_silently(ClientId client, const Url& url) {

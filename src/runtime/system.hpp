@@ -19,14 +19,17 @@
 // answer peer fetches (serve_peer_fetch, called by the transport) while its
 // users browse. Every public entry point holds the host lock, and so does
 // every serve. The lock is released only while a request is on the wire —
-// around Transport::fetch and Transport::index_update — so a serve waits at
-// most for one stretch of local work, and never sees a store mid-mutation
-// (eviction removes are collected during DocStore::put and sent after it).
-// Over TCP the serves arrive on the transport's peer-server thread, so
-// several hosts sharing a proxy may be driven concurrently with no caller
-// lock. Loopback serves run inside the released fetch, on the caller's
-// thread; its embedded proxy core is not thread-safe, so drive a loopback
-// system from one thread.
+// around Transport::fetch and Transport::index_update (over TCP the latter
+// is a write into the host's ordered channel, with no wait for a reply) —
+// so a serve waits at most for one stretch of local work, and never sees a
+// store mid-mutation (eviction removes are collected during DocStore::put
+// and sent after it). Over TCP the serves arrive on the transport's
+// peer-server thread, so several hosts sharing a proxy may be driven
+// concurrently with no caller lock. The proxy applies this host's updates
+// before its next request, but another host's request may reach the proxy
+// before an update this host has already handed over. Loopback serves run
+// inside the released fetch, on the caller's thread; its embedded proxy
+// core is not thread-safe, so drive a loopback system from one thread.
 //
 // The paper's decentralized anonymity protocols (its reference [17],
 // HPL-2001-204) are out of scope; the proxy-relay mode implemented here is
@@ -150,8 +153,9 @@ class BapsSystem : private PeerHost {
 
   /// Attempts to forge an index-remove for `victim`'s copy of `url`, MACed
   /// with `attacker`'s key. Returns true if the proxy accepted it (it must
-  /// not: index updates are HMAC-authenticated per sender). For testing the
-  /// authentication path.
+  /// not: index updates are HMAC-authenticated per sender), read from the
+  /// rejected_index_updates delta around it — exact while no other host
+  /// sends rejected updates. For testing the authentication path.
   bool spoof_index_remove(ClientId attacker, ClientId victim, const Url& url);
 
   std::uint64_t rejected_index_updates() const {

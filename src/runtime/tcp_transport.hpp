@@ -1,31 +1,38 @@
 // The client side of the wire protocol: a Transport that speaks to a
-// ProxyServer over TCP. Each client id gets one persistent proxy connection
-// (established lazily with Hello/HelloAck). The host gets one peer server:
-// an EpollFrameServer whose single loop thread answers every browser's
-// PeerFetch frames out of the host's browser stores. Every Hello advertises
-// that server's port, and each PeerFetch names the holder it is addressed
-// to. A serve calls PeerHost::serve_peer_fetch on the loop thread; the host
-// (BapsSystem) serialises it against its own browse() with its host lock.
-// Observer traffic (stats, public key, live telemetry) identifies as
-// kObserverClientId, registers nothing, and reuses one pooled connection
-// across polls.
+// ProxyServer over TCP. The whole host shares one proxy channel, dialed
+// lazily (Hello advertises the host's peer-server port; the HelloAck
+// supplies the proxy's public key) and re-dialed after a failed exchange.
+// Fetches and index updates name their browser in the frame. A fetch sends
+// and then reads its reply; an index update is only written — the proxy
+// handles one session's frames in order, so it applies the update before
+// any later request from this host. Stats and live-telemetry polls use the
+// same channel, and work with no peer host bound (baps_top, baps_fetch
+// --stats).
 //
-// Threads: one calling thread per client id at a time (each id owns its
-// proxy connection); different ids may be driven concurrently. The bound
-// PeerHost must stay alive while the proxy can still route peer fetches
-// here, i.e. until traffic to this host has stopped or the transport is
-// destroyed.
+// The host gets one peer server: an EpollFrameServer whose single loop
+// thread answers every browser's PeerFetch frames out of the host's browser
+// stores; each PeerFetch names the holder it is addressed to. A serve calls
+// PeerHost::serve_peer_fetch on the loop thread; the host (BapsSystem)
+// serialises it against its own browse() with its host lock.
+//
+// Threads: any number of threads may call in. The channel lock serialises
+// them, and a fetch holds it across its round trip. The bound PeerHost must
+// stay alive while the proxy can still route peer fetches here, i.e. until
+// traffic to this host has stopped or the transport is destroyed.
 //
 // Failure policy: refused/reset proxy connections are retried with bounded
-// backoff (the daemon may still be starting); timeouts are not retried.
-// A request that cannot complete after the retry budget is an invariant
+// backoff on a fresh dial (the daemon may still be starting); timeouts are
+// not retried. Updates written just before a connection broke may be lost
+// with it: a lost remove leaves a stale entry, which costs one counted,
+// recovered false forward; a lost add costs only a missed peer hit. A
+// request that cannot complete after the retry budget is an invariant
 // violation — the engine's callers assume fetch() returns a document.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -60,22 +67,22 @@ class TcpTransport final : public Transport {
   crypto::RsaPublicKey proxy_public_key() override;
   ProxyStats stats() override;
 
-  /// Client-side tracer: request frames carry sampled contexts, proxy
-  /// channels and the peer server record frame spans, and the peer server
+  /// Client-side tracer: request frames carry sampled contexts, the proxy
+  /// channel and the peer server record frame spans, and the peer server
   /// records a peer_transfer span for each serve. Attach before traffic
   /// flows.
   void set_tracer(obs::Tracer* tracer) override;
 
-  /// One-shot observer TraceStatsRequest: the proxy's live introspection
-  /// JSON (baps.trace_stats.v1), `max_spans` most recent spans included.
+  /// TraceStatsRequest: the proxy's live introspection JSON
+  /// (baps.trace_stats.v1), `max_spans` most recent spans included.
   std::string trace_stats(std::uint32_t max_spans);
 
-  /// One-shot observer TimeSeriesRequest: the proxy's live interval window
-  /// JSON (baps.timeseries_window.v1), up to `max_intervals` most recent
-  /// interval records (0 = everything in the sampler's ring).
+  /// TimeSeriesRequest: the proxy's live interval window JSON
+  /// (baps.timeseries_window.v1), up to `max_intervals` most recent interval
+  /// records (0 = everything in the sampler's ring).
   std::string time_series(std::uint32_t max_intervals);
 
-  /// The port every Hello advertises: the host's one peer server (0 until
+  /// The port the Hello advertises: the host's one peer server (0 until
   /// bind_peer_host).
   std::uint16_t peer_port() const {
     return peer_server_ != nullptr ? peer_server_->port() : 0;
@@ -96,13 +103,18 @@ class TcpTransport final : public Transport {
   /// connection.
   bool serve(netio::EpollFrameServer::Connection& conn,
              const wire::Frame& frame);
-  /// The proxy connection for `client`, dialing + Hello on first use.
-  netio::FrameChannel* channel_for(ClientId client);
-  void drop_channel(ClientId client);
-  /// Observer exchange over the pooled observer connection (dialed +
-  /// Hello(kObserverClientId) on first use, re-dialed after failures).
-  bool observer_session(
-      const std::function<bool(netio::FrameChannel&, wire::HelloAck&)>& op);
+  /// Opens the proxy channel: dial, Hello, HelloAck. Channel lock held.
+  bool dial(netio::NetError* err);
+  /// Runs `op(channel, err)` under the channel lock, dialing first when no
+  /// channel is open. A failed exchange drops the channel (it may be
+  /// mid-frame), and a transient failure retries on a fresh dial; aborts
+  /// once the retry budget is spent.
+  template <typename Op>
+  void exchange(const char* what, Op&& op);
+  /// Sends `request` and reads its `Response`.
+  template <typename Response, typename Request>
+  Response round_trip(const char* what, const Request& request,
+                      const obs::TraceContext& trace = {});
 
   Params params_;
   PeerHost* host_ = nullptr;
@@ -112,14 +124,11 @@ class TcpTransport final : public Transport {
   std::unique_ptr<netio::EpollFrameServer> peer_server_;
   /// Per client id: set by kill_peer_server, read on the loop thread.
   std::vector<std::atomic<bool>> killed_;
-  /// Persistent proxy connections, one per client id.
-  std::vector<std::unique_ptr<netio::FrameChannel>> channels_;
-  /// The pooled observer connection: Hello'd once as kObserverClientId and
-  /// reused across stats/trace/time-series polls (a dashboard polling every
-  /// second used to dial a fresh socket per poll). Dropped on any failed
-  /// exchange; the next poll re-dials.
-  std::unique_ptr<netio::FrameChannel> observer_channel_;
-  wire::HelloAck observer_ack_;
+  std::mutex channel_mu_;
+  /// The host's proxy channel; guarded by channel_mu_.
+  std::unique_ptr<netio::FrameChannel> channel_;
+  /// From the channel's HelloAck; guarded by channel_mu_.
+  crypto::RsaPublicKey proxy_key_;
 };
 
 }  // namespace baps::runtime

@@ -1,8 +1,9 @@
 // The client↔proxy exchange boundary of the runtime engine. BapsSystem's
 // client side speaks only this interface; behind it sits either the
 // deterministic in-process loopback (LoopbackTransport — synchronous
-// dispatch into a ProxyCore, bit-for-bit the pre-transport behaviour) or a
-// real TCP connection to a proxy daemon (TcpTransport ↔ ProxyServer).
+// dispatch into a ProxyCore, bit-for-bit the pre-transport behaviour) or
+// one ordered TCP channel per client host to a proxy daemon (TcpTransport ↔
+// ProxyServer), on which index updates are written without a reply.
 //
 // The peer direction (proxy → holder) flows the other way: the transport
 // reaches back into the client host through PeerHost, which serves a
@@ -62,7 +63,12 @@ class Transport {
                                  const obs::TraceContext& trace) = 0;
 
   /// Index add/remove for `claimed_sender`, authenticated by `mac`.
-  /// Returns whether the proxy accepted it.
+  /// Returns true once the update is handed over; whether the proxy
+  /// accepted it shows only in stats().rejected_index_updates. Ordering
+  /// contract: the proxy applies a host's updates before any later request
+  /// from the same host, so one host sees exactly the loopback's index.
+  /// Across hosts, an update takes effect when the proxy reads it, which
+  /// may be after the call that sent it has returned.
   virtual bool index_update(ClientId claimed_sender, bool is_add,
                             DocStore::Key key,
                             const crypto::Md5Digest& mac) = 0;

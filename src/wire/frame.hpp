@@ -3,7 +3,7 @@
 //
 //   offset  size  field
 //        0     4  magic        0x53504142 ("BAPS" as bytes)
-//        4     1  version      kVersion (1)
+//        4     1  version      kVersion (2)
 //        5     1  kind         FrameKind
 //        6     2  tc_len       trace-context bytes at the payload front
 //        8     4  payload_len  bytes following the header (incl. tc block)
@@ -11,15 +11,19 @@
 //       16     …  [trace ctx]  tc_len bytes (normally 0 or kTraceContextSize)
 //       16+tc  …  payload      message-specific encoding (wire/messages.hpp)
 //
+// Version 2 changed message shapes, not the envelope: Hello names no
+// browser, and FetchRequest/IndexUpdate carry the browser id per frame
+// (wire/messages.hpp). A version-1 peer is refused at the header with
+// kBadVersion rather than having its payloads misread.
+//
 // Trace context (the distributed-tracing extension) rides in the first
-// tc_len bytes of the payload region. tc_len was the must-be-zero reserved
-// field through v1 of this format, so:
-//   * frames WITHOUT a context (tc_len 0) are byte-identical to the original
-//     format and the CRC covers exactly the payload bytes — full backward
-//     compatibility both ways;
-//   * frames WITH a context are rejected by the original decoder (it
-//     required reserved == 0), so tracing needs both ends at this version —
-//     the tracer only attaches contexts to sampled traces, never by default;
+// tc_len bytes of the payload region. tc_len was once a must-be-zero
+// reserved field, so:
+//   * frames WITHOUT a context (tc_len 0) keep the original layout and the
+//     CRC covers exactly the payload bytes;
+//   * frames WITH a context were rejected by the pre-tracing decoder (it
+//     required reserved == 0) — the tracer only attaches contexts to
+//     sampled traces, never by default;
 //   * a NEWER sender may use a larger tc block: this decoder parses the
 //     kTraceContextSize-byte prefix it understands and skips the rest
 //     (tc blocks shorter than kTraceContextSize are skipped entirely).
@@ -44,7 +48,7 @@
 namespace baps::wire {
 
 inline constexpr std::uint32_t kMagic = 0x53504142u;  // "BAPS"
-inline constexpr std::uint8_t kVersion = 1;
+inline constexpr std::uint8_t kVersion = 2;
 inline constexpr std::size_t kHeaderSize = 16;
 /// Default ceiling on a frame payload; decoders reject anything larger
 /// before allocating. Document bodies are far smaller.
@@ -53,22 +57,22 @@ inline constexpr std::uint64_t kDefaultMaxPayload = 16ull << 20;
 /// Every message kind that crosses the wire. Gaps are never reused;
 /// new kinds append.
 enum class FrameKind : std::uint8_t {
-  kHello = 1,          ///< client → proxy: identify + host peer-server port
+  kHello = 1,          ///< client host → proxy: its peer-server port
   kHelloAck = 2,       ///< proxy → client: proxy public key
-  kFetchRequest = 3,   ///< client → proxy: url (+ avoid-peers retry flag)
+  kFetchRequest = 3,   ///< client → proxy: browser id + url (+ retry flag)
   kFetchResponse = 4,  ///< proxy → client: document + watermark + source
-  kIndexUpdate = 5,    ///< client → proxy: MACed index add/remove
-  kIndexAck = 6,       ///< proxy → client: update accepted?
+  kIndexUpdate = 5,    ///< client → proxy: MACed add/remove, no reply
+  kIndexAck = 6,       ///< retired: updates are no longer acked
   kPeerFetch = 7,      ///< proxy → holder: holder id + document key (§6.2)
   kPeerDeliver = 8,    ///< holder → proxy: document + watermark
-  kStatsRequest = 9,   ///< observer → proxy: counter snapshot request
-  kStatsResponse = 10, ///< proxy → observer: counter snapshot
+  kStatsRequest = 9,   ///< client → proxy: counter snapshot request
+  kStatsResponse = 10, ///< proxy → client: counter snapshot
   kError = 11,         ///< either direction: terminal protocol error
   kBye = 12,           ///< orderly close
-  kTraceStatsRequest = 13,   ///< observer → proxy: live snapshot + spans
-  kTraceStatsResponse = 14,  ///< proxy → observer: introspection JSON
-  kTimeSeriesRequest = 15,   ///< observer → proxy: recent interval records
-  kTimeSeriesResponse = 16,  ///< proxy → observer: time-series window JSON
+  kTraceStatsRequest = 13,   ///< client → proxy: live snapshot + spans
+  kTraceStatsResponse = 14,  ///< proxy → client: introspection JSON
+  kTimeSeriesRequest = 15,   ///< client → proxy: recent interval records
+  kTimeSeriesResponse = 16,  ///< proxy → client: time-series window JSON
 };
 
 inline constexpr std::uint8_t kMinFrameKind = 1;
@@ -107,8 +111,7 @@ struct DecodeResult {
   std::size_t consumed = 0;  ///< bytes to drop from the buffer when kOk
 };
 
-/// Serializes one frame (header + payload), with no trace context — the
-/// output is byte-identical to the pre-tracing frame format.
+/// Serializes one frame (header + payload), with no trace context.
 std::string encode_frame(FrameKind kind, std::string_view payload);
 
 /// Serializes one frame carrying `trace`. An invalid (trace_id 0) context

@@ -21,14 +21,13 @@ bool read_bool(Reader& r, bool* out) {
 
 std::string encode(const Hello& m) {
   Writer w;
-  w.u32(m.client_id);
   w.u16(m.peer_port);
   return w.take();
 }
 
 bool decode(std::string_view payload, Hello* out) {
   Reader r(payload);
-  return r.u32(&out->client_id) && r.u16(&out->peer_port) && r.at_end();
+  return r.u16(&out->peer_port) && r.at_end();
 }
 
 // --- HelloAck -------------------------------------------------------------
@@ -51,6 +50,7 @@ bool decode(std::string_view payload, HelloAck* out) {
 
 std::string encode(const FetchRequest& m) {
   Writer w;
+  w.u32(m.client);
   w.str(m.url);
   w.u8(m.avoid_peers ? 1 : 0);
   return w.take();
@@ -58,8 +58,8 @@ std::string encode(const FetchRequest& m) {
 
 bool decode(std::string_view payload, FetchRequest* out) {
   Reader r(payload);
-  return r.str(&out->url, kMaxUrlLen) && read_bool(r, &out->avoid_peers) &&
-         r.at_end();
+  return r.u32(&out->client) && r.str(&out->url, kMaxUrlLen) &&
+         read_bool(r, &out->avoid_peers) && r.at_end();
 }
 
 // --- FetchResponse --------------------------------------------------------
@@ -86,6 +86,7 @@ bool decode(std::string_view payload, FetchResponse* out) {
 
 std::string encode(const IndexUpdate& m) {
   Writer w;
+  w.u32(m.sender);
   w.u8(m.is_add ? 1 : 0);
   w.u64(m.key);
   w.raw(m.mac.data(), m.mac.size());
@@ -94,7 +95,8 @@ std::string encode(const IndexUpdate& m) {
 
 bool decode(std::string_view payload, IndexUpdate* out) {
   Reader r(payload);
-  return read_bool(r, &out->is_add) && r.u64(&out->key) &&
+  return r.u32(&out->sender) && read_bool(r, &out->is_add) &&
+         r.u64(&out->key) &&
          r.raw(out->mac.data(), out->mac.size()) && r.at_end();
 }
 

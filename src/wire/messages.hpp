@@ -28,10 +28,6 @@ inline constexpr std::uint32_t kMaxWatermarkLen = 4u << 10;
 inline constexpr std::uint32_t kMaxErrorLen = 4u << 10;
 inline constexpr std::uint32_t kMaxKeyLen = 1u << 10;
 
-/// Client id a stats/inspection connection identifies with: the proxy
-/// answers Hello but registers nothing.
-inline constexpr std::uint32_t kObserverClientId = 0xFFFFFFFFu;
-
 /// Document source as it crosses the wire (a local-browser hit never does).
 enum class WireSource : std::uint8_t {
   kProxy = 1,
@@ -40,11 +36,13 @@ enum class WireSource : std::uint8_t {
 };
 bool wire_source_valid(std::uint8_t v);
 
+/// Opens a client host's session. It names no browser: every FetchRequest
+/// and IndexUpdate carries its own browser id, so one session serves all of
+/// a host's browsers (and any session may read stats).
 struct Hello {
   static constexpr FrameKind kKind = FrameKind::kHello;
-  std::uint32_t client_id = 0;
-  /// Port of the client's peer-serving listener; 0 when the client does not
-  /// serve peer fetches (or is an observer).
+  /// Port of the host's peer server; 0 when the host serves no peer fetches
+  /// (a dashboard or a stats poll).
   std::uint16_t peer_port = 0;
 };
 
@@ -58,6 +56,7 @@ struct HelloAck {
 
 struct FetchRequest {
   static constexpr FrameKind kKind = FrameKind::kFetchRequest;
+  std::uint32_t client = 0;  ///< the requesting browser, below max_clients
   std::string url;
   /// §6.1 retry: skip the browser index after a failed watermark.
   bool avoid_peers = false;
@@ -71,13 +70,19 @@ struct FetchResponse {
   std::vector<std::uint8_t> watermark;  ///< RSA signature bytes
 };
 
+/// Written without a reply: the proxy applies it (or counts it rejected)
+/// before the next frame on the same session, so ordering needs no ack.
 struct IndexUpdate {
   static constexpr FrameKind kKind = FrameKind::kIndexUpdate;
+  std::uint32_t sender = 0;  ///< the claimed browser; the MAC must match it
   bool is_add = false;
   std::uint64_t key = 0;
   std::array<std::uint8_t, 16> mac{};  ///< HMAC-MD5 under the sender's key
 };
 
+/// Retired: the proxy no longer answers IndexUpdate. The kind number is
+/// never reused, and the codec stays while perfbench's layer replay
+/// (perfbench/layers.cpp) still round-trips it.
 struct IndexAck {
   static constexpr FrameKind kKind = FrameKind::kIndexAck;
   bool accepted = false;

@@ -94,7 +94,8 @@ TEST(MetricFamiliesTest, NetioFamiliesRegisterEagerly) {
        {"netio_connections_total", "netio_accept_errors_total",
         "netio_epoll_wakeups_total", "netio_epoll_accept_backpressure_total",
         "netio_epoll_writeq_stall_total", "netio_epoll_idle_closes_total",
-        "netio_epoll_drained_total", "netio_pool_reuse_total",
+        "netio_epoll_hello_timeouts_total", "netio_epoll_drained_total",
+        "netio_pool_reuse_total",
         "netio_pool_dial_total", "netio_pool_discard_total"}) {
     EXPECT_TRUE(has_counter(snap, name)) << name;
   }

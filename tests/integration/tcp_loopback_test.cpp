@@ -9,7 +9,9 @@
 //    listener and is exactly header + the 4-byte holder id + the 8-byte
 //    document key — no requester identity crosses the wire (§6.2);
 //  - a holder whose peer port is dead costs one bounded wait and degrades to
-//    an origin fetch, never a hang.
+//    an origin fetch, never a hang;
+//  - a frame naming a browser id out of range, and a connection that never
+//    says Hello, each close only their own session and are counted.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -54,13 +56,11 @@ std::optional<netio::FrameChannel> dial(std::uint16_t port) {
                              netio::Deadlines{2000, 5000, 5000});
 }
 
-/// Hello handshake for one raw client session.
+/// Hello handshake for one raw client-host session.
 std::optional<wire::HelloAck> handshake(netio::FrameChannel& channel,
-                                        std::uint32_t client_id,
                                         std::uint16_t peer_port) {
   netio::NetError err;
   wire::Hello hello;
-  hello.client_id = client_id;
   hello.peer_port = peer_port;
   if (!channel.send_msg(hello, &err)) return std::nullopt;
   return channel.recv_msg<wire::HelloAck>(&err);
@@ -78,6 +78,14 @@ std::array<std::uint8_t, 16> index_mac(std::uint64_t seed,
   msg += ':';
   msg += std::to_string(key);
   return crypto::hmac_md5(keys[sender], msg).bytes;
+}
+
+/// Index updates are not acked. A stats round trip on the same session is
+/// answered only after every update sent before it, so it is the wait.
+std::optional<wire::StatsResponse> sync_stats(netio::FrameChannel& channel) {
+  netio::NetError err;
+  if (!channel.send_msg(wire::StatsRequest{}, &err)) return std::nullopt;
+  return channel.recv_msg<wire::StatsResponse>(&err);
 }
 
 /// Reads one whole frame off a raw connection, returning the exact bytes
@@ -152,6 +160,13 @@ TEST(TcpLoopbackTest, PresetSliceSourcesMatchLoopbackExactly) {
   EXPECT_EQ(loopback.peer_hits(), tcp.peer_hits());
   EXPECT_EQ(loopback.origin_fetches(), tcp.origin_fetches());
   EXPECT_EQ(loopback.false_forwards(), tcp.false_forwards());
+  // The slice exercises both update kinds, and both sides send the same
+  // stream of them — the updates TCP no longer waits for are still sent.
+  for (const MsgKind kind : {MsgKind::kIndexAdd, MsgKind::kIndexRemove}) {
+    EXPECT_GT(tcp.messages().count(kind), 0u) << msg_kind_name(kind);
+    EXPECT_EQ(loopback.messages().count(kind), tcp.messages().count(kind))
+        << msg_kind_name(kind);
+  }
   server.stop();
 }
 
@@ -169,7 +184,7 @@ TEST(TcpLoopbackTest, TamperedFrameIsDetectedAndDropsTheSession) {
   // A well-formed Hello whose payload is flipped in flight: the CRC in the
   // header no longer matches, so the proxy must reject it outright.
   wire::Hello hello;
-  hello.client_id = 0;
+  hello.peer_port = 4242;
   std::string frame = wire::encode_frame(wire::FrameKind::kHello,
                                          wire::encode(hello));
   frame.back() = static_cast<char>(frame.back() ^ 0x01);
@@ -203,27 +218,30 @@ TEST(TcpLoopbackTest, PeerFetchFrameCarriesOnlyTheHolderAndTheKey) {
   const std::uint64_t key = url_key(url);
   auto holder = dial(server.port());
   ASSERT_TRUE(holder.has_value());
-  ASSERT_TRUE(handshake(*holder, 0, peer_listener->port()).has_value());
+  ASSERT_TRUE(handshake(*holder, peer_listener->port()).has_value());
   wire::FetchRequest fetch;
+  fetch.client = 0;
   fetch.url = url;
   ASSERT_TRUE(holder->send_msg(fetch, &err));
   const auto held = holder->recv_msg<wire::FetchResponse>(&err);
   ASSERT_TRUE(held.has_value()) << err.message;
   wire::IndexUpdate add;
+  add.sender = 0;
   add.is_add = true;
   add.key = key;
   add.mac = index_mac(kSeed, kClients, 0, true, key);
   ASSERT_TRUE(holder->send_msg(add, &err));
-  const auto ack = holder->recv_msg<wire::IndexAck>(&err);
-  ASSERT_TRUE(ack.has_value());
-  ASSERT_TRUE(ack->accepted);
+  const auto synced = sync_stats(*holder);
+  ASSERT_TRUE(synced.has_value());
+  ASSERT_EQ(synced->rejected_index_updates, 0u);
 
   // Client 1: filler traffic pushes the target out of the proxy cache.
   auto filler = dial(server.port());
   ASSERT_TRUE(filler.has_value());
-  ASSERT_TRUE(handshake(*filler, 1, 0).has_value());
+  ASSERT_TRUE(handshake(*filler, 0).has_value());
   for (int i = 0; i < 64; ++i) {
     wire::FetchRequest f;
+    f.client = 1;
     f.url = "http://filler.test/" + std::to_string(i);
     ASSERT_TRUE(filler->send_msg(f, &err));
     ASSERT_TRUE(filler->recv_msg<wire::FetchResponse>(&err).has_value());
@@ -253,8 +271,9 @@ TEST(TcpLoopbackTest, PeerFetchFrameCarriesOnlyTheHolderAndTheKey) {
   // client 0, and the proxy opens a connection to our listener.
   auto requester = dial(server.port());
   ASSERT_TRUE(requester.has_value());
-  ASSERT_TRUE(handshake(*requester, 2, 0).has_value());
+  ASSERT_TRUE(handshake(*requester, 0).has_value());
   wire::FetchRequest want;
+  want.client = 2;
   want.url = url;
   ASSERT_TRUE(requester->send_msg(want, &err));
   const auto got = requester->recv_msg<wire::FetchResponse>(&err);
@@ -300,23 +319,26 @@ TEST(TcpLoopbackTest, DeadPeerPortDegradesToOriginBounded) {
   const std::uint64_t key = url_key(url);
   auto holder = dial(server.port());
   ASSERT_TRUE(holder.has_value());
-  ASSERT_TRUE(handshake(*holder, 0, dead_port).has_value());
+  ASSERT_TRUE(handshake(*holder, dead_port).has_value());
   wire::FetchRequest fetch;
+  fetch.client = 0;
   fetch.url = url;
   ASSERT_TRUE(holder->send_msg(fetch, &err));
   ASSERT_TRUE(holder->recv_msg<wire::FetchResponse>(&err).has_value());
   wire::IndexUpdate add;
+  add.sender = 0;
   add.is_add = true;
   add.key = key;
   add.mac = index_mac(kSeed, kClients, 0, true, key);
   ASSERT_TRUE(holder->send_msg(add, &err));
-  ASSERT_TRUE(holder->recv_msg<wire::IndexAck>(&err).has_value());
+  ASSERT_TRUE(sync_stats(*holder).has_value());
 
   auto filler = dial(server.port());
   ASSERT_TRUE(filler.has_value());
-  ASSERT_TRUE(handshake(*filler, 1, 0).has_value());
+  ASSERT_TRUE(handshake(*filler, 0).has_value());
   for (int i = 0; i < 64; ++i) {
     wire::FetchRequest f;
+    f.client = 1;
     f.url = "http://filler.test/" + std::to_string(i);
     ASSERT_TRUE(filler->send_msg(f, &err));
     ASSERT_TRUE(filler->recv_msg<wire::FetchResponse>(&err).has_value());
@@ -324,8 +346,9 @@ TEST(TcpLoopbackTest, DeadPeerPortDegradesToOriginBounded) {
 
   auto requester = dial(server.port());
   ASSERT_TRUE(requester.has_value());
-  ASSERT_TRUE(handshake(*requester, 2, 0).has_value());
+  ASSERT_TRUE(handshake(*requester, 0).has_value());
   wire::FetchRequest want;
+  want.client = 2;
   want.url = url;
   const auto start = Clock::now();
   ASSERT_TRUE(requester->send_msg(want, &err));
@@ -337,6 +360,91 @@ TEST(TcpLoopbackTest, DeadPeerPortDegradesToOriginBounded) {
   EXPECT_EQ(got->source, wire::WireSource::kOrigin);
   EXPECT_TRUE(got->false_forward);
   EXPECT_LT(ms, 5000) << "dead holder must cost one bounded wait";
+  server.stop();
+}
+
+TEST(TcpLoopbackTest, OutOfRangeBrowserIdClosesOnlyItsSession) {
+  constexpr std::uint64_t kSeed = 5;
+  constexpr std::uint32_t kClients = 3;
+  ProxyServer server(proxy_params(kClients, 8 << 10, kSeed));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  const obs::Counter& bad_client = obs::Registry::global().counter(
+      "wire_decode_errors_total", {{"reason", "bad-client"}});
+  const std::uint64_t before = bad_client.value();
+
+  // The browser id rides every fetch and update, so the proxy range-checks
+  // it per frame: one at or past max_clients gets an error and a close,
+  // never an abort.
+  const auto expect_refused = [&](const auto& msg) {
+    auto session = dial(server.port());
+    ASSERT_TRUE(session.has_value());
+    ASSERT_TRUE(handshake(*session, 0).has_value());
+    netio::NetError err;
+    ASSERT_TRUE(session->send_msg(msg, &err));
+    const auto reply = session->recv(&err);
+    ASSERT_TRUE(reply.has_value()) << err.message;
+    EXPECT_EQ(reply->kind, wire::FrameKind::kError);
+    EXPECT_FALSE(session->recv(&err).has_value());
+    EXPECT_EQ(err.status, netio::NetStatus::kClosed);
+  };
+  wire::FetchRequest fetch;
+  fetch.client = kClients;
+  fetch.url = "http://out-of-range.test/";
+  expect_refused(fetch);
+  wire::IndexUpdate update;
+  update.sender = 0xFFFFFFFFu;
+  update.is_add = true;
+  update.key = url_key(fetch.url);
+  expect_refused(update);
+  EXPECT_EQ(bad_client.value(), before + 2);
+
+  // Another session is still served.
+  auto good = dial(server.port());
+  ASSERT_TRUE(good.has_value());
+  ASSERT_TRUE(handshake(*good, 0).has_value());
+  netio::NetError err;
+  fetch.client = kClients - 1;
+  ASSERT_TRUE(good->send_msg(fetch, &err));
+  const auto served = good->recv_msg<wire::FetchResponse>(&err);
+  ASSERT_TRUE(served.has_value()) << err.message;
+  EXPECT_EQ(served->source, wire::WireSource::kOrigin);
+  server.stop();
+}
+
+TEST(TcpLoopbackTest, SilentConnectionIsClosedAtTheHelloDeadline) {
+  ProxyServer::Params params = proxy_params(2, 8 << 10, 5);
+  params.net.hello_timeout_ms = 200;
+  ProxyServer server(params);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  const obs::Counter& hello_timeouts =
+      obs::Registry::global().counter("netio_epoll_hello_timeouts_total");
+  const std::uint64_t before = hello_timeouts.value();
+
+  // Connects and says nothing: the proxy must cut it at the Hello deadline
+  // (a read sees EOF well before our own 3 s wait runs out).
+  netio::NetError err;
+  auto silent =
+      netio::TcpConnection::connect("127.0.0.1", server.port(), 2000, &err);
+  ASSERT_TRUE(silent.has_value()) << err.message;
+  const auto start = Clock::now();
+  char byte = 0;
+  EXPECT_FALSE(silent->read_exact(&byte, 1, 3000, &err));
+  EXPECT_EQ(err.status, netio::NetStatus::kClosed) << err.message;
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
+                Clock::now() - start)
+                .count(),
+            2000);
+  EXPECT_EQ(hello_timeouts.value(), before + 1);
+
+  // A session that says Hello in time is not cut by that deadline.
+  auto session = dial(server.port());
+  ASSERT_TRUE(session.has_value());
+  ASSERT_TRUE(handshake(*session, 0).has_value());
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  EXPECT_TRUE(sync_stats(*session).has_value());
+  EXPECT_EQ(hello_timeouts.value(), before + 1);
   server.stop();
 }
 

@@ -101,6 +101,7 @@ TEST(FrameDeadlineTest, PayloadReadDoesNotRestartTheDeadline) {
     auto conn = TcpConnection::connect("127.0.0.1", port, 2000, &perr);
     if (!conn.has_value()) return;
     wire::Hello hello;
+    hello.peer_port = 4242;  // the 2-byte payload the peer never sends
     const std::string frame =
         wire::encode_frame(wire::FrameKind::kHello, wire::encode(hello));
     std::this_thread::sleep_for(std::chrono::milliseconds(300));

@@ -234,6 +234,7 @@ TEST(IndexAuthTest, SelfRemovalWithOwnKeyIsAccepted) {
   const Url url = "http://a.example/mine";
   sys.browse(1, url);
   EXPECT_TRUE(sys.spoof_index_remove(1, 1, url));
+  EXPECT_EQ(sys.rejected_index_updates(), 0u);
   EXPECT_FALSE(sys.browser_index().holds(1, url_key(url)));
 }
 

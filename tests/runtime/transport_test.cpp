@@ -157,6 +157,48 @@ TEST(TransportTest, TcpSpoofedIndexRemoveIsRejected) {
   server.stop();
 }
 
+TEST(TransportTest, TcpHostUpdatesApplyBeforeItsNextRequest) {
+  // Updates are written without an ack. The proxy reads one host's channel
+  // in order, so a request another browser on the same host sends right
+  // after them must already see them applied.
+  auto params = small_params();
+  ProxyServer server(server_params(params));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  TcpTransport transport(transport_params(server.port()));
+  BapsSystem sys(params, transport);
+
+  // Removes: client0 departs politely, pipelining one remove per held
+  // document; client1 then asks for each. A remove still in flight would
+  // route the fetch to the departed client0 — a false forward.
+  std::vector<std::string> held;
+  for (int i = 0; i < 5; ++i) {
+    held.push_back("http://departing.test/" + std::to_string(i));
+    sys.browse(0, held.back());
+  }
+  evict_proxy_cache(sys, 2);
+  for (const std::string& url : held) ASSERT_TRUE(sys.client_has(0, url));
+  sys.depart_client(0, /*polite=*/true);
+  for (const std::string& url : held) {
+    EXPECT_EQ(sys.browse(1, url).source, FetchOutcome::Source::kOrigin);
+  }
+  EXPECT_EQ(sys.false_forwards(), 0u);
+
+  // An add: client1 gets the document from client0 and announces its copy;
+  // client0 departs (its remove is pipelined right behind the add), and
+  // client2 asks at once. Only the add makes client1 a holder.
+  sys.rejoin_client(0);
+  const std::string url = "http://handed-on.test/";
+  sys.browse(0, url);
+  evict_proxy_cache(sys, 2);
+  ASSERT_EQ(sys.browse(1, url).source, FetchOutcome::Source::kRemoteBrowser);
+  sys.depart_client(0, /*polite=*/true);
+  EXPECT_EQ(sys.browse(2, url).source, FetchOutcome::Source::kRemoteBrowser);
+  EXPECT_EQ(sys.false_forwards(), 0u);
+  EXPECT_EQ(sys.rejected_index_updates(), 0u);
+  server.stop();
+}
+
 TEST(TransportTest, DeadPeerDegradesToOriginWithinDeadline) {
   auto params = small_params();
   auto sp = server_params(params);
@@ -199,7 +241,8 @@ TEST(TransportTest, ObserverConnectionsRegisterNothing) {
   BapsSystem sys(params, transport);
 
   sys.browse(0, "http://stats.test/");
-  const ProxyStats stats = transport.stats();  // transient observer session
+  // Stats travel on the host's own channel; they name no browser.
+  const ProxyStats stats = transport.stats();
   EXPECT_EQ(stats.origin_fetches, 1u);
   EXPECT_EQ(stats.proxy_hits, 0u);
   server.stop();

@@ -72,8 +72,11 @@ TEST(FrameTest, RejectsBadMagic) {
 
 TEST(FrameTest, RejectsBadVersion) {
   std::string bytes = encode_frame(FrameKind::kBye, "");
-  bytes[4] = 2;
-  EXPECT_EQ(decode_frame(bytes).status, DecodeStatus::kBadVersion);
+  for (const int version : {kVersion - 1, kVersion + 1}) {
+    bytes[4] = static_cast<char>(version);
+    EXPECT_EQ(decode_frame(bytes).status, DecodeStatus::kBadVersion)
+        << version;
+  }
 }
 
 TEST(FrameTest, RejectsTraceContextLongerThanPayload) {

@@ -35,18 +35,35 @@ void expect_strict(const std::string& payload,
 
 TEST(MessagesTest, HelloRoundTrip) {
   Hello in;
-  in.client_id = 3;
   in.peer_port = 45123;
   Hello out;
   ASSERT_TRUE(decode(encode(in), &out));
-  EXPECT_EQ(out.client_id, in.client_id);
   EXPECT_EQ(out.peer_port, in.peer_port);
-  expect_strict<Hello>(encode(in));
+  // A Hello names no browser: it is the host's peer port and nothing else.
+  EXPECT_EQ(encode(in).size(), 2u);
+  // The retired shape (u32 client id, then the port) is rejected, not
+  // misread as a port.
+  Writer retired;
+  retired.u32(3);
+  retired.u16(in.peer_port);
+  expect_strict<Hello>(encode(in), {retired.take()});
+}
 
-  in.client_id = kObserverClientId;
-  in.peer_port = 0;
-  ASSERT_TRUE(decode(encode(in), &out));
-  EXPECT_EQ(out.client_id, kObserverClientId);
+TEST(MessagesTest, VersionOneFramesAreRejectedAtTheHeader) {
+  // A peer still speaking version 1 (per-browser Hello, id-less fetches and
+  // updates) is refused with a typed status before any payload is read.
+  Writer retired;
+  retired.u32(3);
+  retired.u16(45123);
+  std::string frame = encode_frame(FrameKind::kHello, retired.take());
+  frame[4] = 1;
+  EXPECT_EQ(decode_frame(frame).status, DecodeStatus::kBadVersion);
+  frame[4] = static_cast<char>(kVersion);
+  const DecodeResult current = decode_frame(frame);
+  ASSERT_EQ(current.status, DecodeStatus::kOk);
+  Hello hello;
+  EXPECT_FALSE(decode(current.frame.payload, &hello));
+  EXPECT_EQ(kVersion, 2);
 }
 
 TEST(MessagesTest, HelloAckRoundTrip) {
@@ -73,10 +90,12 @@ TEST(MessagesTest, HelloAckRejectsOversizedKey) {
 
 TEST(MessagesTest, FetchRequestRoundTrip) {
   FetchRequest in;
+  in.client = 7;
   in.url = "http://example.test/a/b/c?d=e";
   in.avoid_peers = true;
   FetchRequest out;
   ASSERT_TRUE(decode(encode(in), &out));
+  EXPECT_EQ(out.client, in.client);
   EXPECT_EQ(out.url, in.url);
   EXPECT_TRUE(out.avoid_peers);
   expect_strict<FetchRequest>(encode(in));
@@ -93,6 +112,7 @@ TEST(MessagesTest, FetchRequestRejectsNonBooleanFlag) {
 
 TEST(MessagesTest, FetchRequestRejectsOversizedUrl) {
   Writer w;
+  w.u32(0);
   w.str(std::string(kMaxUrlLen + 1, 'u'));
   w.u8(0);
   FetchRequest out;
@@ -131,6 +151,7 @@ TEST(MessagesTest, FetchResponseRejectsInvalidSource) {
 
 TEST(MessagesTest, IndexUpdateRoundTrip) {
   IndexUpdate in;
+  in.sender = 5;
   in.is_add = true;
   in.key = 0xDEADBEEFCAFEF00Dull;
   for (std::size_t i = 0; i < in.mac.size(); ++i) {
@@ -138,6 +159,7 @@ TEST(MessagesTest, IndexUpdateRoundTrip) {
   }
   IndexUpdate out;
   ASSERT_TRUE(decode(encode(in), &out));
+  EXPECT_EQ(out.sender, in.sender);
   EXPECT_EQ(out.is_add, in.is_add);
   EXPECT_EQ(out.key, in.key);
   EXPECT_EQ(out.mac, in.mac);

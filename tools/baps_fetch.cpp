@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (stats) {
-    // Pure observer: connect, ask for the live snapshot, print, exit.
+    // Stats only: connect, ask for the live snapshot, print, exit.
     if (!use_tcp) {
       std::cerr << "--stats needs --transport tcp (a running baps_proxyd)\n";
       return 2;
@@ -333,7 +333,9 @@ int main(int argc, char** argv) {
             << " proxy_hits=" << sys->proxy_hits()
             << " peer_hits=" << sys->peer_hits()
             << " origin_fetches=" << sys->origin_fetches()
-            << " false_forwards=" << sys->false_forwards();
+            << " false_forwards=" << sys->false_forwards()
+            << " index_removes="
+            << sys->messages().count(runtime::MsgKind::kIndexRemove);
   if (plan != nullptr) {
     std::cout << " fault_injected=" << plan->injected_total()
               << " fault_recovered=" << plan->recovered_total();
