@@ -18,6 +18,9 @@ BigUInt random_biguint(std::size_t bits, Xoshiro256& rng) {
   return BigUInt::from_bytes(bytes);
 }
 
+// Every 16-byte MD5 digest embeds below a modulus wider than this.
+constexpr std::size_t kDigestBits = 128;
+
 }  // namespace
 
 bool is_probable_prime(const BigUInt& n, int rounds, std::uint64_t seed) {
@@ -38,6 +41,7 @@ bool is_probable_prime(const BigUInt& n, int rounds, std::uint64_t seed) {
   }
   Xoshiro256 rng(seed);
   const std::size_t bits = n.bit_length();
+  const MontgomeryModulus mont(n);  // shared by every round
   for (int round = 0; round < rounds; ++round) {
     // Witness in [2, n-2]: draw random values until one lands in range —
     // rejection terminates fast because bits matches n's size.
@@ -45,7 +49,7 @@ bool is_probable_prime(const BigUInt& n, int rounds, std::uint64_t seed) {
     do {
       a = random_biguint(bits, rng) % n;
     } while (a < BigUInt(2) || a > n - BigUInt(2));
-    BigUInt x = BigUInt::mod_pow(a, d, n);
+    BigUInt x = mont.pow(a, d);
     if (x == BigUInt(1) || x == n_minus_1) continue;
     bool composite = true;
     for (std::size_t i = 0; i + 1 < r; ++i) {
@@ -88,21 +92,29 @@ RsaKeyPair generate_rsa_keypair(std::size_t modulus_bits, std::uint64_t seed) {
     const BigUInt dp = d % (p - BigUInt(1));
     const BigUInt dq = d % (q - BigUInt(1));
     const BigUInt qinv = BigUInt::mod_inverse(q, p);
-    return RsaKeyPair{RsaPublicKey{n, e},
-                      RsaPrivateKey{n, d, p, q, dp, dq, qinv}};
+    return RsaKeyPair{
+        RsaPublicKey{n, e, MontgomeryModulus(n)},
+        RsaPrivateKey{n, d, p, q, dp, dq, qinv, MontgomeryModulus(p),
+                      MontgomeryModulus(q)}};
   }
+}
+
+std::optional<RsaPublicKey> make_rsa_public_key(const BigUInt& n,
+                                                const BigUInt& e) {
+  if (!n.is_odd() || n.bit_length() <= kDigestBits || !e.is_odd() ||
+      e < BigUInt(3)) {
+    return std::nullopt;
+  }
+  return RsaPublicKey{n, e, MontgomeryModulus(n)};
 }
 
 BigUInt rsa_private_op(const BigUInt& x, const RsaPrivateKey& key) {
   BAPS_REQUIRE(x < key.n, "private-key input must be below the modulus");
-  const BigUInt m1 = BigUInt::mod_pow(x, key.dp, key.p);
-  const BigUInt m2 = BigUInt::mod_pow(x, key.dq, key.q);
-  // Garner: h = (m1 - m2) * qinv mod p, so m2 + q * h is below q * p = n and
-  // congruent to m1 mod p and to m2 mod q. q may exceed p, so reduce m2 first.
-  const BigUInt m2_mod_p = m2 % key.p;
-  const BigUInt diff = m1 >= m2_mod_p ? m1 - m2_mod_p : m1 + key.p - m2_mod_p;
-  const BigUInt h = (diff * key.qinv) % key.p;
-  return m2 + key.q * h;
+  if (key.mont_p.matches(key.p) && key.mont_q.matches(key.q)) {
+    return crt_mod_pow(x, key.mont_p, key.dp, key.mont_q, key.dq, key.qinv);
+  }
+  return crt_mod_pow(x, MontgomeryModulus(key.p), key.dp,
+                     MontgomeryModulus(key.q), key.dq, key.qinv);
 }
 
 BigUInt rsa_sign_digest(const Md5Digest& digest, const RsaPrivateKey& key) {
@@ -114,7 +126,9 @@ BigUInt rsa_sign_digest(const Md5Digest& digest, const RsaPrivateKey& key) {
 bool rsa_verify_digest(const Md5Digest& digest, const BigUInt& signature,
                        const RsaPublicKey& key) {
   if (!(signature < key.n)) return false;
-  const BigUInt recovered = BigUInt::mod_pow(signature, key.e, key.n);
+  const BigUInt recovered = key.mont_n.matches(key.n)
+                                ? key.mont_n.pow(signature, key.e)
+                                : BigUInt::mod_pow(signature, key.e, key.n);
   return recovered == BigUInt::from_bytes(digest.bytes);
 }
 

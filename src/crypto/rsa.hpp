@@ -9,9 +9,17 @@
 // p and q separately (Chinese Remainder Theorem) and recombines with Garner's
 // formula: two half-size exponentiations cost about a quarter of one full
 // one, and the result is exactly x^d mod n.
+//
+// Keys carry their Montgomery contexts (biguint.hpp): the public key one for
+// n, the private key one each for p and q.
+// generate_rsa_keypair and make_rsa_public_key build them once, so a sign or
+// verify does no setup. A key whose context is missing or was built for
+// another modulus (a default-constructed or hand-assembled key) still gives
+// the right answer: the operation builds a context for that call.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "crypto/biguint.hpp"
 #include "crypto/md5.hpp"
@@ -21,6 +29,7 @@ namespace baps::crypto {
 struct RsaPublicKey {
   BigUInt n;  ///< modulus
   BigUInt e;  ///< public exponent (65537)
+  MontgomeryModulus mont_n;  ///< n's context
 };
 
 struct RsaPrivateKey {
@@ -33,6 +42,8 @@ struct RsaPrivateKey {
   BigUInt dp;    ///< d mod (p - 1)
   BigUInt dq;    ///< d mod (q - 1)
   BigUInt qinv;  ///< q^-1 mod p
+  MontgomeryModulus mont_p;  ///< p's context
+  MontgomeryModulus mont_q;  ///< q's context
 };
 
 struct RsaKeyPair {
@@ -49,6 +60,13 @@ BigUInt generate_prime(std::size_t bits, std::uint64_t seed);
 /// RSA key pair with a modulus of ~`modulus_bits` bits. Deterministic in seed.
 /// modulus_bits must be >= 136 so a 16-byte MD5 digest embeds below n.
 RsaKeyPair generate_rsa_keypair(std::size_t modulus_bits, std::uint64_t seed);
+
+/// A public key received as (n, e), with its context built. nullopt unless
+/// n is odd and wider than 128 bits, so every MD5 digest embeds below it
+/// (generate_rsa_keypair's 136-bit minimum can give a 135-bit n), and e is
+/// odd and at least 3.
+std::optional<RsaPublicKey> make_rsa_public_key(const BigUInt& n,
+                                                const BigUInt& e);
 
 /// x^d mod n by CRT: m1 = x^dp mod p, m2 = x^dq mod q, then
 /// m2 + q * ((m1 - m2 mod p) * qinv mod p). Requires x < n.

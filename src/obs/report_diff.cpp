@@ -87,9 +87,7 @@ std::map<std::string, double> report_org_rps(const JsonValue& report) {
   return out;
 }
 
-/// Per-org req/s from the newest hotpath entry: `requests_per_second`, or
-/// `unsharded_requests_per_second`, the key some committed history entries
-/// (the newest among them) record the one-thread replay rates under.
+/// Per-org req/s from the newest hotpath entry's `requests_per_second`.
 std::map<std::string, double> hotpath_org_rps(const JsonValue& doc) {
   std::map<std::string, double> out;
   const JsonValue* entries = doc.find("entries");
@@ -99,7 +97,6 @@ std::map<std::string, double> hotpath_org_rps(const JsonValue& doc) {
   }
   const JsonValue& last = entries->as_array().back();
   const JsonValue* rps = last.find("requests_per_second");
-  if (rps == nullptr) rps = last.find("unsharded_requests_per_second");
   if (rps == nullptr || !rps->is_object()) return out;
   for (const auto& [org, v] : rps->as_object()) {
     if (v.is_number() && std::isfinite(v.as_double()) && v.as_double() > 0.0) {

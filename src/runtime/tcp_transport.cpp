@@ -118,8 +118,18 @@ bool TcpTransport::dial(NetError* err) {
   if (!ack.has_value()) return false;
   BAPS_REQUIRE(host_ == nullptr || host_->num_clients() <= ack->max_clients,
                "proxy serves fewer browsers than this host has");
-  proxy_key_.n = crypto::BigUInt::from_bytes(ack->rsa_n);
-  proxy_key_.e = crypto::BigUInt::from_bytes(ack->rsa_e);
+  // Every later watermark verify runs on this key: one the arithmetic
+  // cannot use fails the handshake here, not each browse.
+  auto key = crypto::make_rsa_public_key(
+      crypto::BigUInt::from_bytes(ack->rsa_n),
+      crypto::BigUInt::from_bytes(ack->rsa_e));
+  if (!key.has_value()) {
+    netio::count_decode_error("bad-key");
+    err->status = netio::NetStatus::kError;
+    err->message = "handshake: proxy sent an unusable RSA public key";
+    return false;
+  }
+  proxy_key_ = std::move(*key);
   channel_ = std::move(channel);
   return true;
 }

@@ -104,6 +104,8 @@ class TcpTransport final : public Transport {
   bool serve(netio::EpollFrameServer::Connection& conn,
              const wire::Frame& frame);
   /// Opens the proxy channel: dial, Hello, HelloAck. Channel lock held.
+  /// A HelloAck whose RSA key make_rsa_public_key rejects fails the dial
+  /// and counts wire_decode_errors_total{reason="bad-key"}.
   bool dial(netio::NetError* err);
   /// Runs `op(channel, err)` under the channel lock, dialing first when no
   /// channel is open. A failed exchange drops the channel (it may be

@@ -281,5 +281,57 @@ TEST(BigUIntTest, ModInverseOfNonInvertibleIsZero) {
   EXPECT_TRUE(BigUInt::mod_inverse(BigUInt(6), BigUInt(9)).is_zero());
 }
 
+// An odd modulus of exactly `words` 64-bit words.
+BigUInt random_modulus(std::size_t words, Xoshiro256& rng) {
+  const BigUInt m = random_operand(2 * words, rng);  // top limb nonzero
+  return m.is_odd() ? m : m + BigUInt(1);
+}
+
+// An exponent of exactly `bits` bits.
+BigUInt random_exponent(std::size_t bits, Xoshiro256& rng) {
+  const BigUInt top = BigUInt(1).shifted_left(bits - 1);
+  return top + random_operand((bits + 31) / 32, rng) % top;
+}
+
+// Every fixed width (1–8 words) and the run-time-width fallback (9–12), with
+// exponents on both sides of the 32-bit square-and-multiply / 4-bit window
+// threshold, and bases below m, in [m, R) (no division) and wider than m.
+TEST(BigUIntTest, ModPowEveryWidthAndWindowMatchesReference) {
+  Xoshiro256 rng(0x3017);
+  for (std::size_t words = 1; words <= 12; ++words) {
+    for (int i = 0; i < 6; ++i) {
+      const BigUInt m = random_modulus(words, rng);
+      const BigUInt r = BigUInt(1).shifted_left(64 * words);
+      const MontgomeryModulus mont(m);
+      for (std::size_t bits :
+           {1u, 2u, 17u, 31u, 32u, 33u, 34u, 64u, 65u, 127u, 128u, 200u}) {
+        const BigUInt exp = random_exponent(bits, rng);
+        const BigUInt bases[] = {
+            random_operand(2 * words, rng) % m,
+            m + random_operand(2 * words, rng) % (r - m),
+            random_operand(2 * words + 1 + rng.below(4), rng)};
+        for (const BigUInt& base : bases) {
+          const BigUInt expected = square_and_multiply(base, exp, m);
+          ASSERT_EQ(mont.pow(base, exp), expected)
+              << base.to_hex() << " ^ " << exp.to_hex() << " mod "
+              << m.to_hex();
+          ASSERT_EQ(BigUInt::mod_pow(base, exp, m), expected);
+        }
+      }
+    }
+  }
+}
+
+TEST(MontgomeryModulusTest, MatchesOnlyItsOwnModulus) {
+  const BigUInt m = BigUInt::from_hex("f00dfacecafebabe0123456789abcdef1");
+  const MontgomeryModulus mont(m);
+  EXPECT_TRUE(mont.matches(m));
+  EXPECT_FALSE(mont.matches(m + BigUInt(2)));
+  EXPECT_FALSE(MontgomeryModulus().matches(m));
+  EXPECT_FALSE(MontgomeryModulus().matches(BigUInt()));
+  EXPECT_THROW(MontgomeryModulus(BigUInt(1000)), baps::InvariantError);
+  EXPECT_THROW(MontgomeryModulus{BigUInt()}, baps::InvariantError);
+}
+
 }  // namespace
 }  // namespace baps::crypto

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -155,6 +156,91 @@ TEST(RsaCrtTest, PrivateOpMatchesTextbookExponentiation) {
   EXPECT_GE(keys_checked, 200);
   EXPECT_TRUE(saw_p_greater);
   EXPECT_TRUE(saw_q_greater);
+}
+
+// 1200 bits gives 10-word primes: the run-time-width kernel, also for the
+// CRT halves run in lockstep.
+TEST(RsaContextTest, KeyContextsMatchOneShotModPow) {
+  Xoshiro256 rng(0x3c7);
+  for (std::size_t bits : {136u, 256u, 257u, 512u, 1200u}) {
+    const RsaKeyPair keys = generate_rsa_keypair(bits, bits);
+    const RsaPublicKey& pub = keys.pub;
+    const RsaPrivateKey& k = keys.priv;
+    ASSERT_TRUE(pub.mont_n.matches(pub.n)) << bits;
+    ASSERT_TRUE(k.mont_p.matches(k.p)) << bits;
+    ASSERT_TRUE(k.mont_q.matches(k.q)) << bits;
+    for (int i = 0; i < 8; ++i) {
+      const BigUInt x = random_below(k.n, rng);
+      EXPECT_EQ(pub.mont_n.pow(x, pub.e), BigUInt::mod_pow(x, pub.e, pub.n));
+      EXPECT_EQ(k.mont_p.pow(x, k.dp), BigUInt::mod_pow(x, k.dp, k.p));
+      EXPECT_EQ(k.mont_q.pow(x, k.dq), BigUInt::mod_pow(x, k.dq, k.q));
+      EXPECT_EQ(rsa_private_op(x, k), BigUInt::mod_pow(x, k.d, k.n));
+    }
+  }
+}
+
+TEST(RsaContextTest, MissingOrMismatchedContextStillSignsAndVerifies) {
+  const RsaKeyPair keys = generate_rsa_keypair(256, 7);
+  const RsaKeyPair other = generate_rsa_keypair(256, 777);
+  const Md5Digest digest = md5("doc-0");
+  const BigUInt expected = rsa_sign_digest(digest, keys.priv);
+
+  RsaPrivateKey bare = keys.priv;
+  bare.mont_p = MontgomeryModulus();
+  bare.mont_q = MontgomeryModulus();
+  EXPECT_EQ(rsa_sign_digest(digest, bare), expected);
+
+  RsaPrivateKey stale = keys.priv;
+  stale.mont_p = other.priv.mont_p;
+  stale.mont_q = other.priv.mont_q;
+  EXPECT_EQ(rsa_sign_digest(digest, stale), expected);
+
+  RsaPrivateKey swapped = keys.priv;
+  std::swap(swapped.mont_p, swapped.mont_q);
+  EXPECT_EQ(rsa_sign_digest(digest, swapped), expected);
+
+  // A key assembled field by field, and one carrying another key's context.
+  RsaPublicKey assembled;
+  assembled.n = keys.pub.n;
+  assembled.e = keys.pub.e;
+  RsaPublicKey stale_pub = keys.pub;
+  stale_pub.mont_n = other.pub.mont_n;
+  for (const RsaPublicKey& pub : {assembled, stale_pub}) {
+    EXPECT_TRUE(rsa_verify_digest(digest, expected, pub));
+    EXPECT_FALSE(rsa_verify_digest(md5("doc-1"), expected, pub));
+    EXPECT_FALSE(rsa_verify_digest(digest, expected + BigUInt(1), pub));
+  }
+}
+
+TEST(RsaContextTest, MakeRsaPublicKeyChecksTheKey) {
+  const RsaKeyPair keys = generate_rsa_keypair(256, 7);
+  const BigUInt& n = keys.pub.n;
+  const BigUInt& e = keys.pub.e;
+  const auto made = make_rsa_public_key(n, e);
+  ASSERT_TRUE(made.has_value());
+  EXPECT_EQ(made->n, n);
+  EXPECT_EQ(made->e, e);
+  EXPECT_TRUE(made->mont_n.matches(n));
+  const Md5Digest digest = md5("doc-0");
+  EXPECT_TRUE(rsa_verify_digest(digest, rsa_sign_digest(digest, keys.priv),
+                                *made));
+
+  const BigUInt one(1);
+  const BigUInt r128 = one.shifted_left(128);
+  EXPECT_FALSE(make_rsa_public_key(n + one, e).has_value());  // even n
+  EXPECT_FALSE(make_rsa_public_key(BigUInt(), e).has_value());
+  EXPECT_FALSE(make_rsa_public_key(r128 - one, e).has_value());  // 128 bits
+  EXPECT_TRUE(make_rsa_public_key(r128 + one, e).has_value());   // 129 bits
+  EXPECT_FALSE(make_rsa_public_key(n, e + one).has_value());     // even e
+  EXPECT_FALSE(make_rsa_public_key(n, one).has_value());
+  EXPECT_FALSE(make_rsa_public_key(n, BigUInt()).has_value());
+  EXPECT_TRUE(make_rsa_public_key(n, BigUInt(3)).has_value());
+  // The smallest generated size can give a 135-bit n; such keys pass.
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    const RsaKeyPair small = generate_rsa_keypair(136, seed);
+    EXPECT_TRUE(make_rsa_public_key(small.pub.n, small.pub.e).has_value())
+        << small.pub.n.bit_length() << " bits";
+  }
 }
 
 TEST(RsaCrtTest, PrivateOpRejectsInputAtOrAboveModulus) {

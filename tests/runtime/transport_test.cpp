@@ -5,14 +5,17 @@
 #include <chrono>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "crypto/rsa.hpp"
 #include "netio/frame_channel.hpp"
 #include "obs/registry.hpp"
 #include "runtime/loopback_transport.hpp"
 #include "runtime/proxy_server.hpp"
 #include "runtime/system.hpp"
 #include "runtime/tcp_transport.hpp"
+#include "util/assert.hpp"
 #include "wire/messages.hpp"
 
 namespace baps::runtime {
@@ -300,6 +303,65 @@ TEST(TransportTest, PeerFetchForAnUnknownHolderClosesTheConnection) {
   EXPECT_TRUE(deliver->found);
   EXPECT_EQ(deliver->body, held.body);
   server.stop();
+}
+
+// A HelloAck carries the key every later watermark verify runs on. A fake
+// proxy answers the handshake with keys the arithmetic cannot use: each must
+// fail the dial, counted, with a message naming the handshake — never a
+// throw from deep inside a later verify.
+TEST(TransportTest, TcpHandshakeRejectsAnUnusableProxyKey) {
+  netio::NetError err;
+  auto listener = netio::TcpListener::listen("127.0.0.1", 0, 4, &err);
+  ASSERT_TRUE(listener.has_value()) << err.message;
+  const crypto::RsaKeyPair good = crypto::generate_rsa_keypair(256, 7);
+  const crypto::BigUInt one(1);
+  struct BadKey {
+    const char* what;
+    crypto::BigUInt n;
+    crypto::BigUInt e;
+  };
+  const std::vector<BadKey> bad_keys = {
+      {"even n", good.pub.n + one, good.pub.e},
+      {"tiny n", crypto::BigUInt(0xffffffffffffffc5ULL), good.pub.e},
+      {"even e", good.pub.n, good.pub.e + one},
+      {"e = 1", good.pub.n, one},
+  };
+  const obs::Counter& bad_key = obs::Registry::global().counter(
+      "wire_decode_errors_total", {{"reason", "bad-key"}});
+
+  std::thread fake_proxy([&] {
+    for (const BadKey& key : bad_keys) {
+      netio::NetError perr;
+      auto conn = listener->accept(5000, &perr);
+      if (!conn.has_value()) return;
+      netio::FrameChannel channel(std::move(*conn),
+                                  netio::Deadlines{2000, 3000, 3000});
+      if (!channel.recv_msg<wire::Hello>(&perr).has_value()) return;
+      wire::HelloAck ack;
+      ack.rsa_n = key.n.to_bytes();
+      ack.rsa_e = key.e.to_bytes();
+      ack.max_clients = 4;
+      if (!channel.send_msg(ack, &perr)) return;
+      // The client hangs up once it has read the key.
+      (void)channel.recv(&perr);
+    }
+  });
+
+  for (const BadKey& key : bad_keys) {
+    const std::uint64_t before = bad_key.value();
+    TcpTransport transport(transport_params(listener->port()));
+    std::string message;
+    try {
+      (void)transport.proxy_public_key();
+    } catch (const InvariantError& e) {
+      message = e.what();
+    }
+    EXPECT_NE(message.find("handshake"), std::string::npos)
+        << key.what << ": " << message;
+    EXPECT_EQ(message.find("mod_pow"), std::string::npos) << key.what;
+    EXPECT_EQ(bad_key.value(), before + 1) << key.what;
+  }
+  fake_proxy.join();
 }
 
 }  // namespace
