@@ -1,6 +1,6 @@
 // bench_connload — connection-scale load for the epoll proxy: drives N
 // concurrent TCP clients (default 10000) through a baps_proxyd, each doing
-// Hello/HelloAck then `--reps` StatsRequest/StatsResponse frame roundtrips,
+// Hello/HelloAck then `--reps` Introspect{proxy} frame roundtrips,
 // then HOLDING its connection open until every client has finished — so the
 // proxy really is carrying N established sessions at once, not N serial
 // ones. Reports accept rate and p50/p99/p999 frame-roundtrip latency as
@@ -51,7 +51,7 @@ struct Conn {
   enum class State {
     kConnecting,
     kAwaitHelloAck,
-    kAwaitStats,
+    kAwaitIntrospect,
     kHolding,
     kDone,
     kFailed,
@@ -150,9 +150,9 @@ void queue_frame(Engine& e, Conn& c, std::size_t idx, wire::FrameKind kind,
 
 void start_roundtrip(Engine& e, Conn& c, std::size_t idx) {
   c.t_send = obs::monotonic_seconds();
-  c.state = Conn::State::kAwaitStats;
-  queue_frame(e, c, idx, wire::StatsRequest::kKind,
-              wire::encode(wire::StatsRequest{}));
+  c.state = Conn::State::kAwaitIntrospect;
+  queue_frame(e, c, idx, wire::IntrospectRequest::kKind,
+              wire::encode(wire::IntrospectRequest{wire::kIntrospectProxy}));
 }
 
 void on_frame(Engine& e, Conn& c, std::size_t idx, const wire::Frame& frame) {
@@ -167,10 +167,10 @@ void on_frame(Engine& e, Conn& c, std::size_t idx, const wire::Frame& frame) {
       start_roundtrip(e, c, idx);
       return;
     }
-    case Conn::State::kAwaitStats: {
-      wire::StatsResponse stats;
-      if (frame.kind != wire::StatsResponse::kKind ||
-          !wire::decode(frame.payload, &stats)) {
+    case Conn::State::kAwaitIntrospect: {
+      wire::IntrospectResponse reply;
+      if (frame.kind != wire::IntrospectResponse::kKind ||
+          !wire::decode(frame.payload, &reply)) {
         finish(e, c, /*failed=*/true);
         return;
       }
@@ -341,7 +341,7 @@ int main(int argc, char** argv) {
               "connects in flight at once during ramp (default 500, keeps "
               "the listener backlog under somaxconn)")
       .option("--reps", &reps, "N",
-              "StatsRequest roundtrips per connection (default 1)")
+              "Introspect{proxy} roundtrips per connection (default 1)")
       .option("--max-seconds", &max_seconds, "S",
               "abort the run after S seconds (default 120)")
       .option("--min-peak", &min_peak, "N",

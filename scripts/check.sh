@@ -85,8 +85,9 @@ echo "check.sh: tcp/loopback sources and summaries identical (200 requests)"
 
 # Tracing smoke: run the same daemon with sampling at 1.0 on both sides, then
 # assert the two span logs stitch — shared trace ids whose parent links all
-# resolve across the client/proxy process boundary — and that the live STATS
-# endpoint serves a baps.trace_stats.v1 snapshot while the daemon is up.
+# resolve across the client/proxy process boundary — and that `baps_fetch
+# --stats` gets one baps.introspect.v1 document holding all four sections
+# (proxy, registry, spans, timeseries) while the daemon is up.
 PROXYD_LOG="$BUILD_DIR/check_trace_proxyd.log"
 PROXY_SPANS="$BUILD_DIR/check_trace_proxy_spans.jsonl"
 CLIENT_SPANS="$BUILD_DIR/check_trace_client_spans.jsonl"
@@ -107,8 +108,12 @@ done
   --trace-sample 1.0 --trace-out "$CLIENT_SPANS" > /dev/null 2>&1
 STATS=$("$BUILD_DIR/tools/baps_fetch" --transport tcp --port "$PROXY_PORT" \
   --stats)
-echo "$STATS" | grep -q '"schema": *"baps.trace_stats.v1"' \
-  || { echo "STATS snapshot missing schema"; echo "$STATS"; exit 1; }
+echo "$STATS" | grep -q '^{"schema": *"baps.introspect.v1"' \
+  || { echo "STATS document missing schema"; echo "$STATS"; exit 1; }
+for SECTION in proxy registry spans timeseries; do
+  echo "$STATS" | grep -q "\"$SECTION\": *{" \
+    || { echo "STATS document missing $SECTION"; echo "$STATS"; exit 1; }
+done
 kill "$PROXYD_PID" 2>/dev/null || true
 wait "$PROXYD_PID" 2>/dev/null || true
 trap - EXIT
@@ -162,9 +167,10 @@ echo "check.sh: warm restart recovered hits (warm=$WARM_HITS cold=$COLD_HITS, 0 
 
 # Time-series smoke: a daemon sampling at 250ms streams baps.timeseries.v1
 # JSONL while serving traffic; baps_top polls a live window over the wire
-# (TimeSeriesRequest frame) and must render per-interval rates; after
-# shutdown the exported stream must pass the cross-record validator
-# (validated only once the daemon is dead — the last line is whole then).
+# (the `timeseries` introspection section) and must render per-interval
+# rates; after shutdown the exported stream must pass the cross-record
+# validator (validated only once the daemon is dead — the last line is whole
+# then).
 TS_LOG="$BUILD_DIR/check_ts_proxyd.log"
 TS_OUT="$BUILD_DIR/check_ts.jsonl"
 "$BUILD_DIR/tools/baps_proxyd" --port 0 --clients 8 --seed 11 \

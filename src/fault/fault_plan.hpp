@@ -119,8 +119,8 @@ class FaultPlan {
   const std::uint64_t seed_;
   const FaultRates rates_;
 
-  // TCP transports inject from listener threads inside the (synchronous)
-  // browse window; the plan is its own lock domain.
+  // A TCP transport injects from its host's one peer-server loop thread,
+  // inside the (synchronous) browse window; the plan is its own lock domain.
   mutable std::mutex mu_;
   std::array<std::uint64_t, kNumFaultKinds> decisions_{};  ///< stream cursors
   std::array<std::uint64_t, kNumFaultKinds> picks_{};

@@ -9,14 +9,12 @@ namespace {
 struct PoolCounters {
   obs::Counter& reuse;
   obs::Counter& dial;
-  obs::Counter& discard;
 
   static PoolCounters& get() {
     auto& reg = obs::Registry::global();
     static PoolCounters c{
         reg.counter("netio_pool_reuse_total"),
         reg.counter("netio_pool_dial_total"),
-        reg.counter("netio_pool_discard_total"),
     };
     return c;
   }
@@ -29,11 +27,9 @@ ChannelPool::Acquired ChannelPool::acquire(const std::string& host,
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = idle_.find(key_of(host, port));
-    if (it != idle_.end() && !it->second.empty()) {
-      // LIFO: the most recently parked socket is the least likely to have
-      // been idle-closed by the far end.
-      auto channel = std::move(it->second.back());
-      it->second.pop_back();
+    if (it != idle_.end()) {
+      auto channel = std::move(it->second);
+      idle_.erase(it);
       PoolCounters::get().reuse.inc();
       return Acquired{std::move(channel), /*reused=*/true};
     }
@@ -52,12 +48,7 @@ void ChannelPool::release(const std::string& host, std::uint16_t port,
                           std::unique_ptr<FrameChannel> channel) {
   if (channel == nullptr || !channel->valid()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  auto& bucket = idle_[key_of(host, port)];
-  if (bucket.size() >= params_.max_idle_per_target) {
-    PoolCounters::get().discard.inc();
-    return;  // channel closes on destruction
-  }
-  bucket.push_back(std::move(channel));
+  idle_[key_of(host, port)] = std::move(channel);
 }
 
 void ChannelPool::clear() {
@@ -67,9 +58,7 @@ void ChannelPool::clear() {
 
 std::size_t ChannelPool::idle_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  for (const auto& [key, bucket] : idle_) n += bucket.size();
-  return n;
+  return idle_.size();
 }
 
 }  // namespace baps::netio

@@ -35,7 +35,6 @@ void register_netio_metric_families(obs::Registry* registry) {
   registry->counter("netio_epoll_drained_total");
   registry->counter("netio_pool_reuse_total");
   registry->counter("netio_pool_dial_total");
-  registry->counter("netio_pool_discard_total");
 }
 
 }  // namespace baps::netio

@@ -43,7 +43,6 @@ void count_decode_error(const std::string& reason);
 ///   netio_epoll_drained_total       counter — sessions closed by drain
 ///   netio_pool_reuse_total          counter — pooled channel reuses
 ///   netio_pool_dial_total           counter — fresh dials by the pool
-///   netio_pool_discard_total        counter — releases past the idle cap
 void register_netio_metric_families(
     obs::Registry* registry = &obs::Registry::global());
 

@@ -7,6 +7,37 @@
 
 namespace baps::runtime {
 
+namespace {
+
+constexpr std::pair<const char*, std::uint64_t ProxyStats::*> kStatsFields[] = {
+    {"proxy_hits", &ProxyStats::proxy_hits},
+    {"peer_hits", &ProxyStats::peer_hits},
+    {"origin_fetches", &ProxyStats::origin_fetches},
+    {"false_forwards", &ProxyStats::false_forwards},
+    {"rejected_index_updates", &ProxyStats::rejected_index_updates},
+};
+
+}  // namespace
+
+obs::JsonValue proxy_stats_json(const ProxyStats& stats) {
+  obs::JsonValue out = obs::json_object({});
+  for (const auto& [name, field] : kStatsFields) {
+    out.set(name, obs::JsonValue(stats.*field));
+  }
+  return out;
+}
+
+std::optional<ProxyStats> proxy_stats_from_json(
+    const obs::JsonValue& section) {
+  ProxyStats stats;
+  for (const auto& [name, field] : kStatsFields) {
+    const obs::JsonValue* v = section.find(name);
+    if (v == nullptr || !v->is_uint()) return std::nullopt;
+    stats.*field = v->as_uint();
+  }
+  return stats;
+}
+
 std::vector<std::string> derive_client_mac_keys(std::uint64_t seed,
                                                 std::uint32_t num_clients) {
   std::vector<std::string> keys;

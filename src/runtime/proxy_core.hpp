@@ -33,6 +33,13 @@ struct ProxyStats {
   std::uint64_t rejected_index_updates = 0;
 };
 
+/// The `proxy` section of a baps.introspect.v1 document: each counter under
+/// its field name.
+obs::JsonValue proxy_stats_json(const ProxyStats& stats);
+/// Reads a `proxy` section back; nullopt unless all five counters are
+/// present as unsigned integers.
+std::optional<ProxyStats> proxy_stats_from_json(const obs::JsonValue& section);
+
 class ProxyCore {
  public:
   struct Params {
@@ -111,7 +118,8 @@ class ProxyCore {
   /// construction so the per-request cost is one relaxed atomic increment.
   /// These are what makes the live time-series useful: request rate, hit
   /// ratio, and false-forward rate become per-interval deltas instead of
-  /// being visible only through the one-shot StatsRequest frame.
+  /// being visible only as the running totals of the `proxy` introspection
+  /// section.
   struct RequestCounters {
     obs::Counter& requests;
     obs::Counter& served_proxy;

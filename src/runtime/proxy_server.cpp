@@ -25,9 +25,8 @@ ProxyServer::ProxyServer(const Params& params)
     : params_(params),
       core_(params.core),
       peer_ports_(params.core.num_clients, 0),
-      peer_pool_(netio::ChannelPool::Params{
-          params.peer_deadlines, params.net.max_frame_payload,
-          params.peer_pool_idle}) {
+      peer_pool_(netio::ChannelPool::Params{params.peer_deadlines,
+                                            params.net.max_frame_payload}) {
   core_.set_peer_fetch([this](ClientId holder, DocStore::Key key,
                               const obs::TraceContext& trace) {
     return peer_fetch(holder, key, trace);
@@ -74,20 +73,52 @@ void ProxyServer::set_sampler(obs::TimeSeriesSampler* sampler) {
   sampler_ = sampler;
 }
 
-obs::JsonValue ProxyServer::trace_stats_json(std::uint32_t max_spans) {
+obs::JsonValue ProxyServer::introspect_json(
+    const wire::IntrospectRequest& request) {
+  const auto wants = [&](std::uint32_t section) {
+    return (request.sections & section) != 0;
+  };
   obs::JsonValue out = obs::json_object({});
-  out.set("schema", obs::JsonValue("baps.trace_stats.v1"));
-  out.set("registry", obs::to_json(obs::with_latency_quantiles(
-                          obs::Registry::global().snapshot())));
-  if (tracer_ != nullptr) {
-    obs::JsonArray spans;
-    for (const obs::SpanRecord& rec : tracer_->recent_spans(max_spans)) {
-      spans.push_back(rec.to_json());
+  out.set("schema", obs::JsonValue(wire::kIntrospectSchema));
+  if (wants(wire::kIntrospectProxy)) {
+    out.set("proxy", proxy_stats_json(core_.stats()));
+  }
+  if (wants(wire::kIntrospectRegistry)) {
+    out.set("registry", obs::to_json(obs::with_latency_quantiles(
+                            obs::Registry::global().snapshot())));
+  }
+  if (wants(wire::kIntrospectSpans)) {
+    // Without a tracer the section keeps its shape, with zero totals.
+    obs::JsonArray recent;
+    std::uint64_t recorded = 0, evicted = 0;
+    obs::JsonValue slow = obs::JsonArray{};
+    if (tracer_ != nullptr) {
+      if (request.max_spans > 0) {
+        for (const obs::SpanRecord& rec :
+             tracer_->recent_spans(request.max_spans)) {
+          recent.push_back(rec.to_json());
+        }
+      }
+      recorded = tracer_->spans_recorded();
+      evicted = tracer_->spans_evicted();
+      slow = tracer_->slow_traces_json();
     }
-    out.set("spans_recorded", obs::JsonValue(tracer_->spans_recorded()));
-    out.set("spans_evicted", obs::JsonValue(tracer_->spans_evicted()));
-    out.set("recent_spans", obs::JsonValue(std::move(spans)));
-    out.set("slow_traces", tracer_->slow_traces_json());
+    out.set("spans", obs::json_object({
+                         {"spans_recorded", obs::JsonValue(recorded)},
+                         {"spans_evicted", obs::JsonValue(evicted)},
+                         {"recent_spans", obs::JsonValue(std::move(recent))},
+                         {"slow_traces", std::move(slow)},
+                     }));
+  }
+  if (wants(wire::kIntrospectTimeSeries)) {
+    out.set("timeseries",
+            sampler_ != nullptr
+                ? sampler_->window_json(request.max_intervals)
+                : obs::json_object({
+                      {"schema", obs::JsonValue(obs::kTimeSeriesWindowSchema)},
+                      {"interval_seconds", obs::JsonValue(0.0)},
+                      {"intervals", obs::JsonValue(obs::JsonArray{})},
+                  }));
   }
   return out;
 }
@@ -207,43 +238,14 @@ bool ProxyServer::on_session_frame(
       request_hist("index_update").observe(obs::monotonic_seconds() - start);
       return true;
     }
-    case wire::FrameKind::kStatsRequest: {
-      const ProxyStats& st = core_.stats();
-      wire::StatsResponse response;
-      response.proxy_hits = st.proxy_hits;
-      response.peer_hits = st.peer_hits;
-      response.origin_fetches = st.origin_fetches;
-      response.false_forwards = st.false_forwards;
-      response.rejected_index_updates = st.rejected_index_updates;
-      return send_msg(response);
-    }
-    case wire::FrameKind::kTraceStatsRequest: {
-      wire::TraceStatsRequest request;
+    case wire::FrameKind::kIntrospectRequest: {
+      wire::IntrospectRequest request;
       if (!wire::decode(frame.payload, &request)) {
-        send_msg(wire::ErrorMsg{"bad trace stats request"});
+        send_msg(wire::ErrorMsg{"bad introspect request"});
         return false;
       }
-      wire::TraceStatsResponse response;
-      response.json = trace_stats_json(request.max_spans).dump();
-      return send_msg(response);
-    }
-    case wire::FrameKind::kTimeSeriesRequest: {
-      wire::TimeSeriesRequest request;
-      if (!wire::decode(frame.payload, &request)) {
-        send_msg(wire::ErrorMsg{"bad time series request"});
-        return false;
-      }
-      wire::TimeSeriesResponse response;
-      if (sampler_ != nullptr) {
-        response.json = sampler_->window_json(request.max_intervals).dump();
-      } else {
-        obs::JsonValue empty = obs::json_object({});
-        empty.set("schema", obs::JsonValue(obs::kTimeSeriesWindowSchema));
-        empty.set("interval_seconds", obs::JsonValue(0.0));
-        empty.set("intervals", obs::JsonValue(obs::JsonArray{}));
-        response.json = empty.dump();
-      }
-      return send_msg(response);
+      return send_msg(
+          wire::IntrospectResponse{introspect_json(request).dump()});
     }
     case wire::FrameKind::kBye:
       return false;

@@ -1,12 +1,12 @@
 // The BAPS proxy daemon core: a ProxyCore served over TCP by the epoll
 // event loop. Each client host holds one session: Hello/HelloAck, then
-// FetchRequest/Response, IndexUpdate (never answered), StatsRequest/
-// Response, TraceStats and TimeSeries requests, Bye. Fetches and updates
-// name their browser in the frame; an id at or above max_clients ends the
-// session and counts wire_decode_errors_total{reason="bad-client"}. Peer
-// fetches go out over pooled connections to the port the holder's host
-// advertised in its Hello, carrying only the holder id and the document
-// key (§6.2).
+// FetchRequest/Response, IndexUpdate (never answered), IntrospectRequest/
+// Response, Bye. Fetches and updates name their browser in the frame; an id
+// at or above max_clients ends the session and counts
+// wire_decode_errors_total{reason="bad-client"}. Peer fetches go out over
+// pooled connections (at most one parked per holder host) to the port the
+// holder's host advertised in its Hello, carrying only the holder id and the
+// document key (§6.2).
 //
 // One session state machine (on_session_frame) runs once per decoded frame
 // on the loop thread. That thread owns the core, the peer-port table and the
@@ -49,8 +49,6 @@ class ProxyServer {
     /// because perfbench/perfbench.cpp assigns it; delete with the next
     /// perfbench change.
     bool event_driven = true;
-    /// Idle peer-fetch connections kept per holder.
-    std::size_t peer_pool_idle = 4;
   };
 
   explicit ProxyServer(const Params& params);
@@ -69,26 +67,24 @@ class ProxyServer {
   /// and the daemon's shutdown report. Not synchronized with live sessions —
   /// use while no client traffic is in flight, or go through the wire. Index
   /// updates are not acked, so some may still be in flight after a client's
-  /// browse() returns; a stats request on that host's channel is answered
-  /// only after them.
+  /// browse() returns; an IntrospectRequest on that host's channel is
+  /// answered only after them.
   ProxyCore& core() { return core_; }
 
   /// Attaches the proxy-side tracer: sessions record frame spans, the core
-  /// records stage spans, and TraceStatsRequest answers include its recent
-  /// spans. Attach before start(); nullptr detaches; not owned.
+  /// records stage spans, and the `spans` introspection section reports it.
+  /// Attach before start(); nullptr detaches; not owned.
   void set_tracer(obs::Tracer* tracer);
 
-  /// Attaches the daemon's time-series sampler so TimeSeriesRequest frames
-  /// serve its live interval ring. Attach before start(); nullptr detaches;
-  /// not owned. Without a sampler the proxy answers with an empty window —
-  /// still a valid baps.timeseries_window.v1 document.
+  /// Attaches the daemon's time-series sampler, whose interval ring the
+  /// `timeseries` introspection section serves. Attach before start();
+  /// nullptr detaches; not owned. Without one the section is an empty
+  /// baps.timeseries_window.v1 window.
   void set_sampler(obs::TimeSeriesSampler* sampler);
 
-  /// The baps.trace_stats.v1 introspection document served to
-  /// TraceStatsRequest: live registry snapshot with latency quantiles,
-  /// tracer totals, recent spans (up to `max_spans`), and the top-K slowest
-  /// trace trees. Live rates come from the sampler (TimeSeriesRequest).
-  obs::JsonValue trace_stats_json(std::uint32_t max_spans);
+  /// The baps.introspect.v1 document answering `request`: exactly the
+  /// requested sections. Without a tracer, `spans` holds zero totals.
+  obs::JsonValue introspect_json(const wire::IntrospectRequest& request);
 
  private:
   /// Per-session protocol state, hung off Connection::state().

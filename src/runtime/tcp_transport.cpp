@@ -9,6 +9,29 @@ namespace baps::runtime {
 
 using netio::NetError;
 
+namespace {
+
+/// A reply names the schema and carries every requested section as an
+/// object; a requested `proxy` section also reads back as ProxyStats.
+bool usable_introspection(const obs::JsonValue& doc, std::uint32_t sections) {
+  const obs::JsonValue* schema = doc.find("schema");
+  if (schema == nullptr || !schema->is_string() ||
+      schema->as_string() != wire::kIntrospectSchema) {
+    return false;
+  }
+  for (const auto& [bit, name] : wire::kIntrospectSections) {
+    const obs::JsonValue* section = doc.find(name);
+    if ((sections & bit) != 0 &&
+        (section == nullptr || !section->is_object())) {
+      return false;
+    }
+  }
+  return (sections & wire::kIntrospectProxy) == 0 ||
+         proxy_stats_from_json(doc.at("proxy")).has_value();
+}
+
+}  // namespace
+
 TcpTransport::TcpTransport(const Params& params) : params_(params) {
   BAPS_REQUIRE(params.proxy_port != 0, "transport needs the proxy's port");
 }
@@ -156,18 +179,6 @@ void TcpTransport::exchange(const char* what, Op&& op) {
                        err.message);
 }
 
-template <typename Response, typename Request>
-Response TcpTransport::round_trip(const char* what, const Request& request,
-                                  const obs::TraceContext& trace) {
-  std::optional<Response> response;
-  exchange(what, [&](netio::FrameChannel& channel, NetError* e) {
-    if (!channel.send_msg(request, trace, e)) return false;
-    response = channel.recv_msg<Response>(e);
-    return response.has_value();
-  });
-  return std::move(*response);
-}
-
 ProxyCore::Reply TcpTransport::fetch(ClientId client, const Url& url,
                                      bool avoid_peers,
                                      const obs::TraceContext& trace) {
@@ -175,13 +186,17 @@ ProxyCore::Reply TcpTransport::fetch(ClientId client, const Url& url,
   request.client = client;
   request.url = url;
   request.avoid_peers = avoid_peers;
-  wire::FetchResponse response =
-      round_trip<wire::FetchResponse>("fetch", request, trace);
+  std::optional<wire::FetchResponse> response;
+  exchange("fetch", [&](netio::FrameChannel& channel, NetError* e) {
+    if (!channel.send_msg(request, trace, e)) return false;
+    response = channel.recv_msg<wire::FetchResponse>(e);
+    return response.has_value();
+  });
   ProxyCore::Reply reply;
-  reply.doc.body = std::move(response.body);
-  reply.doc.mark = watermark_from_bytes(response.watermark);
-  reply.source = from_wire_source(response.source);
-  reply.false_forward = response.false_forward;
+  reply.doc.body = std::move(response->body);
+  reply.doc.mark = watermark_from_bytes(response->watermark);
+  reply.source = from_wire_source(response->source);
+  reply.false_forward = response->false_forward;
   return reply;
 }
 
@@ -211,28 +226,28 @@ crypto::RsaPublicKey TcpTransport::proxy_public_key() {
   return key;
 }
 
+obs::JsonValue TcpTransport::introspect(
+    const wire::IntrospectRequest& request) {
+  std::optional<obs::JsonValue> doc;
+  exchange("introspect", [&](netio::FrameChannel& channel, NetError* e) {
+    if (!channel.send_msg(request, e)) return false;
+    const auto response = channel.recv_msg<wire::IntrospectResponse>(e);
+    if (!response.has_value()) return false;
+    doc = obs::json_parse(response->json);
+    if (doc.has_value() && usable_introspection(*doc, request.sections)) {
+      return true;
+    }
+    netio::count_decode_error("bad-introspect");
+    e->status = netio::NetStatus::kError;
+    e->message = "unusable baps.introspect.v1 reply";
+    return false;
+  });
+  return std::move(*doc);
+}
+
 ProxyStats TcpTransport::stats() {
-  const auto response =
-      round_trip<wire::StatsResponse>("stats", wire::StatsRequest{});
-  ProxyStats stats;
-  stats.proxy_hits = response.proxy_hits;
-  stats.peer_hits = response.peer_hits;
-  stats.origin_fetches = response.origin_fetches;
-  stats.false_forwards = response.false_forwards;
-  stats.rejected_index_updates = response.rejected_index_updates;
-  return stats;
-}
-
-std::string TcpTransport::trace_stats(std::uint32_t max_spans) {
-  wire::TraceStatsRequest request;
-  request.max_spans = max_spans;
-  return round_trip<wire::TraceStatsResponse>("trace_stats", request).json;
-}
-
-std::string TcpTransport::time_series(std::uint32_t max_intervals) {
-  wire::TimeSeriesRequest request;
-  request.max_intervals = max_intervals;
-  return round_trip<wire::TimeSeriesResponse>("time_series", request).json;
+  return *proxy_stats_from_json(
+      introspect(wire::IntrospectRequest{wire::kIntrospectProxy}).at("proxy"));
 }
 
 }  // namespace baps::runtime

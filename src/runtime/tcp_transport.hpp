@@ -5,9 +5,9 @@
 // Fetches and index updates name their browser in the frame. A fetch sends
 // and then reads its reply; an index update is only written — the proxy
 // handles one session's frames in order, so it applies the update before
-// any later request from this host. Stats and live-telemetry polls use the
-// same channel, and work with no peer host bound (baps_top, baps_fetch
-// --stats).
+// any later request from this host. Introspection (stats() and
+// introspect()) uses the same channel, and works with no peer host bound
+// (baps_top, baps_fetch --stats).
 //
 // The host gets one peer server: an EpollFrameServer whose single loop
 // thread answers every browser's PeerFetch frames out of the host's browser
@@ -65,6 +65,8 @@ class TcpTransport final : public Transport {
   bool index_update(ClientId claimed_sender, bool is_add, DocStore::Key key,
                     const crypto::Md5Digest& mac) override;
   crypto::RsaPublicKey proxy_public_key() override;
+  /// The `proxy` introspection section: one round trip, answered after
+  /// every update this host sent before it.
   ProxyStats stats() override;
 
   /// Client-side tracer: request frames carry sampled contexts, the proxy
@@ -73,14 +75,12 @@ class TcpTransport final : public Transport {
   /// flows.
   void set_tracer(obs::Tracer* tracer) override;
 
-  /// TraceStatsRequest: the proxy's live introspection JSON
-  /// (baps.trace_stats.v1), `max_spans` most recent spans included.
-  std::string trace_stats(std::uint32_t max_spans);
-
-  /// TimeSeriesRequest: the proxy's live interval window JSON
-  /// (baps.timeseries_window.v1), up to `max_intervals` most recent interval
-  /// records (0 = everything in the sampler's ring).
-  std::string time_series(std::uint32_t max_intervals);
+  /// The proxy's baps.introspect.v1 document with the requested sections.
+  /// A reply that does not parse, names another schema, lacks a requested
+  /// section or carries an unreadable `proxy` section fails the exchange,
+  /// like any bad frame, and counts
+  /// wire_decode_errors_total{reason="bad-introspect"}.
+  obs::JsonValue introspect(const wire::IntrospectRequest& request);
 
   /// The port the Hello advertises: the host's one peer server (0 until
   /// bind_peer_host).
@@ -113,10 +113,6 @@ class TcpTransport final : public Transport {
   /// once the retry budget is spent.
   template <typename Op>
   void exchange(const char* what, Op&& op);
-  /// Sends `request` and reads its `Response`.
-  template <typename Response, typename Request>
-  Response round_trip(const char* what, const Request& request,
-                      const obs::TraceContext& trace = {});
 
   Params params_;
   PeerHost* host_ = nullptr;

@@ -76,7 +76,9 @@ class Transport {
   /// The proxy's watermark-verification key.
   virtual crypto::RsaPublicKey proxy_public_key() = 0;
 
-  /// Proxy-side protocol counters.
+  /// Proxy-side protocol counters. The loopback reads its core; TCP asks
+  /// for the `proxy` introspection section on the host's ordered channel,
+  /// so the answer counts every update this host sent before the call.
   virtual ProxyStats stats() = 0;
 
   /// Attaches a fault plan so the transport can inject faults at its own

@@ -6,8 +6,26 @@
 
 namespace baps::wire {
 
+namespace {
+
+constexpr std::uint32_t kind_bit(FrameKind kind) {
+  return 1u << static_cast<std::uint8_t>(kind);
+}
+
+constexpr std::uint32_t kLiveKinds =
+    kind_bit(FrameKind::kHello) | kind_bit(FrameKind::kHelloAck) |
+    kind_bit(FrameKind::kFetchRequest) | kind_bit(FrameKind::kFetchResponse) |
+    kind_bit(FrameKind::kIndexUpdate) | kind_bit(FrameKind::kIndexAck) |
+    kind_bit(FrameKind::kPeerFetch) | kind_bit(FrameKind::kPeerDeliver) |
+    kind_bit(FrameKind::kError) | kind_bit(FrameKind::kBye) |
+    kind_bit(FrameKind::kIntrospectRequest) |
+    kind_bit(FrameKind::kIntrospectResponse);
+static_assert(kMaxFrameKind < 32, "kLiveKinds is a 32-bit mask");
+
+}  // namespace
+
 bool frame_kind_valid(std::uint8_t kind) {
-  return kind >= kMinFrameKind && kind <= kMaxFrameKind;
+  return kind <= kMaxFrameKind && ((kLiveKinds >> kind) & 1u) != 0;
 }
 
 std::string frame_kind_name(FrameKind kind) {
@@ -20,14 +38,10 @@ std::string frame_kind_name(FrameKind kind) {
     case FrameKind::kIndexAck: return "index-ack";
     case FrameKind::kPeerFetch: return "peer-fetch";
     case FrameKind::kPeerDeliver: return "peer-deliver";
-    case FrameKind::kStatsRequest: return "stats-request";
-    case FrameKind::kStatsResponse: return "stats-response";
     case FrameKind::kError: return "error";
     case FrameKind::kBye: return "bye";
-    case FrameKind::kTraceStatsRequest: return "trace-stats-request";
-    case FrameKind::kTraceStatsResponse: return "trace-stats-response";
-    case FrameKind::kTimeSeriesRequest: return "time-series-request";
-    case FrameKind::kTimeSeriesResponse: return "time-series-response";
+    case FrameKind::kIntrospectRequest: return "introspect-request";
+    case FrameKind::kIntrospectResponse: return "introspect-response";
   }
   BAPS_REQUIRE(false, "unknown frame kind");
   return {};

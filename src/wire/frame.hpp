@@ -3,7 +3,7 @@
 //
 //   offset  size  field
 //        0     4  magic        0x53504142 ("BAPS" as bytes)
-//        4     1  version      kVersion (2)
+//        4     1  version      kVersion (3)
 //        5     1  kind         FrameKind
 //        6     2  tc_len       trace-context bytes at the payload front
 //        8     4  payload_len  bytes following the header (incl. tc block)
@@ -11,9 +11,11 @@
 //       16     …  [trace ctx]  tc_len bytes (normally 0 or kTraceContextSize)
 //       16+tc  …  payload      message-specific encoding (wire/messages.hpp)
 //
-// Version 2 changed message shapes, not the envelope: Hello names no
-// browser, and FetchRequest/IndexUpdate carry the browser id per frame
-// (wire/messages.hpp). A version-1 peer is refused at the header with
+// Versions change message shapes and kinds, not the envelope. Version 2:
+// Hello names no browser, and FetchRequest/IndexUpdate carry the browser id
+// per frame (wire/messages.hpp). Version 3: one Introspect request/reply
+// pair replaces the Stats, TraceStats and TimeSeries pairs, whose kind
+// numbers are retired. An older peer is refused at the header with
 // kBadVersion rather than having its payloads misread.
 //
 // Trace context (the distributed-tracing extension) rides in the first
@@ -48,14 +50,15 @@
 namespace baps::wire {
 
 inline constexpr std::uint32_t kMagic = 0x53504142u;  // "BAPS"
-inline constexpr std::uint8_t kVersion = 2;
+inline constexpr std::uint8_t kVersion = 3;
 inline constexpr std::size_t kHeaderSize = 16;
 /// Default ceiling on a frame payload; decoders reject anything larger
 /// before allocating. Document bodies are far smaller.
 inline constexpr std::uint64_t kDefaultMaxPayload = 16ull << 20;
 
 /// Every message kind that crosses the wire. Gaps are never reused;
-/// new kinds append.
+/// new kinds append. Retired numbers (9, 10, 13-16: the Stats, TraceStats
+/// and TimeSeries pairs of version 2) decode as kBadKind.
 enum class FrameKind : std::uint8_t {
   kHello = 1,          ///< client host → proxy: its peer-server port
   kHelloAck = 2,       ///< proxy → client: proxy public key
@@ -65,23 +68,21 @@ enum class FrameKind : std::uint8_t {
   kIndexAck = 6,       ///< retired: updates are no longer acked
   kPeerFetch = 7,      ///< proxy → holder: holder id + document key (§6.2)
   kPeerDeliver = 8,    ///< holder → proxy: document + watermark
-  kStatsRequest = 9,   ///< client → proxy: counter snapshot request
-  kStatsResponse = 10, ///< proxy → client: counter snapshot
   kError = 11,         ///< either direction: terminal protocol error
   kBye = 12,           ///< orderly close
-  kTraceStatsRequest = 13,   ///< client → proxy: live snapshot + spans
-  kTraceStatsResponse = 14,  ///< proxy → client: introspection JSON
-  kTimeSeriesRequest = 15,   ///< client → proxy: recent interval records
-  kTimeSeriesResponse = 16,  ///< proxy → client: time-series window JSON
+  kIntrospectRequest = 17,   ///< client → proxy: which sections to report
+  kIntrospectResponse = 18,  ///< proxy → client: baps.introspect.v1 JSON
 };
 
 inline constexpr std::uint8_t kMinFrameKind = 1;
-inline constexpr std::uint8_t kMaxFrameKind = 16;
+inline constexpr std::uint8_t kMaxFrameKind = 18;
 
 /// Bytes of the trace-context block this version reads and writes:
 /// u64 trace_id, u64 span_id, u8 flags (bit 0 = sampled).
 inline constexpr std::uint16_t kTraceContextSize = 17;
 
+/// True for the kinds above; false for 0, retired numbers and anything
+/// past kMaxFrameKind. One mask test, whatever the byte.
 bool frame_kind_valid(std::uint8_t kind);
 std::string frame_kind_name(FrameKind kind);
 

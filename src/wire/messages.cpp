@@ -143,33 +143,6 @@ bool decode(std::string_view payload, PeerDeliver* out) {
          r.bytes(&out->watermark, kMaxWatermarkLen) && r.at_end();
 }
 
-// --- StatsRequest ---------------------------------------------------------
-
-std::string encode(const StatsRequest&) { return {}; }
-
-bool decode(std::string_view payload, StatsRequest*) {
-  return payload.empty();
-}
-
-// --- StatsResponse --------------------------------------------------------
-
-std::string encode(const StatsResponse& m) {
-  Writer w;
-  w.u64(m.proxy_hits);
-  w.u64(m.peer_hits);
-  w.u64(m.origin_fetches);
-  w.u64(m.false_forwards);
-  w.u64(m.rejected_index_updates);
-  return w.take();
-}
-
-bool decode(std::string_view payload, StatsResponse* out) {
-  Reader r(payload);
-  return r.u64(&out->proxy_hits) && r.u64(&out->peer_hits) &&
-         r.u64(&out->origin_fetches) && r.u64(&out->false_forwards) &&
-         r.u64(&out->rejected_index_updates) && r.at_end();
-}
-
 // --- ErrorMsg -------------------------------------------------------------
 
 std::string encode(const ErrorMsg& m) {
@@ -189,54 +162,31 @@ std::string encode(const Bye&) { return {}; }
 
 bool decode(std::string_view payload, Bye*) { return payload.empty(); }
 
-// --- TraceStatsRequest ----------------------------------------------------
+// --- IntrospectRequest ----------------------------------------------------
 
-std::string encode(const TraceStatsRequest& m) {
+std::string encode(const IntrospectRequest& m) {
   Writer w;
+  w.u32(m.sections);
   w.u32(m.max_spans);
-  return w.take();
-}
-
-bool decode(std::string_view payload, TraceStatsRequest* out) {
-  Reader r(payload);
-  return r.u32(&out->max_spans) && r.at_end();
-}
-
-// --- TraceStatsResponse ---------------------------------------------------
-
-std::string encode(const TraceStatsResponse& m) {
-  Writer w;
-  w.str(m.json);
-  return w.take();
-}
-
-bool decode(std::string_view payload, TraceStatsResponse* out) {
-  Reader r(payload);
-  return r.str(&out->json, kMaxBodyLen) && r.at_end();
-}
-
-// --- TimeSeriesRequest ----------------------------------------------------
-
-std::string encode(const TimeSeriesRequest& m) {
-  Writer w;
   w.u32(m.max_intervals);
   return w.take();
 }
 
-bool decode(std::string_view payload, TimeSeriesRequest* out) {
+bool decode(std::string_view payload, IntrospectRequest* out) {
   Reader r(payload);
-  return r.u32(&out->max_intervals) && r.at_end();
+  return r.u32(&out->sections) && (out->sections & ~kIntrospectAll) == 0 &&
+         r.u32(&out->max_spans) && r.u32(&out->max_intervals) && r.at_end();
 }
 
-// --- TimeSeriesResponse ---------------------------------------------------
+// --- IntrospectResponse ---------------------------------------------------
 
-std::string encode(const TimeSeriesResponse& m) {
+std::string encode(const IntrospectResponse& m) {
   Writer w;
   w.str(m.json);
   return w.take();
 }
 
-bool decode(std::string_view payload, TimeSeriesResponse* out) {
+bool decode(std::string_view payload, IntrospectResponse* out) {
   Reader r(payload);
   return r.str(&out->json, kMaxBodyLen) && r.at_end();
 }

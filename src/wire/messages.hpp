@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "wire/frame.hpp"
@@ -38,11 +39,11 @@ bool wire_source_valid(std::uint8_t v);
 
 /// Opens a client host's session. It names no browser: every FetchRequest
 /// and IndexUpdate carries its own browser id, so one session serves all of
-/// a host's browsers (and any session may read stats).
+/// a host's browsers (and any session may introspect).
 struct Hello {
   static constexpr FrameKind kKind = FrameKind::kHello;
   /// Port of the host's peer server; 0 when the host serves no peer fetches
-  /// (a dashboard or a stats poll).
+  /// (a dashboard or an introspection poll).
   std::uint16_t peer_port = 0;
 };
 
@@ -103,57 +104,44 @@ struct PeerDeliver {
   std::vector<std::uint8_t> watermark;
 };
 
-struct StatsRequest {
-  static constexpr FrameKind kKind = FrameKind::kStatsRequest;
-};
-
-struct StatsResponse {
-  static constexpr FrameKind kKind = FrameKind::kStatsResponse;
-  std::uint64_t proxy_hits = 0;
-  std::uint64_t peer_hits = 0;
-  std::uint64_t origin_fetches = 0;
-  std::uint64_t false_forwards = 0;
-  std::uint64_t rejected_index_updates = 0;
-};
-
 struct ErrorMsg {
   static constexpr FrameKind kKind = FrameKind::kError;
   std::string message;
 };
 
-/// Live-introspection request: the proxy answers with a registry snapshot
-/// (current counters/gauges/histograms) and up to `max_spans` most recent
-/// spans, without interrupting service. Live rates are TimeSeriesRequest's.
-struct TraceStatsRequest {
-  static constexpr FrameKind kKind = FrameKind::kTraceStatsRequest;
-  /// 0 = no spans, just the metrics snapshot.
+/// Introspection sections, one bit each. Each names the member of the
+/// baps.introspect.v1 reply that carries it.
+inline constexpr std::uint32_t kIntrospectProxy = 1u << 0;
+inline constexpr std::uint32_t kIntrospectRegistry = 1u << 1;
+inline constexpr std::uint32_t kIntrospectSpans = 1u << 2;
+inline constexpr std::uint32_t kIntrospectTimeSeries = 1u << 3;
+inline constexpr std::uint32_t kIntrospectAll = (1u << 4) - 1;
+inline constexpr std::pair<std::uint32_t, const char*> kIntrospectSections[] =
+    {{kIntrospectProxy, "proxy"},
+     {kIntrospectRegistry, "registry"},
+     {kIntrospectSpans, "spans"},
+     {kIntrospectTimeSeries, "timeseries"}};
+inline constexpr const char* kIntrospectSchema = "baps.introspect.v1";
+
+/// The one live-introspection request, valid on any session: the proxy
+/// answers without interrupting service. decode() rejects a section bit
+/// outside kIntrospectAll.
+struct IntrospectRequest {
+  static constexpr FrameKind kKind = FrameKind::kIntrospectRequest;
+  std::uint32_t sections = 0;
+  /// spans: most recent spans to include; 0 = none, just the totals.
   std::uint32_t max_spans = 0;
-};
-
-/// Introspection payload: one JSON document (schema baps.trace_stats.v1,
-/// the proxy's registry snapshot plus its tracer's spans). JSON rather than
-/// a fixed struct so the snapshot can grow fields without a wire rev.
-struct TraceStatsResponse {
-  static constexpr FrameKind kKind = FrameKind::kTraceStatsResponse;
-  std::string json;
-};
-
-/// Live time-series request: the proxy answers with the most recent interval
-/// records from its TimeSeriesSampler ring — per-interval counter rates,
-/// gauge levels, and windowed histogram quantiles — without interrupting
-/// service. `baps_top` polls this frame.
-struct TimeSeriesRequest {
-  static constexpr FrameKind kKind = FrameKind::kTimeSeriesRequest;
-  /// 0 = everything in the ring.
+  /// timeseries: most recent intervals; 0 = the sampler's whole ring.
   std::uint32_t max_intervals = 0;
 };
 
-/// Time-series payload: one JSON document (schema baps.timeseries_window.v1,
-/// an envelope of baps.timeseries.v1 interval records). JSON rather than a
-/// fixed struct so records can grow fields without a wire rev — the same
-/// choice TraceStatsResponse made.
-struct TimeSeriesResponse {
-  static constexpr FrameKind kKind = FrameKind::kTimeSeriesResponse;
+/// One baps.introspect.v1 JSON document holding exactly the requested
+/// sections: `proxy` (the five ProxyStats counters), `registry` (snapshot
+/// with latency quantiles), `spans` (tracer totals, recent spans, slow
+/// traces) and `timeseries` (the baps.timeseries_window.v1 sampler window).
+/// JSON so sections can grow fields without a wire rev.
+struct IntrospectResponse {
+  static constexpr FrameKind kKind = FrameKind::kIntrospectResponse;
   std::string json;
 };
 
@@ -169,14 +157,10 @@ std::string encode(const IndexUpdate& m);
 std::string encode(const IndexAck& m);
 std::string encode(const PeerFetch& m);
 std::string encode(const PeerDeliver& m);
-std::string encode(const StatsRequest& m);
-std::string encode(const StatsResponse& m);
 std::string encode(const ErrorMsg& m);
 std::string encode(const Bye& m);
-std::string encode(const TraceStatsRequest& m);
-std::string encode(const TraceStatsResponse& m);
-std::string encode(const TimeSeriesRequest& m);
-std::string encode(const TimeSeriesResponse& m);
+std::string encode(const IntrospectRequest& m);
+std::string encode(const IntrospectResponse& m);
 
 bool decode(std::string_view payload, Hello* out);
 bool decode(std::string_view payload, HelloAck* out);
@@ -186,13 +170,9 @@ bool decode(std::string_view payload, IndexUpdate* out);
 bool decode(std::string_view payload, IndexAck* out);
 bool decode(std::string_view payload, PeerFetch* out);
 bool decode(std::string_view payload, PeerDeliver* out);
-bool decode(std::string_view payload, StatsRequest* out);
-bool decode(std::string_view payload, StatsResponse* out);
 bool decode(std::string_view payload, ErrorMsg* out);
 bool decode(std::string_view payload, Bye* out);
-bool decode(std::string_view payload, TraceStatsRequest* out);
-bool decode(std::string_view payload, TraceStatsResponse* out);
-bool decode(std::string_view payload, TimeSeriesRequest* out);
-bool decode(std::string_view payload, TimeSeriesResponse* out);
+bool decode(std::string_view payload, IntrospectRequest* out);
+bool decode(std::string_view payload, IntrospectResponse* out);
 
 }  // namespace baps::wire

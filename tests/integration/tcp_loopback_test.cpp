@@ -10,8 +10,9 @@
 //    document key — no requester identity crosses the wire (§6.2);
 //  - a holder whose peer port is dead costs one bounded wait and degrades to
 //    an origin fetch, never a hang;
-//  - a frame naming a browser id out of range, and a connection that never
-//    says Hello, each close only their own session and are counted.
+//  - a frame naming a browser id out of range, a frame of a retired kind, a
+//    version-2 header, and a connection that never says Hello each close
+//    only their own session and are counted.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -24,6 +25,7 @@
 #include "crypto/hmac.hpp"
 #include "netio/frame_channel.hpp"
 #include "netio/socket.hpp"
+#include "obs/json.hpp"
 #include "obs/registry.hpp"
 #include "runtime/proxy_server.hpp"
 #include "runtime/system.hpp"
@@ -80,12 +82,21 @@ std::array<std::uint8_t, 16> index_mac(std::uint64_t seed,
   return crypto::hmac_md5(keys[sender], msg).bytes;
 }
 
-/// Index updates are not acked. A stats round trip on the same session is
-/// answered only after every update sent before it, so it is the wait.
-std::optional<wire::StatsResponse> sync_stats(netio::FrameChannel& channel) {
+/// Index updates are not acked. An Introspect{proxy} round trip on the same
+/// session is answered only after every update sent before it, so it is the
+/// wait.
+std::optional<ProxyStats> sync_stats(netio::FrameChannel& channel) {
   netio::NetError err;
-  if (!channel.send_msg(wire::StatsRequest{}, &err)) return std::nullopt;
-  return channel.recv_msg<wire::StatsResponse>(&err);
+  if (!channel.send_msg(wire::IntrospectRequest{wire::kIntrospectProxy},
+                        &err)) {
+    return std::nullopt;
+  }
+  const auto reply = channel.recv_msg<wire::IntrospectResponse>(&err);
+  if (!reply.has_value()) return std::nullopt;
+  const auto doc = obs::json_parse(reply->json);
+  const obs::JsonValue* proxy = doc.has_value() ? doc->find("proxy") : nullptr;
+  if (proxy == nullptr) return std::nullopt;
+  return proxy_stats_from_json(*proxy);
 }
 
 /// Reads one whole frame off a raw connection, returning the exact bytes
@@ -409,6 +420,51 @@ TEST(TcpLoopbackTest, OutOfRangeBrowserIdClosesOnlyItsSession) {
   const auto served = good->recv_msg<wire::FetchResponse>(&err);
   ASSERT_TRUE(served.has_value()) << err.message;
   EXPECT_EQ(served->source, wire::WireSource::kOrigin);
+  server.stop();
+}
+
+TEST(TcpLoopbackTest, RetiredKindAndOldVersionCloseOnlyTheirSession) {
+  ProxyServer server(proxy_params(3, 8 << 10, 5));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  const auto decode_errors = [](const char* reason) {
+    return obs::Registry::global()
+        .counter("wire_decode_errors_total", {{"reason", reason}})
+        .value();
+  };
+
+  // A well-formed v3 frame under a number the protocol retired (9 was the
+  // version-2 counter request) and a frame with a v2 header: each is
+  // refused at the header, counted, and ends its session without a reply.
+  std::string retired = wire::encode_frame(wire::FrameKind::kBye, "");
+  retired[5] = 9;
+  ASSERT_EQ(wire::decode_frame(retired).status, wire::DecodeStatus::kBadKind);
+  std::string old_version = wire::encode_frame(
+      wire::FrameKind::kIntrospectRequest,
+      wire::encode(wire::IntrospectRequest{wire::kIntrospectProxy}));
+  old_version[4] = 2;
+  ASSERT_EQ(wire::decode_frame(old_version).status,
+            wire::DecodeStatus::kBadVersion);
+  for (const auto& [bytes, reason] : {std::pair{retired, "bad-kind"},
+                                      std::pair{old_version, "bad-version"}}) {
+    const std::uint64_t before = decode_errors(reason);
+    auto session = dial(server.port());
+    ASSERT_TRUE(session.has_value());
+    ASSERT_TRUE(handshake(*session, 0).has_value());
+    netio::NetError err;
+    ASSERT_TRUE(session->connection().write_all(bytes.data(), bytes.size(),
+                                                2000, &err))
+        << err.message;
+    EXPECT_FALSE(session->recv(&err).has_value()) << reason;
+    EXPECT_EQ(err.status, netio::NetStatus::kClosed) << reason;
+    EXPECT_EQ(decode_errors(reason), before + 1) << reason;
+  }
+
+  // Another session is still served.
+  auto good = dial(server.port());
+  ASSERT_TRUE(good.has_value());
+  ASSERT_TRUE(handshake(*good, 0).has_value());
+  EXPECT_TRUE(sync_stats(*good).has_value());
   server.stop();
 }
 

@@ -207,24 +207,21 @@ TEST(TraceStitchTest, LiveStatsSnapshotServedFromRunningDaemon) {
   sys.browse(0, "http://stats.test/a");
   sys.browse(1, "http://stats.test/a");
 
-  const std::string json = transport.trace_stats(/*max_spans=*/16);
-  ASSERT_FALSE(json.empty());
-  const auto doc = obs::json_parse(json, &error);
-  ASSERT_TRUE(doc.has_value()) << error;
-  ASSERT_TRUE(doc->is_object());
-  EXPECT_EQ(doc->at("schema").as_string(), "baps.trace_stats.v1");
-  // Live introspection: the registry section with derived quantile gauges
-  // and the tracer's own counters.
-  ASSERT_NE(doc->find("registry"), nullptr);
-  const obs::JsonValue* recorded = doc->find("spans_recorded");
-  ASSERT_NE(recorded, nullptr);
-  EXPECT_GT(recorded->as_uint(), 0u);
-  const obs::JsonValue* spans = doc->find("recent_spans");
-  ASSERT_NE(spans, nullptr);
-  ASSERT_TRUE(spans->is_array());
-  EXPECT_FALSE(spans->as_array().empty());
-  EXPECT_LE(spans->as_array().size(), 16u);
-  ASSERT_NE(doc->find("slow_traces"), nullptr);
+  const obs::JsonValue doc = transport.introspect(wire::IntrospectRequest{
+      wire::kIntrospectRegistry | wire::kIntrospectSpans, /*max_spans=*/16});
+  EXPECT_EQ(doc.at("schema").as_string(), wire::kIntrospectSchema);
+  // Exactly the requested sections: the registry with derived quantile
+  // gauges and the tracer's own counters, no proxy or time-series section.
+  ASSERT_NE(doc.find("registry"), nullptr);
+  EXPECT_EQ(doc.find("proxy"), nullptr);
+  EXPECT_EQ(doc.find("timeseries"), nullptr);
+  const obs::JsonValue& spans = doc.at("spans");
+  EXPECT_GT(spans.at("spans_recorded").as_uint(), 0u);
+  const obs::JsonValue& recent = spans.at("recent_spans");
+  ASSERT_TRUE(recent.is_array());
+  EXPECT_FALSE(recent.as_array().empty());
+  EXPECT_LE(recent.as_array().size(), 16u);
+  ASSERT_NE(spans.find("slow_traces"), nullptr);
   server.stop();
 }
 

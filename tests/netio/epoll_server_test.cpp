@@ -115,7 +115,7 @@ TEST(EpollFrameServerTest, CoalescedFramesAllReachTheHandler) {
   // the decode loop must keep consuming until kNeedMore, not stop at one.
   std::string bytes;
   for (int i = 0; i < 32; ++i) {
-    bytes += wire::encode_frame(wire::FrameKind::kStatsRequest,
+    bytes += wire::encode_frame(wire::FrameKind::kIntrospectRequest,
                                 "req-" + std::to_string(i));
   }
   ASSERT_TRUE(conn->write_all(bytes.data(), bytes.size(), 2000, &err));
@@ -164,7 +164,7 @@ TEST(EpollFrameServerTest, PerConnectionStatePersistsAcrossFrames) {
           conn.state() = count;
         }
         ++*count;
-        return conn.send(wire::FrameKind::kStatsResponse,
+        return conn.send(wire::FrameKind::kIntrospectResponse,
                          std::to_string(*count));
       });
   std::string error;
@@ -176,13 +176,13 @@ TEST(EpollFrameServerTest, PerConnectionStatePersistsAcrossFrames) {
   ASSERT_TRUE(b.has_value());
   NetError err;
   for (int i = 1; i <= 3; ++i) {
-    ASSERT_TRUE(a->send(wire::FrameKind::kStatsRequest, "", &err));
+    ASSERT_TRUE(a->send(wire::FrameKind::kIntrospectRequest, "", &err));
     const auto fa = a->recv(&err);
     ASSERT_TRUE(fa.has_value());
     EXPECT_EQ(fa->payload, std::to_string(i)) << "state lost or shared";
   }
   // Connection b has its own counter: the state slot is per-connection.
-  ASSERT_TRUE(b->send(wire::FrameKind::kStatsRequest, "", &err));
+  ASSERT_TRUE(b->send(wire::FrameKind::kIntrospectRequest, "", &err));
   const auto fb = b->recv(&err);
   ASSERT_TRUE(fb.has_value());
   EXPECT_EQ(fb->payload, "1");

@@ -364,5 +364,93 @@ TEST(TransportTest, TcpHandshakeRejectsAnUnusableProxyKey) {
   fake_proxy.join();
 }
 
+// stats() is the `proxy` introspection section, read on the host's ordered
+// channel: after the same traffic it is the core's own five counters, and
+// the all-sections document carries the same ones.
+TEST(TransportTest, TcpStatsMatchTheCoreAfterTheSameTraffic) {
+  auto params = small_params();
+  ProxyServer server(server_params(params));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  TcpTransport transport(transport_params(server.port()));
+  BapsSystem sys(params, transport);
+  for (const auto& [client, url] : workload(params.num_clients, 120)) {
+    sys.browse(client, url);
+  }
+  // A spoofed remove: the MAC is under the wrong key, so it is rejected.
+  transport.index_update(1, false, url_key("http://doc0.test/"),
+                         crypto::Md5Digest{});
+
+  const ProxyStats over_wire = transport.stats();
+  const ProxyStats& core = server.core().stats();
+  EXPECT_GT(core.origin_fetches, 0u);
+  EXPECT_EQ(core.rejected_index_updates, 1u);
+  EXPECT_EQ(over_wire.proxy_hits, core.proxy_hits);
+  EXPECT_EQ(over_wire.peer_hits, core.peer_hits);
+  EXPECT_EQ(over_wire.origin_fetches, core.origin_fetches);
+  EXPECT_EQ(over_wire.false_forwards, core.false_forwards);
+  EXPECT_EQ(over_wire.rejected_index_updates, core.rejected_index_updates);
+
+  const obs::JsonValue doc = transport.introspect(
+      wire::IntrospectRequest{wire::kIntrospectAll, 4, 0});
+  for (const auto& [bit, name] : wire::kIntrospectSections) {
+    EXPECT_NE(doc.find(name), nullptr) << name;
+  }
+  const auto section = proxy_stats_from_json(doc.at("proxy"));
+  ASSERT_TRUE(section.has_value());
+  EXPECT_EQ(section->origin_fetches, core.origin_fetches);
+  EXPECT_EQ(section->rejected_index_updates, 1u);
+  server.stop();
+}
+
+// A fake proxy answers Introspect{proxy} with replies a client cannot use:
+// each fails the exchange like a bad frame and is counted.
+TEST(TransportTest, TcpIntrospectRejectsAnUnusableReply) {
+  netio::NetError err;
+  auto listener = netio::TcpListener::listen("127.0.0.1", 0, 4, &err);
+  ASSERT_TRUE(listener.has_value()) << err.message;
+  const crypto::RsaKeyPair keys = crypto::generate_rsa_keypair(256, 7);
+  const std::vector<std::string> bad_replies = {
+      "not json",
+      R"({"schema":"baps.introspect.v1"})",
+      R"({"schema":"baps.introspect.v1","proxy":{"proxy_hits":1}})",
+      R"({"schema":"baps.introspect.v1","proxy":[]})",
+      R"({"schema":"baps.report.v1","proxy":{"proxy_hits":0,)"
+      R"("peer_hits":0,"origin_fetches":0,"false_forwards":0,)"
+      R"("rejected_index_updates":0}})",
+  };
+  const obs::Counter& bad_introspect = obs::Registry::global().counter(
+      "wire_decode_errors_total", {{"reason", "bad-introspect"}});
+
+  std::thread fake_proxy([&] {
+    for (const std::string& reply : bad_replies) {
+      netio::NetError perr;
+      auto conn = listener->accept(5000, &perr);
+      if (!conn.has_value()) return;
+      netio::FrameChannel channel(std::move(*conn),
+                                  netio::Deadlines{2000, 3000, 3000});
+      if (!channel.recv_msg<wire::Hello>(&perr).has_value()) return;
+      wire::HelloAck ack;
+      ack.rsa_n = keys.pub.n.to_bytes();
+      ack.rsa_e = keys.pub.e.to_bytes();
+      ack.max_clients = 4;
+      if (!channel.send_msg(ack, &perr)) return;
+      if (!channel.recv_msg<wire::IntrospectRequest>(&perr).has_value()) {
+        return;
+      }
+      if (!channel.send_msg(wire::IntrospectResponse{reply}, &perr)) return;
+      (void)channel.recv(&perr);  // the client hangs up
+    }
+  });
+
+  for (const std::string& reply : bad_replies) {
+    const std::uint64_t before = bad_introspect.value();
+    TcpTransport transport(transport_params(listener->port()));
+    EXPECT_THROW((void)transport.stats(), InvariantError) << reply;
+    EXPECT_EQ(bad_introspect.value(), before + 1) << reply;
+  }
+  fake_proxy.join();
+}
+
 }  // namespace
 }  // namespace baps::runtime

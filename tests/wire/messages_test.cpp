@@ -63,7 +63,7 @@ TEST(MessagesTest, VersionOneFramesAreRejectedAtTheHeader) {
   ASSERT_EQ(current.status, DecodeStatus::kOk);
   Hello hello;
   EXPECT_FALSE(decode(current.frame.payload, &hello));
-  EXPECT_EQ(kVersion, 2);
+  EXPECT_EQ(kVersion, 3);
 }
 
 TEST(MessagesTest, HelloAckRoundTrip) {
@@ -205,66 +205,110 @@ TEST(MessagesTest, PeerDeliverRoundTrip) {
   EXPECT_TRUE(out.body.empty());
 }
 
+// The proxy counters (once StatsRequest/StatsResponse) travel as the
+// `proxy` section: a request for it alone, and a reply holding the five.
 TEST(MessagesTest, StatsRoundTrip) {
-  EXPECT_TRUE(encode(StatsRequest{}).empty());
-  StatsRequest req;
-  EXPECT_TRUE(decode("", &req));
-  EXPECT_FALSE(decode("x", &req));
-
-  StatsResponse in;
-  in.proxy_hits = 1;
-  in.peer_hits = 2;
-  in.origin_fetches = 3;
-  in.false_forwards = 4;
-  in.rejected_index_updates = 5;
-  StatsResponse out;
-  ASSERT_TRUE(decode(encode(in), &out));
-  EXPECT_EQ(out.proxy_hits, 1u);
-  EXPECT_EQ(out.peer_hits, 2u);
-  EXPECT_EQ(out.origin_fetches, 3u);
-  EXPECT_EQ(out.false_forwards, 4u);
-  EXPECT_EQ(out.rejected_index_updates, 5u);
-  expect_strict<StatsResponse>(encode(in));
-}
-
-TEST(MessagesTest, TraceStatsRoundTrip) {
-  TraceStatsRequest req;
-  req.max_spans = 128;
-  TraceStatsRequest req_out;
+  IntrospectRequest req;
+  req.sections = kIntrospectProxy;
+  IntrospectRequest req_out;
   ASSERT_TRUE(decode(encode(req), &req_out));
-  EXPECT_EQ(req_out.max_spans, 128u);
-  expect_strict<TraceStatsRequest>(encode(req));
+  EXPECT_EQ(req_out.sections, kIntrospectProxy);
+  expect_strict<IntrospectRequest>(encode(req));
 
-  TraceStatsResponse in;
-  in.json = "{\"schema\":\"baps.trace_stats.v1\",\"spans_recorded\":42}";
-  TraceStatsResponse out;
-  ASSERT_TRUE(decode(encode(in), &out));
-  EXPECT_EQ(out.json, in.json);
-  expect_strict<TraceStatsResponse>(encode(in));
-
-  TraceStatsResponse empty;
-  ASSERT_TRUE(decode(encode(TraceStatsResponse{}), &empty));
-  EXPECT_TRUE(empty.json.empty());
-}
-
-TEST(MessagesTest, TimeSeriesRoundTrip) {
-  TimeSeriesRequest req;
-  req.max_intervals = 16;
-  TimeSeriesRequest req_out;
-  ASSERT_TRUE(decode(encode(req), &req_out));
-  EXPECT_EQ(req_out.max_intervals, 16u);
-  expect_strict<TimeSeriesRequest>(encode(req));
-
-  TimeSeriesResponse in;
+  IntrospectResponse in;
   in.json =
-      "{\"schema\":\"baps.timeseries_window.v1\",\"intervals\":[]}";
-  TimeSeriesResponse out;
+      "{\"schema\":\"baps.introspect.v1\",\"proxy\":{\"proxy_hits\":1,"
+      "\"peer_hits\":2,\"origin_fetches\":3,\"false_forwards\":4,"
+      "\"rejected_index_updates\":5}}";
+  IntrospectResponse out;
   ASSERT_TRUE(decode(encode(in), &out));
   EXPECT_EQ(out.json, in.json);
-  expect_strict<TimeSeriesResponse>(encode(in));
+  expect_strict<IntrospectResponse>(encode(in));
+}
 
-  TimeSeriesResponse empty;
-  ASSERT_TRUE(decode(encode(TimeSeriesResponse{}), &empty));
+// The tracer report (once TraceStatsRequest/TraceStatsResponse) is the
+// `spans` section; its span bound rides in the request.
+TEST(MessagesTest, TraceStatsRoundTrip) {
+  IntrospectRequest req;
+  req.sections = kIntrospectSpans;
+  req.max_spans = 128;
+  IntrospectRequest req_out;
+  ASSERT_TRUE(decode(encode(req), &req_out));
+  EXPECT_EQ(req_out.sections, kIntrospectSpans);
+  EXPECT_EQ(req_out.max_spans, 128u);
+  expect_strict<IntrospectRequest>(encode(req));
+
+  IntrospectResponse in;
+  in.json =
+      "{\"schema\":\"baps.introspect.v1\",\"spans\":{\"spans_recorded\":42}}";
+  IntrospectResponse out;
+  ASSERT_TRUE(decode(encode(in), &out));
+  EXPECT_EQ(out.json, in.json);
+  expect_strict<IntrospectResponse>(encode(in));
+}
+
+// The sampler window (once TimeSeriesRequest/TimeSeriesResponse) is the
+// `timeseries` section; its interval bound rides in the request.
+TEST(MessagesTest, TimeSeriesRoundTrip) {
+  IntrospectRequest req;
+  req.sections = kIntrospectTimeSeries;
+  req.max_intervals = 16;
+  IntrospectRequest req_out;
+  ASSERT_TRUE(decode(encode(req), &req_out));
+  EXPECT_EQ(req_out.sections, kIntrospectTimeSeries);
+  EXPECT_EQ(req_out.max_intervals, 16u);
+  expect_strict<IntrospectRequest>(encode(req));
+
+  IntrospectResponse in;
+  in.json =
+      "{\"schema\":\"baps.introspect.v1\",\"timeseries\":{\"intervals\":[]}}";
+  IntrospectResponse out;
+  ASSERT_TRUE(decode(encode(in), &out));
+  EXPECT_EQ(out.json, in.json);
+  expect_strict<IntrospectResponse>(encode(in));
+}
+
+TEST(MessagesTest, IntrospectRoundTrip) {
+  IntrospectRequest req;
+  req.sections = kIntrospectProxy | kIntrospectTimeSeries;
+  req.max_spans = 128;
+  req.max_intervals = 16;
+  IntrospectRequest req_out;
+  ASSERT_TRUE(decode(encode(req), &req_out));
+  EXPECT_EQ(req_out.sections, req.sections);
+  EXPECT_EQ(req_out.max_spans, 128u);
+  EXPECT_EQ(req_out.max_intervals, 16u);
+  expect_strict<IntrospectRequest>(encode(req));
+  req.sections = kIntrospectAll;
+  expect_strict<IntrospectRequest>(encode(req));
+
+  // Strict on sections: any bit the decoder does not know is rejected, so
+  // a newer client's section is refused rather than silently dropped.
+  for (std::uint32_t bit = 4; bit < 32; ++bit) {
+    IntrospectRequest unknown;
+    unknown.sections = kIntrospectProxy | (1u << bit);
+    IntrospectRequest out;
+    EXPECT_FALSE(decode(encode(unknown), &out)) << "bit " << bit;
+  }
+
+  // The section table names each bit once, and the bits make up
+  // kIntrospectAll.
+  std::uint32_t bits = 0;
+  for (const auto& [bit, name] : kIntrospectSections) {
+    EXPECT_EQ(bits & bit, 0u) << name;
+    bits |= bit;
+  }
+  EXPECT_EQ(bits, kIntrospectAll);
+
+  IntrospectResponse in;
+  in.json = "{\"schema\":\"baps.introspect.v1\",\"proxy\":{}}";
+  IntrospectResponse out;
+  ASSERT_TRUE(decode(encode(in), &out));
+  EXPECT_EQ(out.json, in.json);
+  expect_strict<IntrospectResponse>(encode(in));
+
+  IntrospectResponse empty;
+  ASSERT_TRUE(decode(encode(IntrospectResponse{}), &empty));
   EXPECT_TRUE(empty.json.empty());
 }
 
@@ -290,14 +334,10 @@ TEST(MessagesTest, MessageKindsMatchFrameKinds) {
   EXPECT_EQ(IndexAck::kKind, FrameKind::kIndexAck);
   EXPECT_EQ(PeerFetch::kKind, FrameKind::kPeerFetch);
   EXPECT_EQ(PeerDeliver::kKind, FrameKind::kPeerDeliver);
-  EXPECT_EQ(StatsRequest::kKind, FrameKind::kStatsRequest);
-  EXPECT_EQ(StatsResponse::kKind, FrameKind::kStatsResponse);
   EXPECT_EQ(ErrorMsg::kKind, FrameKind::kError);
   EXPECT_EQ(Bye::kKind, FrameKind::kBye);
-  EXPECT_EQ(TraceStatsRequest::kKind, FrameKind::kTraceStatsRequest);
-  EXPECT_EQ(TraceStatsResponse::kKind, FrameKind::kTraceStatsResponse);
-  EXPECT_EQ(TimeSeriesRequest::kKind, FrameKind::kTimeSeriesRequest);
-  EXPECT_EQ(TimeSeriesResponse::kKind, FrameKind::kTimeSeriesResponse);
+  EXPECT_EQ(IntrospectRequest::kKind, FrameKind::kIntrospectRequest);
+  EXPECT_EQ(IntrospectResponse::kKind, FrameKind::kIntrospectResponse);
 }
 
 }  // namespace

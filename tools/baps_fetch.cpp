@@ -19,7 +19,8 @@
 // (root client_fetch span + frame spans, JSONL to --trace-out) and the
 // sampled trace context rides the wire, so a proxy running with tracing on
 // records spans under the same trace ids. `--stats` asks a running proxyd
-// for its live introspection snapshot (baps.trace_stats.v1) and exits:
+// for every introspection section (one baps.introspect.v1 document: proxy
+// counters, registry, spans, time-series window) and exits:
 //
 //   baps_fetch --transport tcp --port 4160 --stats
 #include <fstream>
@@ -118,7 +119,7 @@ int main(int argc, char** argv) {
       .flag("--fault-strict", &fault_strict,
             "exit 1 unless every injected fault was recovered")
       .flag("--stats", &stats,
-            "print the proxy's live trace/metric snapshot and exit (tcp only)")
+            "print the proxy's baps.introspect.v1 document and exit (tcp only)")
       .option("--stats-spans", &stats_spans, "N",
               "recent spans to include with --stats (default 32)")
       .option("--trace-sample", &trace_sample, "RATE",
@@ -172,7 +173,8 @@ int main(int argc, char** argv) {
     tp.proxy_host = host;
     tp.proxy_port = port;
     runtime::TcpTransport transport(tp);
-    std::cout << transport.trace_stats(stats_spans) << "\n";
+    const wire::IntrospectRequest all{wire::kIntrospectAll, stats_spans};
+    std::cout << transport.introspect(all).dump() << "\n";
     return 0;
   }
   if (url.empty() == preset_name.empty()) {

@@ -1,15 +1,16 @@
 // baps_proxyd — the BAPS proxy as a standalone TCP daemon.
 //
-// Serves the wire protocol (Hello, FetchRequest, IndexUpdate, StatsRequest,
-// Bye) on a TCP port, every session on one epoll event-loop thread. Clients
-// connect with baps_fetch or any TcpTransport.
+// Serves the wire protocol (Hello, FetchRequest, IndexUpdate,
+// IntrospectRequest, Bye) on a TCP port, every session on one epoll
+// event-loop thread. Clients connect with baps_fetch or any TcpTransport;
+// `baps_fetch --stats` and baps_top read the introspection sections.
 // Runs until SIGINT/SIGTERM (or --max-seconds in scripted runs), then shuts
 // down cleanly and optionally writes a baps.report.v1 JSON report with the
 // final proxy counters and the wire/netio metric registry.
 //
 // With --trace-sample the daemon traces its side of every sampled request
-// (span JSONL to --trace-out) and serves live introspection snapshots to
-// `baps_fetch --stats`.
+// (span JSONL to --trace-out) and fills the `spans` introspection section;
+// with --ts-interval its sampler fills the `timeseries` section.
 //
 //   baps_proxyd --port 4160 --clients 8 --seed 7
 //   baps_proxyd --port 0 --max-seconds 30 --metrics-out proxyd.json

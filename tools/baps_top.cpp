@@ -1,16 +1,17 @@
 // baps_top — live terminal dashboard for a running baps_proxyd. Polls the
-// daemon's TimeSeriesRequest frame (the sampler's interval ring) and renders
-// per-interval request rate, hit ratio, store tier movement, fault/churn
-// counters, and latency quantiles. Nothing is computed client-side from raw
-// counters: every rate/quantile shown is what the daemon's TimeSeriesSampler
-// put in the interval record, so the dashboard and the JSONL export always
-// agree.
+// daemon's `timeseries` introspection section (the sampler's interval ring)
+// and renders per-interval request rate, hit ratio, store tier movement,
+// fault/churn counters, and latency quantiles. Nothing is computed
+// client-side from raw counters: every rate/quantile shown is what the
+// daemon's TimeSeriesSampler put in the interval record, so the dashboard and
+// the JSONL export always agree.
 //
 //   baps_top --port 4160                 # full-screen, refresh every second
 //   baps_top --port 4160 --plain --iterations 1   # one scripted frame
 //
 // Exits 0 after --iterations frames (0 = run until killed), 1 when the
-// daemon cannot be reached or answers with an unusable window.
+// window is not a baps.timeseries_window.v1. A daemon that cannot be reached,
+// or whose reply fails TcpTransport::introspect's checks, aborts the run.
 #include <chrono>
 #include <cmath>
 #include <iostream>
@@ -271,20 +272,16 @@ int main(int argc, char** argv) {
     if (frame > 0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(interval));
     }
-    const std::string json = transport.time_series(max_intervals);
-    std::string perr;
-    auto window = baps::obs::json_parse(json, &perr);
-    if (!window) {
-      std::cerr << "bad time-series window from proxy: " << perr << "\n";
-      return 1;
-    }
-    const JsonValue* schema = window->find("schema");
+    const JsonValue doc = transport.introspect(baps::wire::IntrospectRequest{
+        baps::wire::kIntrospectTimeSeries, 0, max_intervals});
+    const JsonValue& window = doc.at("timeseries");
+    const JsonValue* schema = window.find("schema");
     if (schema == nullptr || !schema->is_string() ||
         schema->as_string() != baps::obs::kTimeSeriesWindowSchema) {
-      std::cerr << "unexpected schema in proxy answer\n";
+      std::cerr << "unexpected time-series window in proxy answer\n";
       return 1;
     }
-    render(*window, plain);
+    render(window, plain);
   }
   return 0;
 }
