@@ -1,5 +1,6 @@
 #include "netio/epoll_server.hpp"
 
+#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -36,6 +37,7 @@ struct EpollCounters {
   obs::Counter& writeq_stalls;
   obs::Counter& idle_closes;
   obs::Counter& hello_timeouts;
+  obs::Counter& peer_timeouts;
   obs::Counter& drained;
   obs::Counter& connections_total;
   obs::Gauge& connections_active;
@@ -49,6 +51,7 @@ struct EpollCounters {
         reg.counter("netio_epoll_writeq_stall_total"),
         reg.counter("netio_epoll_idle_closes_total"),
         reg.counter("netio_epoll_hello_timeouts_total"),
+        reg.counter("netio_peer_timeouts_total"),
         reg.counter("netio_epoll_drained_total"),
         reg.counter("netio_connections_total"),
         reg.gauge("netio_connections_active"),
@@ -118,11 +121,29 @@ void EpollFrameServer::Connection::close_after_flush() {
   if (wq_.empty()) server_->close_conn(*this);
 }
 
+void EpollFrameServer::Connection::unpark() {
+  if (!parked_) return;
+  parked_ = false;
+  // Deferred: the caller is usually another connection's handler, and this
+  // session's frames must not run nested inside it.
+  server_->resume_.push_back(id_);
+}
+
+void EpollFrameServer::Connection::expect_reply(int timeout_ms) {
+  if (closed_) return;
+  const std::uint64_t now = server_->now_ms();
+  reply_due_ms_ =
+      timeout_ms > 0 ? now + static_cast<std::uint64_t>(timeout_ms) : 0;
+  server_->arm_deadline(*this, now);
+}
+
 // --- EpollFrameServer -----------------------------------------------------
 
-EpollFrameServer::EpollFrameServer(Params params, FrameHandler handler)
+EpollFrameServer::EpollFrameServer(Params params, FrameHandler handler,
+                                   CloseHook on_outbound_close)
     : params_(std::move(params)),
       handler_(std::move(handler)),
+      on_outbound_close_(std::move(on_outbound_close)),
       tracer_(params_.tracer) {
   BAPS_REQUIRE(handler_ != nullptr, "EpollFrameServer needs a handler");
 }
@@ -188,6 +209,9 @@ void EpollFrameServer::stop() {
   if (loop_thread_.joinable()) loop_thread_.join();
   conns_.clear();
   dead_.clear();
+  closed_outbound_.clear();
+  resume_.clear();
+  outbound_open_ = 0;
   listener_.close();
   if (wake_fd_ >= 0) {
     ::close(wake_fd_);
@@ -213,7 +237,7 @@ void EpollFrameServer::begin_drain(std::uint64_t now) {
     c.close_after_flush_ = true;
     if (c.wq_.empty()) close_conn(c);
   }
-  reap_dead();
+  // No reap here: closed links stay until their close hooks have run.
 }
 
 void EpollFrameServer::loop() {
@@ -265,6 +289,10 @@ void EpollFrameServer::loop() {
       if (it == conns_.end()) continue;  // closed earlier this batch
       Connection& c = *it->second;
       if (c.closed_) continue;
+      if (c.connecting_) {
+        finish_connect(c);
+        if (c.closed_ || c.connecting_) continue;
+      }
       if ((evs & EPOLLOUT) != 0) flush_writes(c);
       if (!c.closed_ &&
           (evs & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR)) != 0) {
@@ -288,11 +316,15 @@ void EpollFrameServer::loop() {
       const std::uint64_t due = deadline_ms(c);
       if (c.closed_ || due == 0) continue;
       if (now >= due) {
+        const bool peer_wait = c.connect_due_ms_ != 0 || c.reply_due_ms_ != 0;
         const bool no_hello =
-            !c.got_frame_ && params_.hello_timeout_ms > 0 &&
+            !c.outbound_ && !c.got_frame_ && params_.hello_timeout_ms > 0 &&
             now - c.accepted_ms_ >=
                 static_cast<std::uint64_t>(params_.hello_timeout_ms);
-        (no_hello ? counters.hello_timeouts : counters.idle_closes).inc();
+        (peer_wait  ? counters.peer_timeouts
+         : no_hello ? counters.hello_timeouts
+                    : counters.idle_closes)
+            .inc();
         close_conn(c);
       } else {
         // Activity since arming: re-arm for what is left.
@@ -300,6 +332,7 @@ void EpollFrameServer::loop() {
       }
     }
 
+    run_deferred(now);
     if (draining_) {
       if (conns_.size() == dead_.size() || now >= drain_deadline_ms_) {
         for (auto& [id, conn] : conns_) {
@@ -308,6 +341,9 @@ void EpollFrameServer::loop() {
             close_conn(*conn);
           }
         }
+        // Hooks run while draining_ holds, so a link they dial comes back
+        // closed and the loop still ends.
+        run_deferred(now);
         reap_dead();
         break;
       }
@@ -315,6 +351,98 @@ void EpollFrameServer::loop() {
     reap_dead();
   }
   reap_dead();
+}
+
+void EpollFrameServer::run_deferred(std::uint64_t now) {
+  while (!closed_outbound_.empty() || !resume_.empty()) {
+    std::vector<std::uint64_t> closed;
+    closed.swap(closed_outbound_);
+    for (const std::uint64_t id : closed) {
+      // Closed links stay in conns_ until reap_dead(), after this.
+      const auto it = conns_.find(id);
+      if (it != conns_.end() && on_outbound_close_) {
+        on_outbound_close_(*it->second);
+      }
+    }
+    std::vector<std::uint64_t> resumed;
+    resumed.swap(resume_);
+    for (const std::uint64_t id : resumed) {
+      Connection* c = find(id);
+      if (c == nullptr || c->blocked()) continue;
+      arm_deadline(*c, now);
+      process_frames(*c, now);
+      if (!c->closed_ && !c->blocked() && c->read_pending_) {
+        c->read_pending_ = false;
+        read_drain(*c, now);
+      }
+    }
+  }
+}
+
+EpollFrameServer::Connection& EpollFrameServer::connect(
+    const std::string& host, std::uint16_t port, int connect_timeout_ms) {
+  const std::uint64_t now = now_ms();
+  auto conn = std::make_unique<Connection>();
+  Connection& c = *conn;
+  c.server_ = this;
+  c.id_ = next_id_++;
+  c.outbound_ = true;
+  c.last_activity_ms = now;
+  conns_.emplace(c.id_, std::move(conn));
+  ++outbound_open_;
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  bool ok = !draining_ && !stop_requested_.load() &&
+            ::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1;
+  if (ok) {
+    c.fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+    ok = c.fd_ >= 0;
+  }
+  if (ok) {
+    int one = 1;
+    ::setsockopt(c.fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    const int rc =
+        ::connect(c.fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+    c.connecting_ = rc != 0;
+    ok = rc == 0 || errno == EINPROGRESS;
+  }
+  if (ok) {
+    epoll_event ev{};
+    ev.events = EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP;
+    ev.data.u64 = c.id_;
+    ok = ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, c.fd_, &ev) == 0;
+  }
+  if (!ok) {
+    // Reported like any other failure: through the close hook, later.
+    close_conn(c);
+    return c;
+  }
+  if (c.connecting_ && connect_timeout_ms > 0) {
+    c.connect_due_ms_ = now + static_cast<std::uint64_t>(connect_timeout_ms);
+    arm_deadline(c, now);
+  }
+  return c;
+}
+
+EpollFrameServer::Connection* EpollFrameServer::find(std::uint64_t id) {
+  const auto it = conns_.find(id);
+  return it == conns_.end() || it->second->closed_ ? nullptr
+                                                   : it->second.get();
+}
+
+void EpollFrameServer::finish_connect(Connection& c) {
+  int so_error = 0;
+  socklen_t len = sizeof(so_error);
+  if (::getsockopt(c.fd_, SOL_SOCKET, SO_ERROR, &so_error, &len) != 0 ||
+      so_error != 0) {
+    close_conn(c);  // refused, unreachable, reset
+    return;
+  }
+  c.connecting_ = false;
+  c.connect_due_ms_ = 0;
+  flush_writes(c);
 }
 
 void EpollFrameServer::reap_dead() {
@@ -326,7 +454,7 @@ void EpollFrameServer::accept_drain(std::uint64_t now) {
   auto& counters = EpollCounters::get();
   for (;;) {
     if (params_.max_connections != 0 &&
-        conns_.size() - dead_.size() >= params_.max_connections) {
+        inbound_open() >= params_.max_connections) {
       counters.accept_backpressure.inc();
       accept_parked_ = true;
       accept_retry_at_ms_ = now + kAcceptParkMs;
@@ -369,22 +497,19 @@ void EpollFrameServer::accept_drain(std::uint64_t now) {
       continue;
     }
     conns_.emplace(c.id_, std::move(conn));
-    connections_active_.store(conns_.size() - dead_.size());
+    connections_active_.store(inbound_open());
     counters.connections_total.inc();
-    counters.connections_active.set(
-        static_cast<double>(conns_.size() - dead_.size()));
+    counters.connections_active.set(static_cast<double>(inbound_open()));
     c.accepted_ms_ = now;
-    if (const std::uint64_t due = deadline_ms(c); due != 0) {
-      timers_.arm(c.id_, now, due - now);
-    }
+    arm_deadline(c, now);
     // New sockets start readable-empty; data arriving later edges EPOLLIN.
   }
 }
 
 void EpollFrameServer::read_drain(Connection& c, std::uint64_t now) {
-  if (c.paused_) {
-    // Backpressured: leave bytes in the kernel. ET won't re-edge for data
-    // already queued, so remember to resume reading on unpause.
+  if (c.blocked()) {
+    // Backpressured or parked: leave bytes in the kernel. ET won't re-edge
+    // for data already queued, so remember to resume reading on unpause.
     c.read_pending_ = true;
     return;
   }
@@ -397,8 +522,8 @@ void EpollFrameServer::read_drain(Connection& c, std::uint64_t now) {
       // Decode eagerly between reads so one huge burst doesn't accumulate
       // an entire edge's bytes before any frame is handled.
       process_frames(c, now);
-      if (c.closed_ || c.paused_) {
-        c.read_pending_ = c.paused_;
+      if (c.closed_ || c.blocked()) {
+        c.read_pending_ = c.blocked();
         return;
       }
       continue;
@@ -420,7 +545,7 @@ void EpollFrameServer::read_drain(Connection& c, std::uint64_t now) {
 
 void EpollFrameServer::process_frames(Connection& c, std::uint64_t now) {
   auto& counters = EpollCounters::get();
-  while (!c.closed_ && !c.paused_) {
+  while (!c.closed_ && !c.blocked()) {
     const std::string_view view(c.rbuf_.data() + c.rbuf_off_,
                                 c.rbuf_.size() - c.rbuf_off_);
     if (view.empty()) break;
@@ -438,6 +563,7 @@ void EpollFrameServer::process_frames(Connection& c, std::uint64_t now) {
     c.rbuf_off_ += r.consumed;
     c.last_activity_ms = now;
     c.got_frame_ = true;
+    c.reply_due_ms_ = 0;
     if (may_trace && r.frame.trace.sampled) {
       tracer->record_span(obs::SpanKind::kFrameRecv, r.frame.trace, t0,
                           obs::monotonic_ns());
@@ -457,7 +583,7 @@ void EpollFrameServer::process_frames(Connection& c, std::uint64_t now) {
 }
 
 void EpollFrameServer::flush_writes(Connection& c) {
-  if (c.closed_) return;
+  if (c.closed_ || c.connecting_) return;
   auto& counters = EpollCounters::get();
   while (!c.wq_.empty()) {
     Connection::OutFrame& f = c.wq_.front();
@@ -489,6 +615,7 @@ void EpollFrameServer::flush_writes(Connection& c) {
   }
   if (c.paused_ && c.wq_bytes_ <= params_.max_write_queue_bytes / 2) {
     c.paused_ = false;
+    if (c.parked_) return;  // unpark() resumes it
     process_frames(c, now_ms());
     if (!c.closed_ && !c.paused_ && c.read_pending_) {
       c.read_pending_ = false;
@@ -499,15 +626,30 @@ void EpollFrameServer::flush_writes(Connection& c) {
 }
 
 std::uint64_t EpollFrameServer::deadline_ms(const Connection& c) const {
+  if (c.connect_due_ms_ != 0 || c.reply_due_ms_ != 0) {
+    // An outbound link waiting on its peer: only the peer deadlines apply.
+    if (c.connect_due_ms_ == 0) return c.reply_due_ms_;
+    if (c.reply_due_ms_ == 0) return c.connect_due_ms_;
+    return std::min(c.connect_due_ms_, c.reply_due_ms_);
+  }
+  // A parked session is waiting on the loop, not on its peer.
+  if (c.parked_) return 0;
   std::uint64_t due = 0;
   const auto consider = [&due](std::uint64_t from, int budget_ms) {
     if (budget_ms <= 0) return;
     const std::uint64_t at = from + static_cast<std::uint64_t>(budget_ms);
     due = due == 0 ? at : std::min(due, at);
   };
-  if (!c.got_frame_) consider(c.accepted_ms_, params_.hello_timeout_ms);
+  if (!c.outbound_ && !c.got_frame_) {
+    consider(c.accepted_ms_, params_.hello_timeout_ms);
+  }
   consider(c.last_activity_ms, params_.idle_timeout_ms);
   return due;
+}
+
+void EpollFrameServer::arm_deadline(Connection& c, std::uint64_t now) {
+  const std::uint64_t due = deadline_ms(c);
+  if (due != 0) timers_.arm(c.id_, now, due > now ? due - now : 0);
 }
 
 void EpollFrameServer::close_conn(Connection& c) {
@@ -520,8 +662,13 @@ void EpollFrameServer::close_conn(Connection& c) {
     c.fd_ = -1;
   }
   dead_.push_back(c.id_);
-  sessions_handled_.fetch_add(1);
-  const std::size_t active = conns_.size() - dead_.size();
+  if (c.outbound_) {
+    --outbound_open_;
+    closed_outbound_.push_back(c.id_);
+  } else {
+    sessions_handled_.fetch_add(1);
+  }
+  const std::size_t active = inbound_open();
   connections_active_.store(active);
   EpollCounters::get().connections_active.set(static_cast<double>(active));
   if (accept_parked_ && params_.max_connections != 0) {

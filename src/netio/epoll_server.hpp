@@ -1,10 +1,10 @@
 // Edge-triggered epoll frame server: one event-loop thread multiplexes
 // every connection, so concurrent sessions cost a few hundred bytes of
 // state instead of a blocked thread each — the 10k-connection path. It is
-// the proxy's only server (runtime/proxy_server.hpp). Frames are encoded and
-// counted exactly as FrameChannel encodes and counts them (the shared
-// netio_metrics helpers), so either end of a connection sees the same wire
-// metrics.
+// the proxy's only server (runtime/proxy_server.hpp) and each client host's
+// peer server. Frames are encoded and counted exactly as FrameChannel
+// encodes and counts them (the shared netio_metrics helpers), so either end
+// of a connection sees the same wire metrics.
 //
 // Shape: accept4(SOCK_NONBLOCK) drains the listener per readiness edge
 // (EMFILE parks accepting behind a retry timer instead of spinning); each
@@ -21,7 +21,21 @@
 // handler once per fully-decoded inbound frame, and the handler replies
 // through Connection::send (which enqueues; the loop flushes). Per-session
 // protocol state hangs off Connection::state(). Handlers run ON the loop
-// thread — they must not block.
+// thread — they must not block. A handler that must wait on another
+// connection instead parks its session (Connection::park): the session's
+// later frames stay unread, in order, until unpark(), while every other
+// connection keeps being served.
+//
+// The loop also owns outbound connections. connect() dials without blocking
+// (EINPROGRESS, completed by EPOLLOUT) into the same epoll set; frames sent
+// before the connect completes queue and flush once it does. Frames read on
+// an outbound link reach the same handler (Connection::outbound() tells the
+// two apart). expect_reply() arms a reply deadline on the timer wheel, and
+// the connect itself has one. When an outbound link closes for any reason —
+// refused, reset, EOF, a bad frame, a missed deadline, stop() — the close
+// hook runs for it on the loop thread after the event that closed it has
+// been handled, never inside the call that closed it, so a hook may dial,
+// send and unpark freely.
 #pragma once
 
 #include <atomic>
@@ -96,6 +110,24 @@ class EpollFrameServer {
     bool closed() const { return closed_; }
     std::size_t write_queue_bytes() const { return wq_bytes_; }
 
+    /// True for a link this loop dialed with connect(); false for an
+    /// accepted session.
+    bool outbound() const { return outbound_; }
+
+    /// Stops handling this connection's inbound frames — the ones already
+    /// buffered and the ones still in the kernel — until unpark(). Parking
+    /// rides the write-backpressure pause, so the frames keep their order.
+    /// Idle expiry is suspended while parked.
+    void park() { parked_ = true; }
+    /// Resumes a parked connection: its waiting frames are handled on the
+    /// loop's current pass, after the caller's handler has returned.
+    void unpark();
+
+    /// Outbound links: the link closes — counted as a peer timeout, and the
+    /// close hook runs — unless a frame arrives within `timeout_ms` (<= 0
+    /// disarms). The next inbound frame disarms it.
+    void expect_reply(int timeout_ms);
+
     /// Per-session state slot for the handler (e.g. proxy session FSM).
     std::shared_ptr<void>& state() { return state_; }
 
@@ -122,8 +154,17 @@ class EpollFrameServer {
     std::size_t wq_bytes_ = 0;
     bool close_after_flush_ = false;
     bool closed_ = false;
-    bool paused_ = false;        ///< inbound parked by write backpressure
+    /// Inbound handling stops while either holds: write backpressure or
+    /// park(). Each has its own flag so neither lifts the other.
+    bool blocked() const { return paused_ || parked_; }
+
+    bool paused_ = false;        ///< inbound paused by write backpressure
+    bool parked_ = false;        ///< inbound paused by park()
     bool read_pending_ = false;  ///< socket had more bytes when we paused
+    bool outbound_ = false;      ///< dialed by connect()
+    bool connecting_ = false;    ///< outbound connect still in progress
+    std::uint64_t connect_due_ms_ = 0;  ///< 0 = no connect deadline armed
+    std::uint64_t reply_due_ms_ = 0;    ///< 0 = no reply deadline armed
     bool peer_eof_ = false;
     bool got_frame_ = false;  ///< a first frame has decoded
     std::uint64_t accepted_ms_ = 0;
@@ -134,8 +175,13 @@ class EpollFrameServer {
   /// Called once per decoded inbound frame, on the loop thread. Return
   /// false to end the session (queued replies still flush first).
   using FrameHandler = std::function<bool(Connection&, wire::Frame&&)>;
+  /// Called once for every outbound link that closes, on the loop thread,
+  /// after the event that closed it (see the header comment). The
+  /// connection is closed; its state() is still readable.
+  using CloseHook = std::function<void(Connection&)>;
 
-  EpollFrameServer(Params params, FrameHandler handler);
+  EpollFrameServer(Params params, FrameHandler handler,
+                   CloseHook on_outbound_close = nullptr);
   ~EpollFrameServer();
   EpollFrameServer(const EpollFrameServer&) = delete;
   EpollFrameServer& operator=(const EpollFrameServer&) = delete;
@@ -150,8 +196,22 @@ class EpollFrameServer {
   /// the loop runs.
   void set_tracer(obs::Tracer* tracer) { tracer_.store(tracer); }
 
+  /// Loop thread only (a handler or the close hook). Dials host:port
+  /// without blocking and returns the new link at once; frames sent on it
+  /// queue until the connect completes. A connect that fails, even at once,
+  /// or takes longer than connect_timeout_ms (<= 0: no bound) closes the
+  /// link, and the close hook reports it. While stop() drains, the link
+  /// comes back already closed.
+  Connection& connect(const std::string& host, std::uint16_t port,
+                      int connect_timeout_ms);
+
+  /// Loop thread only: the open connection with this id, or nullptr once it
+  /// has closed.
+  Connection* find(std::uint64_t id);
+
   bool running() const { return running_.load(); }
   std::uint16_t port() const { return port_; }
+  /// Accepted sessions only; outbound links are not counted here.
   std::uint64_t sessions_handled() const { return sessions_handled_.load(); }
   std::size_t connections_active() const { return connections_active_.load(); }
 
@@ -161,15 +221,26 @@ class EpollFrameServer {
   void read_drain(Connection& c, std::uint64_t now_ms);
   void process_frames(Connection& c, std::uint64_t now_ms);
   void flush_writes(Connection& c);
+  void finish_connect(Connection& c);
   void close_conn(Connection& c);
-  /// When `c`'s hello or idle deadline falls due, or 0 when neither is set.
+  /// When `c`'s next deadline falls due, or 0 when none is set: an
+  /// outbound link's connect or reply deadline while one is armed,
+  /// otherwise the hello or idle deadline.
   std::uint64_t deadline_ms(const Connection& c) const;
+  void arm_deadline(Connection& c, std::uint64_t now_ms);
+  /// Runs the close hooks and resumes unparked sessions, until neither has
+  /// work left (a hook may close or unpark more).
+  void run_deferred(std::uint64_t now_ms);
+  std::size_t inbound_open() const {
+    return conns_.size() - dead_.size() - outbound_open_;
+  }
   void begin_drain(std::uint64_t now_ms);
   void reap_dead();
   std::uint64_t now_ms() const;
 
   Params params_;
   FrameHandler handler_;
+  CloseHook on_outbound_close_;
   std::atomic<obs::Tracer*> tracer_;
   TcpListener listener_;
   std::uint16_t port_ = 0;
@@ -181,6 +252,9 @@ class EpollFrameServer {
 
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns_;
   std::vector<std::uint64_t> dead_;
+  std::vector<std::uint64_t> closed_outbound_;  ///< close hooks still to run
+  std::vector<std::uint64_t> resume_;           ///< unparked, not yet resumed
+  std::size_t outbound_open_ = 0;
   std::uint64_t next_id_ = 1;
 
   bool accept_parked_ = false;

@@ -1,7 +1,7 @@
 // Shared wire/netio metric accounting used by BOTH frame transports — the
-// blocking FrameChannel (client requests, the proxy's outbound peer
-// fetches) and the epoll event loop (the proxy's sessions and each client
-// host's peer server). Keeping the counting in one place means both bump the
+// blocking FrameChannel (each client host's proxy channel) and the epoll
+// event loop (the proxy's sessions and peer links, and each client host's
+// peer server). Keeping the counting in one place means both bump the
 // exact same families with the exact same labels, so a frame counts the
 // same whichever side of a connection sends or receives it.
 #pragma once
@@ -16,7 +16,8 @@ namespace baps::netio {
 
 /// One frame crossed the wire: bumps wire_frames_total{kind,dir} and
 /// wire_bytes_total{dir}. `dir` is "tx" or "rx"; `bytes` is the full
-/// encoded frame size (header + payload).
+/// encoded frame size (header + payload); `kind` is a valid kind. Takes the
+/// registry lock only on the first frame of each (kind, dir).
 void count_wire_frame(wire::FrameKind kind, const char* dir,
                       std::size_t bytes);
 
@@ -41,8 +42,15 @@ void count_decode_error(const std::string& reason);
 ///   netio_epoll_idle_closes_total   counter — timer-wheel idle expiries
 ///   netio_epoll_hello_timeouts_total — closed before any first frame
 ///   netio_epoll_drained_total       counter — sessions closed by drain
-///   netio_pool_reuse_total          counter — pooled channel reuses
-///   netio_pool_dial_total           counter — fresh dials by the pool
+///   netio_pool_reuse_total          counter — peer fetches sent on an
+///                                             idle link to the holder host
+///   netio_pool_dial_total           counter — fresh peer links dialed
+///   netio_peer_retries_total        counter — peer fetches retried on a
+///                                             fresh dial after their reused
+///                                             link failed
+///   netio_peer_timeouts_total       counter — peer links closed by their
+///                                             connect or reply deadline
+///                                             (not counted as idle closes)
 void register_netio_metric_families(
     obs::Registry* registry = &obs::Registry::global());
 

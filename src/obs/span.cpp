@@ -1,6 +1,7 @@
 #include "obs/span.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <utility>
 
 namespace baps::obs {
@@ -225,13 +226,15 @@ std::vector<SpanRecord> Tracer::recent_spans(std::size_t max_spans) const {
   std::vector<SpanRecord> out;
   out.reserve(recent_.size());
   if (recent_.size() == params_.recent_capacity) {
-    out.insert(out.end(), recent_.begin() + recent_next_, recent_.end());
-    out.insert(out.end(), recent_.begin(), recent_.begin() + recent_next_);
+    const auto split = static_cast<std::ptrdiff_t>(recent_next_);
+    out.insert(out.end(), recent_.begin() + split, recent_.end());
+    out.insert(out.end(), recent_.begin(), recent_.begin() + split);
   } else {
     out = recent_;
   }
   if (max_spans > 0 && out.size() > max_spans) {
-    out.erase(out.begin(), out.end() - max_spans);
+    out.erase(out.begin(),
+              out.end() - static_cast<std::ptrdiff_t>(max_spans));
   }
   return out;
 }

@@ -1,8 +1,10 @@
 // The deterministic in-process transport: every Transport call dispatches
-// synchronously into an owned ProxyCore, and peer fetches are plain function
-// calls back into the client host. This is the pre-wire behaviour of
-// BapsSystem, preserved bit-for-bit — same call order, same cache and
-// round-robin state evolution, same MessageTrace interleaving.
+// synchronously into an owned ProxyCore. It is the synchronous driver of the
+// core's two-step fetch: begin_fetch(), then — when the index names a holder
+// — a plain serve_peer_fetch() call back into the client host, then
+// finish_fetch(). This is the pre-wire behaviour of BapsSystem, preserved
+// bit-for-bit — same call order, same cache and round-robin state evolution,
+// same MessageTrace interleaving.
 #pragma once
 
 #include "runtime/proxy_core.hpp"
@@ -17,9 +19,7 @@ class LoopbackTransport final : public Transport {
   void bind_peer_host(PeerHost* host) override;
 
   ProxyCore::Reply fetch(ClientId client, const Url& url, bool avoid_peers,
-                         const obs::TraceContext& trace) override {
-    return core_.handle_fetch(client, url, avoid_peers, trace);
-  }
+                         const obs::TraceContext& trace) override;
 
   bool index_update(ClientId claimed_sender, bool is_add, DocStore::Key key,
                     const crypto::Md5Digest& mac) override {
@@ -43,6 +43,7 @@ class LoopbackTransport final : public Transport {
 
  private:
   ProxyCore core_;
+  PeerHost* host_ = nullptr;  ///< not owned; null until bound
 };
 
 }  // namespace baps::runtime

@@ -125,13 +125,12 @@ void ProxyCore::restart() {
   index_.clear();
 }
 
-ProxyCore::Reply ProxyCore::handle_fetch(ClientId requester, const Url& url,
-                                         bool avoid_peers,
-                                         const obs::TraceContext& trace) {
+ProxyCore::Step ProxyCore::begin_fetch(ClientId requester, const Url& url,
+                                       bool avoid_peers,
+                                       const obs::TraceContext& trace) {
   BAPS_REQUIRE(requester < mac_keys_.size(), "client id out of range");
   const DocStore::Key key = url_key(url);
   counters_.requests.inc();
-  bool false_forward = false;
   // One branch on the unsampled path: `traced` is false and every stage()
   // call below hands back an inert span.
   const bool traced = tracer_ != nullptr && trace.sampled;
@@ -145,7 +144,7 @@ ProxyCore::Reply ProxyCore::handle_fetch(ClientId requester, const Url& url,
     if (auto doc = proxy_cache_.get(key)) {
       ++stats_.proxy_hits;
       counters_.served_proxy.inc();
-      return {std::move(*doc), FetchOutcome::Source::kProxy, false};
+      return Reply{std::move(*doc), FetchOutcome::Source::kProxy, false};
     }
   }
 
@@ -160,30 +159,43 @@ ProxyCore::Reply ProxyCore::handle_fetch(ClientId requester, const Url& url,
     }
     if (holder.has_value()) {
       record(MsgKind::kPeerFetch, "proxy", client_name(*holder), key);
-      std::optional<Document> doc;
-      {
-        const obs::Span transfer = stage(obs::SpanKind::kPeerTransfer);
-        doc = peer_fetch_ ? peer_fetch_(*holder, key, transfer.context())
-                          : std::nullopt;
-      }
-      if (doc.has_value()) {
-        record(MsgKind::kPeerDeliver, client_name(*holder), "proxy", key);
-        ++stats_.peer_hits;
-        counters_.served_peer.inc();
-        return {std::move(*doc), FetchOutcome::Source::kRemoteBrowser, false};
-      }
-      // Stale index entry (or dead peer): no delivery came back.
-      ++stats_.false_forwards;
-      counters_.false_forwards.inc();
-      false_forward = true;
-      obs::Registry::global().counter("stale_index_hits_total").inc();
-      index_.remove(*holder, key);
+      return NeedPeer{*holder, key, url, trace,
+                      stage(obs::SpanKind::kPeerTransfer)};
     }
   }
 
-  // 3. The origin server. The proxy issues the watermark here — the only
-  //    place documents enter the system (§6.1).
-  const obs::Span origin_span = stage(obs::SpanKind::kOriginFetch);
+  // 3. No holder to ask: the origin.
+  return from_origin(url, key, false, trace);
+}
+
+ProxyCore::Reply ProxyCore::finish_fetch(NeedPeer&& need,
+                                         std::optional<Document> delivered) {
+  need.transfer.end();
+  if (delivered.has_value()) {
+    record(MsgKind::kPeerDeliver, client_name(need.holder), "proxy",
+           need.key);
+    ++stats_.peer_hits;
+    counters_.served_peer.inc();
+    return {std::move(*delivered), FetchOutcome::Source::kRemoteBrowser,
+            false};
+  }
+  // Stale index entry (or dead peer): no delivery came back.
+  ++stats_.false_forwards;
+  counters_.false_forwards.inc();
+  obs::Registry::global().counter("stale_index_hits_total").inc();
+  index_.remove(need.holder, need.key);
+  return from_origin(need.url, need.key, true, need.trace);
+}
+
+ProxyCore::Reply ProxyCore::from_origin(const Url& url, DocStore::Key key,
+                                        bool false_forward,
+                                        const obs::TraceContext& trace) {
+  // The proxy issues the watermark here — the only place documents enter
+  // the system (§6.1).
+  const bool traced = tracer_ != nullptr && trace.sampled;
+  const obs::Span origin_span =
+      traced ? tracer_->start_span(obs::SpanKind::kOriginFetch, trace)
+             : obs::Span();
   record(MsgKind::kOriginFetch, "proxy", "origin", key);
   std::string body = origin_.fetch(url);
   record(MsgKind::kOriginResponse, "origin", "proxy", key);

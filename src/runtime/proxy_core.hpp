@@ -5,12 +5,21 @@
 // core over TCP. Behaviour here is the single source of truth — both
 // transports produce identical FetchOutcome streams because they dispatch
 // into the same code.
+//
+// A fetch is one decision path with two drivers. begin_fetch() probes the
+// proxy cache and the browser index and either answers (a proxy hit, or an
+// origin fetch when no holder is known) or names the holder to ask.
+// finish_fetch() takes the holder's answer: a delivery is a peer hit, no
+// delivery is a counted false forward recovered from the origin. The
+// loopback runs the two back to back around an in-process serve; the
+// proxy's event loop parks the requesting session between them while the
+// PeerFetch is on the wire, so no other session waits on the holder.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "crypto/hmac.hpp"
@@ -59,30 +68,44 @@ class ProxyCore {
     bool false_forward = false;  ///< a stale index entry was hit on the way
   };
 
-  /// Reaches a holder's browser store. Returning nullopt means the holder
-  /// did not serve the document — stale entry, dead peer, or timeout; the
-  /// proxy treats all of them as a false forward and recovers from origin.
-  /// `trace` is the peer_transfer span's context: the TCP path embeds it in
-  /// the PeerFetch frame so the holder's spans stitch into the trace. Note
-  /// the context carries span ids only — never the requester (§6.2).
-  using PeerFetchFn = std::function<std::optional<Document>(
-      ClientId holder, DocStore::Key key, const obs::TraceContext& trace)>;
+  /// A fetch waiting on a holder's copy: ask `holder` for `key` — only the
+  /// holder and the key, never the requester (§6.2) — and hand the answer
+  /// to finish_fetch().
+  struct NeedPeer {
+    ClientId holder = 0;
+    DocStore::Key key = 0;
+    Url url;
+    /// The request's context: the origin stage attaches under it if the
+    /// holder does not deliver.
+    obs::TraceContext trace;
+    /// The open peer_transfer span, ended by finish_fetch(). Its context
+    /// rides the PeerFetch frame so the holder's spans stitch into the
+    /// trace; it carries span ids only.
+    obs::Span transfer;
+  };
+  using Step = std::variant<Reply, NeedPeer>;
 
   explicit ProxyCore(const Params& params);
 
-  /// How peer fetches reach holders (in-process call or TCP connection).
-  void set_peer_fetch(PeerFetchFn fn) { peer_fetch_ = std::move(fn); }
   /// Mirrors proxy-side envelopes into `trace` (nullptr detaches; not owned).
   void set_trace(MessageTrace* trace) { trace_ = trace; }
   /// Records per-stage spans (cache_probe, index_lookup, peer_transfer,
   /// origin_fetch) for sampled requests (nullptr detaches; not owned).
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  /// Proxy-side request handling; avoid_peers=true skips the index (the
-  /// requester's retry path after a failed watermark, §6.1). `trace` is the
-  /// requesting span's context; stage spans attach under it when sampled.
-  Reply handle_fetch(ClientId requester, const Url& url, bool avoid_peers,
-                     const obs::TraceContext& trace = {});
+  /// Proxy-side request handling up to the peer step; avoid_peers=true
+  /// skips the index (the requester's retry path after a failed watermark,
+  /// §6.1). `trace` is the requesting span's context; stage spans attach
+  /// under it when sampled. Returns the Reply, or NeedPeer when the index
+  /// names a holder.
+  Step begin_fetch(ClientId requester, const Url& url, bool avoid_peers,
+                   const obs::TraceContext& trace = {});
+
+  /// Completes a fetch begin_fetch() sent to a holder. `delivered` is the
+  /// holder's copy; nullopt — stale entry, dead peer, timeout or a bad
+  /// frame — is a false forward: the entry is dropped and the origin
+  /// serves the document.
+  Reply finish_fetch(NeedPeer&& need, std::optional<Document> delivered);
 
   /// Applies an index update iff the MAC verifies under the claimed
   /// sender's key.
@@ -113,6 +136,9 @@ class ProxyCore {
  private:
   void record(MsgKind kind, std::string from, std::string to,
               DocStore::Key key);
+  /// Step 3: the origin fetch, where the proxy issues the watermark.
+  Reply from_origin(const Url& url, DocStore::Key key, bool false_forward,
+                    const obs::TraceContext& trace);
 
   /// Registry mirrors of the ProxyStats protocol counters, resolved once at
   /// construction so the per-request cost is one relaxed atomic increment.
@@ -134,7 +160,6 @@ class ProxyCore {
   store::TieredObjectStore proxy_cache_;
   index::BrowserIndex index_;
   std::vector<std::string> mac_keys_;
-  PeerFetchFn peer_fetch_;
   MessageTrace* trace_ = nullptr;   ///< optional, not owned
   obs::Tracer* tracer_ = nullptr;   ///< optional, not owned
   ProxyStats stats_;

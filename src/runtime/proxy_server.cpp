@@ -1,5 +1,7 @@
 #include "runtime/proxy_server.hpp"
 
+#include <utility>
+
 #include "netio/netio_metrics.hpp"
 #include "obs/registry.hpp"
 #include "obs/timer.hpp"
@@ -7,8 +9,6 @@
 #include "util/assert.hpp"
 
 namespace baps::runtime {
-
-using netio::NetError;
 
 namespace {
 
@@ -19,19 +19,43 @@ obs::Histogram& request_hist(const std::string& op) {
                                            {{"op", op}});
 }
 
+struct LinkCounters {
+  obs::Counter& reuse;
+  obs::Counter& dial;
+  obs::Counter& retries;
+
+  static LinkCounters& get() {
+    auto& reg = obs::Registry::global();
+    static LinkCounters c{
+        reg.counter("netio_pool_reuse_total"),
+        reg.counter("netio_pool_dial_total"),
+        reg.counter("netio_peer_retries_total"),
+    };
+    return c;
+  }
+};
+
+/// Observes the fetch latency — from the request read to the reply,
+/// including any wait on a holder — and sends the reply.
+bool send_fetch_reply(netio::EpollFrameServer::Connection& conn,
+                      ProxyCore::Reply&& reply, const obs::TraceContext& trace,
+                      double start) {
+  static obs::Histogram& fetch_seconds = request_hist("fetch");
+  fetch_seconds.observe(obs::monotonic_seconds() - start);
+  wire::FetchResponse response;
+  response.source = to_wire_source(reply.source);
+  response.false_forward = reply.false_forward;
+  response.body = std::move(reply.doc.body);
+  response.watermark = watermark_to_bytes(reply.doc.mark);
+  return conn.send(wire::FetchResponse::kKind, wire::encode(response), trace);
+}
+
 }  // namespace
 
 ProxyServer::ProxyServer(const Params& params)
     : params_(params),
       core_(params.core),
-      peer_ports_(params.core.num_clients, 0),
-      peer_pool_(netio::ChannelPool::Params{params.peer_deadlines,
-                                            params.net.max_frame_payload}) {
-  core_.set_peer_fetch([this](ClientId holder, DocStore::Key key,
-                              const obs::TraceContext& trace) {
-    return peer_fetch(holder, key, trace);
-  });
-}
+      peer_ports_(params.core.num_clients, 0) {}
 
 ProxyServer::~ProxyServer() { stop(); }
 
@@ -39,21 +63,23 @@ bool ProxyServer::start(std::string* error) {
   netio::EpollFrameServer::Params net = params_.net;
   net.tracer = tracer_;
   server_ = std::make_unique<netio::EpollFrameServer>(
-      net, [this](netio::EpollFrameServer::Connection& conn,
-                  wire::Frame&& frame) {
+      net,
+      [this](Connection& conn, wire::Frame&& frame) {
+        if (conn.outbound()) return on_link_frame(conn, frame);
         auto state = std::static_pointer_cast<Session>(conn.state());
         if (state == nullptr) {
           state = std::make_shared<Session>();
           conn.state() = state;
         }
         return on_session_frame(*state, frame, conn);
-      });
+      },
+      [this](Connection& link) { on_link_closed(link); });
   return server_->start(error);
 }
 
 void ProxyServer::stop() {
   if (server_ != nullptr) server_->stop();
-  peer_pool_.clear();
+  idle_links_.clear();
 }
 
 bool ProxyServer::running() const {
@@ -123,50 +149,94 @@ obs::JsonValue ProxyServer::introspect_json(
   return out;
 }
 
-std::optional<Document> ProxyServer::peer_fetch(
-    ClientId holder, DocStore::Key key, const obs::TraceContext& trace) {
-  const std::uint16_t port = peer_ports_[holder];
-  if (port == 0) return std::nullopt;
-  // The frame names the addressee (the host serves several browsers on one
-  // port) and the key — never the requester (§6.2).
-  wire::PeerFetch request;
-  request.holder = holder;
-  request.key = key;
-  // A pooled connection per peer fetch: reuse a warm socket when one is
-  // parked, dial otherwise. Any failure — refused (holder died), timeout
-  // (holder wedged), tampered framing — collapses to "no delivery", which
-  // handle_fetch treats as a false forward and recovers from origin. A
-  // failed exchange on a REUSED socket retries once on a fresh dial: the
-  // holder may simply have closed the parked connection.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    NetError err;
-    auto acquired = peer_pool_.acquire(params_.net.host, port, &err);
-    if (acquired.channel == nullptr) return std::nullopt;
-    acquired.channel->set_tracer(tracer_);
-    // The context rides the frame so the holder's serve span stitches in;
-    // it carries span ids only, never the requester (§6.2 still holds).
-    if (acquired.channel->send_msg(request, trace, &err)) {
-      auto deliver = acquired.channel->recv_msg<wire::PeerDeliver>(&err);
-      if (deliver.has_value()) {
-        peer_pool_.release(params_.net.host, port,
-                           std::move(acquired.channel));
-        if (!deliver->found) return std::nullopt;
-        return Document{std::move(deliver->body),
-                        watermark_from_bytes(deliver->watermark)};
-      }
+void ProxyServer::send_peer_fetch(PeerWait wait, bool may_reuse) {
+  const std::uint16_t port = peer_ports_[wait.need.holder];
+  Connection* link = nullptr;
+  if (may_reuse) {
+    std::vector<std::uint64_t>& idle = idle_links_[port];
+    while (link == nullptr && !idle.empty()) {
+      link = server_->find(idle.back());
+      idle.pop_back();
     }
-    if (!acquired.reused) break;  // fresh dial failed: the holder is gone
   }
-  return std::nullopt;
+  wait.reused = link != nullptr;
+  if (link != nullptr) {
+    LinkCounters::get().reuse.inc();
+  } else {
+    LinkCounters::get().dial.inc();
+    link = &server_->connect(params_.net.host, port,
+                             params_.peer_deadlines.connect_ms);
+    link->state() = std::make_shared<Link>(Link{port, std::nullopt});
+  }
+  // The frame names the addressee (the host serves several browsers on one
+  // port) and the key — never the requester (§6.2). The peer_transfer
+  // context rides it so the holder's serve span stitches in; it carries
+  // span ids only.
+  wire::PeerFetch request;
+  request.holder = wait.need.holder;
+  request.key = wait.need.key;
+  const obs::TraceContext trace = wait.need.transfer.context();
+  static_cast<Link*>(link->state().get())->wait = std::move(wait);
+  // A send on a link that is already closed fails; its close hook, which
+  // runs after this handler returns, finishes or retries the fetch.
+  if (link->send(wire::PeerFetch::kKind, wire::encode(request), trace)) {
+    link->expect_reply(params_.peer_deadlines.read_ms);
+  }
 }
 
-bool ProxyServer::on_session_frame(
-    Session& s, const wire::Frame& frame,
-    netio::EpollFrameServer::Connection& conn) {
-  const auto send_msg = [&conn](const auto& m, const obs::TraceContext& trace =
-                                                   obs::TraceContext{}) {
+bool ProxyServer::on_link_frame(Connection& link, const wire::Frame& frame) {
+  auto& state = *static_cast<Link*>(link.state().get());
+  wire::PeerDeliver deliver;
+  if (!state.wait.has_value() || frame.kind != wire::PeerDeliver::kKind ||
+      !wire::decode(frame.payload, &deliver)) {
+    return false;  // the close hook finishes any fetch in flight
+  }
+  PeerWait wait = std::move(*state.wait);
+  state.wait.reset();
+  idle_links_[state.port].push_back(link.id());
+  std::optional<Document> delivered;
+  if (deliver.found) {
+    delivered = Document{std::move(deliver.body),
+                         watermark_from_bytes(deliver.watermark)};
+  }
+  finish_peer_fetch(std::move(wait), std::move(delivered));
+  return true;
+}
+
+void ProxyServer::on_link_closed(Connection& link) {
+  auto& state = *static_cast<Link*>(link.state().get());
+  std::erase(idle_links_[state.port], link.id());
+  if (!state.wait.has_value()) return;
+  PeerWait wait = std::move(*state.wait);
+  state.wait.reset();
+  // Refused (holder died), timed out (holder wedged), tampered framing: all
+  // collapse to "no delivery". A failure on a reused link retries once on a
+  // fresh dial first — the holder may simply have closed the idle link.
+  if (wait.reused) {
+    LinkCounters::get().retries.inc();
+    send_peer_fetch(std::move(wait), /*may_reuse=*/false);
+    return;
+  }
+  finish_peer_fetch(std::move(wait), std::nullopt);
+}
+
+void ProxyServer::finish_peer_fetch(PeerWait&& wait,
+                                    std::optional<Document> delivered) {
+  ProxyCore::Reply reply =
+      core_.finish_fetch(std::move(wait.need), std::move(delivered));
+  // The session may have gone away while it waited; the core still
+  // accounted the fetch.
+  if (Connection* session = server_->find(wait.session)) {
+    send_fetch_reply(*session, std::move(reply), wait.trace, wait.start);
+    session->unpark();
+  }
+}
+
+bool ProxyServer::on_session_frame(Session& s, const wire::Frame& frame,
+                                   Connection& conn) {
+  const auto send_msg = [&conn](const auto& m) {
     using Msg = std::decay_t<decltype(m)>;
-    return conn.send(Msg::kKind, wire::encode(m), trace);
+    return conn.send(Msg::kKind, wire::encode(m));
   };
 
   // A browser id comes from outside the proxy: one out of range ends the
@@ -205,15 +275,22 @@ bool ProxyServer::on_session_frame(
       // The frame's context (the client's root span) parents the core's
       // stage spans — this is where cross-process stitching happens on the
       // proxy side.
-      ProxyCore::Reply reply = core_.handle_fetch(
+      ProxyCore::Step step = core_.begin_fetch(
           request.client, request.url, request.avoid_peers, frame.trace);
-      request_hist("fetch").observe(obs::monotonic_seconds() - start);
-      wire::FetchResponse response;
-      response.source = to_wire_source(reply.source);
-      response.false_forward = reply.false_forward;
-      response.body = std::move(reply.doc.body);
-      response.watermark = watermark_to_bytes(reply.doc.mark);
-      return send_msg(response, frame.trace);
+      if (auto* need = std::get_if<ProxyCore::NeedPeer>(&step)) {
+        if (peer_ports_[need->holder] != 0) {
+          // This session waits for the holder; every other one goes on.
+          conn.park();
+          send_peer_fetch(PeerWait{conn.id(), std::move(*need), frame.trace,
+                                   start, false},
+                          /*may_reuse=*/true);
+          return true;
+        }
+        // The holder's host advertised no peer server: nothing to ask.
+        step = core_.finish_fetch(std::move(*need), std::nullopt);
+      }
+      return send_fetch_reply(conn, std::get<ProxyCore::Reply>(std::move(step)),
+                              frame.trace, start);
     }
     case wire::FrameKind::kIndexUpdate: {
       wire::IndexUpdate update;
@@ -235,7 +312,8 @@ bool ProxyServer::on_session_frame(
         // updates only.
         peer_ports_[update.sender] = s.peer_port;
       }
-      request_hist("index_update").observe(obs::monotonic_seconds() - start);
+      static obs::Histogram& update_seconds = request_hist("index_update");
+      update_seconds.observe(obs::monotonic_seconds() - start);
       return true;
     }
     case wire::FrameKind::kIntrospectRequest: {

@@ -3,34 +3,45 @@
 // FetchRequest/Response, IndexUpdate (never answered), IntrospectRequest/
 // Response, Bye. Fetches and updates name their browser in the frame; an id
 // at or above max_clients ends the session and counts
-// wire_decode_errors_total{reason="bad-client"}. Peer fetches go out over
-// pooled connections (at most one parked per holder host) to the port the
-// holder's host advertised in its Hello, carrying only the holder id and the
-// document key (§6.2).
+// wire_decode_errors_total{reason="bad-client"}.
 //
-// One session state machine (on_session_frame) runs once per decoded frame
-// on the loop thread. That thread owns the core, the peer-port table and the
-// peer pool, so requests are handled one at a time without a lock, which
-// keeps cache, index, and round-robin evolution identical to the in-process
-// loopback for any serial client workload. Ordering contract: one session's
-// frames are handled in the order they arrive, so a host's index update is
-// applied before any later request from that host — which is why updates
-// need no ack. Across hosts an update takes effect when the loop reads it.
-// A holder that is dead or unreachable costs one bounded peer-deadline wait
-// and then degrades to an origin fetch (a false forward) — never a hang.
-// A connection that sends no Hello within net.hello_timeout_ms is closed.
+// One thread, no lock: the loop thread owns the core, the peer-port table
+// and the holder links, and runs one session state machine
+// (on_session_frame) once per decoded frame. Ordering contract: one
+// session's frames are handled in the order they arrive, so a host's index
+// update is applied before any later request from that host — which is why
+// updates need no ack. Across hosts an update takes effect when the loop
+// reads it. With one host the core evolves exactly as the in-process
+// loopback does.
+//
+// Peer fetches never block the loop. When ProxyCore::begin_fetch names a
+// holder, the requesting session is parked (its later frames wait unread,
+// in order) and a PeerFetch — the holder id and the document key only,
+// never the requester (§6.2) — goes to the port the holder's host
+// advertised in its Hello, on a link the loop owns: an idle link to that
+// host when there is one, a fresh non-blocking dial otherwise. Each link
+// carries one request at a time (PeerDeliver names no key), so concurrent
+// fetches to one host use several links. The PeerDeliver finishes the fetch,
+// the reply goes out and the session resumes. A dead, wedged or lying
+// holder — refused, reset, a bad frame, or no reply within peer_deadlines —
+// finishes it as a counted false forward served from the origin; a failure
+// on a reused link first retries once on a fresh dial. Meanwhile every other
+// session is served. A connection that sends no Hello within
+// net.hello_timeout_ms is closed.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
-#include "netio/channel_pool.hpp"
 #include "netio/epoll_server.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
 #include "runtime/proxy_core.hpp"
+#include "wire/messages.hpp"
 
 namespace baps::runtime {
 
@@ -42,8 +53,10 @@ class ProxyServer {
     /// write budget, drain, connection ceiling. `net.tracer` is ignored —
     /// set_tracer() supplies it.
     netio::EpollFrameServer::Params net;
-    /// Deadlines for outbound peer fetches — kept short so a dead holder
-    /// degrades to origin quickly.
+    /// Deadlines for peer fetches: connect_ms bounds a dial, read_ms the
+    /// wait for the PeerDeliver after the PeerFetch is sent — kept short so
+    /// a dead holder degrades to origin quickly. write_ms is not used: the
+    /// reply deadline covers a PeerFetch that cannot be written.
     netio::Deadlines peer_deadlines{500, 1000, 1000};
     /// Read by nothing: every session runs on the epoll loop. Kept only
     /// because perfbench/perfbench.cpp assigns it; delete with the next
@@ -87,19 +100,43 @@ class ProxyServer {
   obs::JsonValue introspect_json(const wire::IntrospectRequest& request);
 
  private:
+  using Connection = netio::EpollFrameServer::Connection;
+
   /// Per-session protocol state, hung off Connection::state().
   struct Session {
     bool hello_done = false;
     std::uint16_t peer_port = 0;  ///< the host's peer server; 0 = none
   };
 
+  /// A fetch parked on a holder: what finishing it needs.
+  struct PeerWait {
+    std::uint64_t session = 0;  ///< the parked session's connection id
+    ProxyCore::NeedPeer need;
+    obs::TraceContext trace;  ///< the request frame's, for the reply
+    double start = 0;         ///< when the request was read
+    bool reused = false;      ///< sent on an idle link: a failure retries
+  };
+
+  /// A link to a holder host's peer server, hung off Connection::state().
+  struct Link {
+    std::uint16_t port = 0;
+    std::optional<PeerWait> wait;  ///< the one request in flight
+  };
+
   /// Advances one session by one inbound frame, replying through `conn`.
   /// Returns false when the session must end (protocol error, Bye, or a
   /// failed send).
   bool on_session_frame(Session& s, const wire::Frame& frame,
-                        netio::EpollFrameServer::Connection& conn);
-  std::optional<Document> peer_fetch(ClientId holder, DocStore::Key key,
-                                     const obs::TraceContext& trace);
+                        Connection& conn);
+  /// Sends the PeerFetch for `wait` on an idle link to the holder's host
+  /// (when `may_reuse`) or a fresh one. Never finishes the fetch itself:
+  /// the PeerDeliver or the link's close hook does.
+  void send_peer_fetch(PeerWait wait, bool may_reuse);
+  bool on_link_frame(Connection& link, const wire::Frame& frame);
+  void on_link_closed(Connection& link);
+  /// Finishes a parked fetch with the holder's answer, replies, and
+  /// resumes the session.
+  void finish_peer_fetch(PeerWait&& wait, std::optional<Document> delivered);
 
   Params params_;
   ProxyCore core_;
@@ -109,8 +146,9 @@ class ProxyServer {
   /// Peer-server port per browser id, learned from that browser's accepted
   /// index updates; 0 until one arrives.
   std::vector<std::uint16_t> peer_ports_;
+  /// Idle links per holder-host port, by connection id, newest last.
+  std::unordered_map<std::uint16_t, std::vector<std::uint64_t>> idle_links_;
 
-  netio::ChannelPool peer_pool_;
   std::unique_ptr<netio::EpollFrameServer> server_;
 };
 

@@ -9,10 +9,13 @@
 // reaches back into the client host through PeerHost, which serves a
 // holder's browser-cache contents. A PeerFetch names only the holder it is
 // addressed to and the document key, never the requester, in both
-// implementations (§6.2). Loopback calls serve_peer_fetch on the thread
-// inside fetch(); TcpTransport calls it on its peer-server thread, so a
-// PeerHost must serialise serves against its own use of the transport (see
-// BapsSystem's host lock).
+// implementations (§6.2). Both run the core's two-step fetch: the loopback
+// calls serve_peer_fetch on the caller's thread between begin_fetch and
+// finish_fetch, inside fetch(). Over TCP the proxy's loop sends the
+// PeerFetch and parks only the requesting host's session, and TcpTransport
+// answers it on the holder host's peer-server thread — possibly while that
+// host is itself inside fetch() — so a PeerHost must serialise serves
+// against its own use of the transport (see BapsSystem's host lock).
 #pragma once
 
 #include <cstdint>

@@ -95,7 +95,8 @@ TEST(MetricFamiliesTest, NetioFamiliesRegisterEagerly) {
         "netio_epoll_wakeups_total", "netio_epoll_accept_backpressure_total",
         "netio_epoll_writeq_stall_total", "netio_epoll_idle_closes_total",
         "netio_epoll_hello_timeouts_total", "netio_epoll_drained_total",
-        "netio_pool_reuse_total", "netio_pool_dial_total"}) {
+        "netio_pool_reuse_total", "netio_pool_dial_total",
+        "netio_peer_retries_total", "netio_peer_timeouts_total"}) {
     EXPECT_TRUE(has_counter(snap, name)) << name;
   }
 

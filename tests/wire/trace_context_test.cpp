@@ -87,7 +87,7 @@ TEST(TraceContextWireTest, UntracedFramesAreByteIdenticalToLegacy) {
 
 TEST(TraceContextWireTest, TracedFrameRoundTripsUnderNewDecoder) {
   const obs::TraceContext ctx = sampled_ctx();
-  for (const std::string payload :
+  for (const std::string& payload :
        {std::string{}, std::string{"body"}, std::string(64 << 10, 'x')}) {
     const std::string bytes =
         encode_frame(FrameKind::kFetchResponse, payload, ctx);
