@@ -10,7 +10,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
-cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+# Warnings are errors here, in the default and the sanitizer builds alike.
+cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DBAPS_WERROR=ON \
   ${BAPS_SANITIZE:+-DBAPS_SANITIZE="$BAPS_SANITIZE"}
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 

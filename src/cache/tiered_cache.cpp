@@ -36,19 +36,12 @@ void TieredCache::on_full_eviction(void* ctx, DocId doc, std::uint64_t size) {
   self->memory_.erase(doc);
   if (self->user_raw_ != nullptr) {
     self->user_raw_(self->user_raw_ctx_, doc, size);
-  } else if (self->user_listener_) {
-    self->user_listener_(doc, size);
   }
 }
 
 void TieredCache::reserve(std::size_t docs) {
   full_.reserve(docs);
   memory_.reserve(docs / 4 + 1);
-}
-
-void TieredCache::set_eviction_listener(
-    ObjectCache::EvictionListener listener) {
-  user_listener_ = std::move(listener);
 }
 
 void TieredCache::set_raw_eviction_listener(

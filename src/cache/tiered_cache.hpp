@@ -101,14 +101,10 @@ class TieredCache {
     return full_.erase(doc);
   }
 
-  /// Called once per capacity-evicted document (after memory-tier cleanup).
-  /// The internal memory-tier bookkeeping already occupies the full cache's
-  /// listener slot, so register here, not on full().
-  void set_eviction_listener(ObjectCache::EvictionListener listener);
-
-  /// Function-pointer flavour for per-eviction hot paths (the simulated
-  /// browser caches evict more often than they hit); wins over the
-  /// std::function listener when both are set.
+  /// Called once per capacity-evicted document (after memory-tier cleanup),
+  /// as a direct call: the simulated browser caches evict more often than
+  /// they hit. The internal memory-tier bookkeeping already occupies the
+  /// full cache's listener slot, so register here, not on full().
   void set_raw_eviction_listener(ObjectCache::RawEvictionListener fn,
                                  void* ctx);
 
@@ -124,7 +120,6 @@ class TieredCache {
 
   ObjectCache full_;
   ObjectCache memory_;
-  ObjectCache::EvictionListener user_listener_;
   ObjectCache::RawEvictionListener user_raw_ = nullptr;
   void* user_raw_ctx_ = nullptr;
 };

@@ -30,6 +30,10 @@ constexpr std::uint64_t kWakeTag = ~std::uint64_t{0};
 // stuck fd table does not spin a core.
 constexpr std::uint64_t kAcceptParkMs = 50;
 
+// Per-connection write-queue budget; above it the connection's inbound
+// processing pauses until the queue drains below half.
+constexpr std::size_t kMaxWriteQueueBytes = 4u << 20;
+
 struct EpollCounters {
   obs::Counter& wakeups;
   obs::Counter& accept_errors;
@@ -105,7 +109,7 @@ bool EpollFrameServer::Connection::enqueue(OutFrame out) {
   count_wire_frame(out.kind, "tx", size);
   wq_.push_back(std::move(out));
   wq_bytes_ += size;
-  if (!paused_ && wq_bytes_ > server_->params_.max_write_queue_bytes) {
+  if (!paused_ && wq_bytes_ > kMaxWriteQueueBytes) {
     // Backpressure: a peer that won't read its responses stops being read
     // from, instead of growing our queue without bound.
     paused_ = true;
@@ -613,7 +617,7 @@ void EpollFrameServer::flush_writes(Connection& c) {
     close_conn(c);
     return;
   }
-  if (c.paused_ && c.wq_bytes_ <= params_.max_write_queue_bytes / 2) {
+  if (c.paused_ && c.wq_bytes_ <= kMaxWriteQueueBytes / 2) {
     c.paused_ = false;
     if (c.parked_) return;  // unpark() resumes it
     process_frames(c, now_ms());

@@ -64,9 +64,6 @@ class EpollFrameServer {
     std::uint16_t port = 0;  ///< 0 → ephemeral
     int backlog = 1024;
     std::uint64_t max_frame_payload = wire::kDefaultMaxPayload;
-    /// Per-connection write-queue budget; above it the connection's inbound
-    /// processing pauses until the queue drains below half.
-    std::size_t max_write_queue_bytes = 4u << 20;
     /// Close connections silent for this long; 0 disables (sessions then
     /// end only when the peer goes away or the server stops).
     int idle_timeout_ms = 0;

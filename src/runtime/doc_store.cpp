@@ -2,66 +2,57 @@
 
 #include <algorithm>
 
-#include "util/assert.hpp"
-
 namespace baps::runtime {
 
-DocStore::DocStore(std::uint64_t capacity_bytes)
-    : cache_(capacity_bytes, cache::PolicyKind::kLru) {
-  cache_.set_eviction_listener([this](trace::DocId key, std::uint64_t) {
-    const auto it = docs_.find(key);
-    BAPS_ENSURE(it != docs_.end(), "cache and body map out of sync");
-    // Listener first, erase second: demotion needs the body alive.
-    if (on_evict_) on_evict_(key, it->second);
-    docs_.erase(it);
-  });
+const Document* DocStore::get(Key key) {
+  const Document* doc = docs_.find(key);
+  if (doc != nullptr) lru_.on_hit(key, doc->body.size());
+  return doc;
 }
 
-std::optional<Document> DocStore::get(Key key) {
-  if (!cache_.touch(key)) return std::nullopt;
-  const auto it = docs_.find(key);
-  BAPS_ENSURE(it != docs_.end(), "cache and body map out of sync");
-  return it->second;
-}
-
-bool DocStore::put(Key key, Document doc) {
-  if (cache_.contains(key)) {
-    cache_.erase(key);
-    docs_.erase(key);
+bool DocStore::put(Key key, Document doc, Evicted* evicted) {
+  erase(key);
+  const std::uint64_t size = doc.body.size();
+  if (size > capacity_) return false;
+  while (used_ + size > capacity_) {
+    const Key victim = lru_.pop_victim();
+    Document gone;
+    docs_.erase(victim, &gone);
+    used_ -= gone.body.size();
+    if (evicted != nullptr) evicted->emplace_back(victim, std::move(gone));
   }
-  if (!cache_.insert(key, doc.body.size())) return false;
-  docs_[key] = std::move(doc);
+  docs_.insert(key, std::move(doc));
+  lru_.on_insert(key, size);
+  used_ += size;
   return true;
 }
 
 bool DocStore::erase(Key key) {
-  docs_.erase(key);
-  return cache_.erase(key);
+  Document gone;
+  if (!docs_.erase(key, &gone)) return false;
+  lru_.on_remove(key);
+  used_ -= gone.body.size();
+  return true;
 }
 
 std::vector<DocStore::Key> DocStore::keys() const {
   std::vector<Key> out;
   out.reserve(docs_.size());
-  for (const auto& [key, doc] : docs_) out.push_back(key);
+  docs_.for_each([&](Key key, const Document&) { out.push_back(key); });
   std::sort(out.begin(), out.end());
   return out;
 }
 
 void DocStore::clear() {
-  // ObjectCache::erase never fires the eviction listener, so nothing
-  // observes the wipe — the silent-departure semantics callers want.
-  for (const auto& [key, doc] : docs_) cache_.erase(key);
+  lru_ = cache::LruPolicy();
   docs_.clear();
-}
-
-void DocStore::set_eviction_listener(EvictionListener listener) {
-  on_evict_ = std::move(listener);
+  used_ = 0;
 }
 
 bool DocStore::corrupt(Key key) {
-  const auto it = docs_.find(key);
-  if (it == docs_.end() || it->second.body.empty()) return false;
-  it->second.body[0] = static_cast<char>(it->second.body[0] ^ 0x5A);
+  Document* doc = docs_.find(key);
+  if (doc == nullptr || doc->body.empty()) return false;
+  doc->body[0] = static_cast<char>(doc->body[0] ^ 0x5A);
   return true;
 }
 

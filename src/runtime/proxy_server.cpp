@@ -165,7 +165,7 @@ void ProxyServer::send_peer_fetch(PeerWait wait, bool may_reuse) {
   } else {
     LinkCounters::get().dial.inc();
     link = &server_->connect(params_.net.host, port,
-                             params_.peer_deadlines.connect_ms);
+                             params_.peer_connect_ms);
     link->state() = std::make_shared<Link>(Link{port, std::nullopt});
   }
   // The frame names the addressee (the host serves several browsers on one
@@ -180,7 +180,7 @@ void ProxyServer::send_peer_fetch(PeerWait wait, bool may_reuse) {
   // A send on a link that is already closed fails; its close hook, which
   // runs after this handler returns, finishes or retries the fetch.
   if (link->send(wire::PeerFetch::kKind, wire::encode(request), trace)) {
-    link->expect_reply(params_.peer_deadlines.read_ms);
+    link->expect_reply(params_.peer_reply_ms);
   }
 }
 

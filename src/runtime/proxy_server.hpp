@@ -23,7 +23,7 @@
 // carries one request at a time (PeerDeliver names no key), so concurrent
 // fetches to one host use several links. The PeerDeliver finishes the fetch,
 // the reply goes out and the session resumes. A dead, wedged or lying
-// holder — refused, reset, a bad frame, or no reply within peer_deadlines —
+// holder — refused, reset, a bad frame, or no reply within peer_reply_ms —
 // finishes it as a counted false forward served from the origin; a failure
 // on a reused link first retries once on a fresh dial. Meanwhile every other
 // session is served. A connection that sends no Hello within
@@ -50,14 +50,15 @@ class ProxyServer {
   struct Params {
     ProxyCore::Params core;
     /// Listener and loop behaviour: host/port, frame size, idle timeout,
-    /// write budget, drain, connection ceiling. `net.tracer` is ignored —
-    /// set_tracer() supplies it.
+    /// drain, connection ceiling. `net.tracer` is ignored — set_tracer()
+    /// supplies it.
     netio::EpollFrameServer::Params net;
-    /// Deadlines for peer fetches: connect_ms bounds a dial, read_ms the
-    /// wait for the PeerDeliver after the PeerFetch is sent — kept short so
-    /// a dead holder degrades to origin quickly. write_ms is not used: the
-    /// reply deadline covers a PeerFetch that cannot be written.
-    netio::Deadlines peer_deadlines{500, 1000, 1000};
+    /// Peer-fetch deadlines, kept short so a dead holder degrades to the
+    /// origin quickly: peer_connect_ms bounds a dial, peer_reply_ms the wait
+    /// for the PeerDeliver after the PeerFetch is sent (which also covers a
+    /// PeerFetch that cannot be written).
+    int peer_connect_ms = 500;
+    int peer_reply_ms = 1000;
     /// Read by nothing: every session runs on the epoll loop. Kept only
     /// because perfbench/perfbench.cpp assigns it; delete with the next
     /// perfbench change.

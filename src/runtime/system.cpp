@@ -86,12 +86,6 @@ void BapsSystem::init_clients() {
     clients_[c].browser =
         std::make_unique<DocStore>(params_.browser_cache_bytes);
     clients_[c].mac_key = std::move(mac_keys[c]);
-    // Browser-cache replacement sends the paper's invalidation message —
-    // after put() returns (client_store), never from inside the store.
-    clients_[c].browser->set_eviction_listener(
-        [this](DocStore::Key key, const Document&) {
-          evicted_.push_back(key);
-        });
   }
 }
 
@@ -149,8 +143,10 @@ std::optional<Document> BapsSystem::serve_peer_fetch(ClientId holder,
     }
   }
   if (peer.tampering) peer.browser->corrupt(key);
-  std::optional<Document> doc = peer.browser->get(key);
-  if (plan_ != nullptr && loopback_ != nullptr && doc.has_value()) {
+  const Document* held = peer.browser->get(key);
+  if (held == nullptr) return std::nullopt;
+  std::optional<Document> doc = *held;  // copied under the host lock
+  if (plan_ != nullptr && loopback_ != nullptr) {
     // Frame faults: a real transport injects these on the wire (see
     // TcpTransport); loopback emulates them on the in-flight copy.
     if (plan_->should_inject(fault::FaultKind::kDropFrame)) {
@@ -178,12 +174,12 @@ void BapsSystem::emit_fetch(ClientId client, DocStore::Key key,
 
 void BapsSystem::client_store(ClientId client, const Url& url, Document doc) {
   const DocStore::Key key = url_key(url);
-  const bool stored = clients_[client].browser->put(key, std::move(doc));
-  // The removes for what put() evicted go first, in eviction order, then
-  // the add: the same message stream as sending them from the listener.
-  const std::vector<DocStore::Key> evicted = std::move(evicted_);
-  evicted_.clear();
-  for (const DocStore::Key gone : evicted) {
+  // Browser-cache replacement sends the paper's invalidation messages: the
+  // removes for what put() evicted first, in eviction order, then the add.
+  DocStore::Evicted evicted;
+  const bool stored =
+      clients_[client].browser->put(key, std::move(doc), &evicted);
+  for (const auto& [gone, body] : evicted) {
     send_index_update(client, /*is_add=*/false, gone);
   }
   if (stored) send_index_update(client, /*is_add=*/true, key);
@@ -211,13 +207,13 @@ FetchOutcome BapsSystem::browse(ClientId client, const Url& url) {
   // corrupted on disk, or self-tampered) is discarded and refetched rather
   // than served: the client tells the proxy it no longer holds the URL and
   // falls through to the normal request path.
-  if (auto doc = clients_[client].browser->get(key)) {
+  if (const Document* doc = clients_[client].browser->get(key)) {
     if (verify(*doc)) {
       ++local_hits_;
       FetchOutcome out;
       out.source = FetchOutcome::Source::kLocalBrowser;
       out.verified = true;
-      out.body = std::move(doc->body);
+      out.body = doc->body;
       emit_fetch(client, key, out, /*false_forward=*/false);
       if (plan_ != nullptr) plan_->end_request_ok();
       return out;
@@ -407,9 +403,8 @@ bool BapsSystem::spoof_index_remove(ClientId attacker, ClientId victim,
 void BapsSystem::drop_silently(ClientId client, const Url& url) {
   const std::lock_guard<std::mutex> lock(mu_);
   BAPS_REQUIRE(client < clients_.size(), "client id out of range");
-  // Bypass the eviction listener: erase() in DocStore routes through
-  // ObjectCache::erase, which never fires the listener — so the proxy's
-  // index keeps the stale entry, exactly the failure this hook models.
+  // erase() reports nothing and no remove is sent, so the proxy's index
+  // keeps the stale entry — exactly the failure this hook models.
   clients_[client].browser->erase(url_key(url));
 }
 

@@ -22,8 +22,7 @@
 // around Transport::fetch and Transport::index_update (over TCP the latter
 // is a write into the host's ordered channel, with no wait for a reply) —
 // so a serve waits at most for one stretch of local work, and never sees a
-// store mid-mutation (eviction removes are collected during DocStore::put
-// and sent after it). Over TCP the serves arrive on the transport's
+// store mid-mutation. Over TCP the serves arrive on the transport's
 // peer-server thread, so several hosts sharing a proxy may be driven
 // concurrently with no caller lock. The proxy applies this host's updates
 // before its next request, but another host's request may reach the proxy
@@ -214,8 +213,6 @@ class BapsSystem : private PeerHost {
   obs::Tracer* tracer_ = nullptr;     ///< optional, not owned
 
   fault::FaultPlan* plan_ = nullptr;  ///< optional, not owned
-  /// Keys the browser stores evicted during the current put(), in order.
-  std::vector<DocStore::Key> evicted_;
 
   std::uint64_t local_hits_ = 0;
   std::uint64_t tamper_detections_ = 0;

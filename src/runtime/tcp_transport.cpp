@@ -2,6 +2,7 @@
 
 #include "fault/fault_plan.hpp"
 #include "netio/netio_metrics.hpp"
+#include "netio/retry.hpp"
 #include "runtime/wire_bridge.hpp"
 #include "util/assert.hpp"
 
@@ -54,7 +55,6 @@ void TcpTransport::bind_peer_host(PeerHost* host) {
   // each PeerFetch names the browser that serves it.
   netio::EpollFrameServer::Params net;
   net.host = params_.proxy_host;
-  net.max_frame_payload = params_.max_frame_payload;
   net.tracer = tracer_;
   peer_server_ = std::make_unique<netio::EpollFrameServer>(
       net, [this](netio::EpollFrameServer::Connection& conn,
@@ -132,7 +132,7 @@ bool TcpTransport::dial(NetError* err) {
       err);
   if (!conn.has_value()) return false;
   auto channel = std::make_unique<netio::FrameChannel>(
-      std::move(*conn), params_.deadlines, params_.max_frame_payload);
+      std::move(*conn), params_.deadlines);
   channel->set_tracer(tracer_);
   wire::Hello hello;
   hello.peer_port = peer_port();
@@ -162,7 +162,7 @@ void TcpTransport::exchange(const char* what, Op&& op) {
   const std::lock_guard<std::mutex> lock(channel_mu_);
   NetError err;
   const bool ok = netio::retry_with_backoff(
-      params_.retry, what,
+      netio::RetryPolicy{}, what,
       [&](NetError* e) {
         if ((channel_ == nullptr || !channel_->valid()) && !dial(e)) {
           return false;

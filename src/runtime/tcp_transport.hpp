@@ -39,7 +39,6 @@
 
 #include "netio/epoll_server.hpp"
 #include "netio/frame_channel.hpp"
-#include "netio/retry.hpp"
 #include "runtime/transport.hpp"
 
 namespace baps::runtime {
@@ -50,8 +49,6 @@ class TcpTransport final : public Transport {
     std::string proxy_host = "127.0.0.1";
     std::uint16_t proxy_port = 0;
     netio::Deadlines deadlines;
-    netio::RetryPolicy retry;
-    std::uint64_t max_frame_payload = wire::kDefaultMaxPayload;
   };
 
   explicit TcpTransport(const Params& params);

@@ -20,78 +20,100 @@ obs::Histogram& stage_hist(const char* op) {
                                            {{"op", op}});
 }
 
-std::uint64_t doc_bytes(const runtime::Document& doc) {
-  return doc.body.size();
-}
-
 }  // namespace
+
+struct StoreInstruments {
+  obs::Counter& probes;
+  obs::Counter& hits;
+  obs::Counter& misses;
+  obs::Counter& demotions;
+  obs::Counter& promotions;
+  obs::Counter& bytes_read;
+  obs::Counter& bytes_written;
+  obs::Histogram& probe_seconds;
+  obs::Histogram& demote_seconds;
+  obs::Histogram& promote_seconds;
+  StoreInstruments();
+};
+
+StoreInstruments::StoreInstruments()
+    : probes(obs::Registry::global().counter("store_probes_total")),
+      hits(obs::Registry::global().counter("store_hits_total")),
+      misses(obs::Registry::global().counter("store_misses_total")),
+      demotions(obs::Registry::global().counter("store_demotions_total")),
+      promotions(obs::Registry::global().counter("store_promotions_total")),
+      bytes_read(obs::Registry::global().counter("store_bytes_total",
+                                                 {{"dir", "read"}})),
+      bytes_written(obs::Registry::global().counter("store_bytes_total",
+                                                    {{"dir", "written"}})),
+      probe_seconds(stage_hist("probe")),
+      demote_seconds(stage_hist("demote")),
+      promote_seconds(stage_hist("promote")) {}
 
 TieredObjectStore::TieredObjectStore(const Params& params)
     : ram_(params.ram_bytes) {
   if (!params.disk.dir.empty()) {
     disk_ = std::make_unique<DiskStore>(params.disk);
-    // Demotion hook: a RAM capacity eviction hands the dying document to the
-    // disk tier. Installed only when the tier exists, so the store-off path
-    // keeps DocStore's no-listener fast path (and its metrics silence).
-    ram_.set_eviction_listener(
-        [this](Key key, const runtime::Document& doc) { demote(key, doc); });
+    // Resolved only when the tier exists, so the store-off path keeps its
+    // metrics silence.
+    metrics_ = std::make_unique<StoreInstruments>();
   }
 }
+
+TieredObjectStore::~TieredObjectStore() = default;
 
 bool TieredObjectStore::open(std::string* error) {
   if (disk_ == nullptr) return true;
   return disk_->open(error);
 }
 
-void TieredObjectStore::demote(Key key, const runtime::Document& doc) {
-  auto& reg = obs::Registry::global();
-  const obs::ScopedTimer timer(&stage_hist("demote"));
-  if (disk_->put(key, doc)) {
-    reg.counter("store_demotions_total").inc();
-    reg.counter("store_bytes_total", {{"dir", "written"}}).inc(doc_bytes(doc));
-  }
+bool TieredObjectStore::demote(Key key, const runtime::Document& doc) {
+  const obs::ScopedTimer timer(&metrics_->demote_seconds);
+  if (!disk_->put(key, doc)) return false;
+  metrics_->demotions.inc();
+  metrics_->bytes_written.inc(doc.body.size());
+  return true;
+}
+
+bool TieredObjectStore::put_ram(Key key, runtime::Document doc) {
+  runtime::DocStore::Evicted evicted;
+  const bool stored = ram_.put(key, std::move(doc), &evicted);
+  for (const auto& [gone, body] : evicted) demote(gone, body);
+  return stored;
 }
 
 std::optional<runtime::Document> TieredObjectStore::get(Key key) {
-  if (auto doc = ram_.get(key)) return doc;
+  if (const runtime::Document* doc = ram_.get(key)) return *doc;
   if (disk_ == nullptr) return std::nullopt;
 
-  auto& reg = obs::Registry::global();
-  reg.counter("store_probes_total").inc();
+  metrics_->probes.inc();
   runtime::Document doc;
   DiskStore::Load load = DiskStore::Load::kMiss;
   {
-    const obs::ScopedTimer timer(&stage_hist("probe"));
+    const obs::ScopedTimer timer(&metrics_->probe_seconds);
     load = disk_->get(key, &doc);
   }
   if (load != DiskStore::Load::kHit) {
     // kCorrupt quarantined inside DiskStore; either way nothing was served.
-    reg.counter("store_misses_total").inc();
+    metrics_->misses.inc();
     return std::nullopt;
   }
-  reg.counter("store_hits_total").inc();
-  reg.counter("store_bytes_total", {{"dir", "read"}}).inc(doc_bytes(doc));
+  metrics_->hits.inc();
+  metrics_->bytes_read.inc(doc.body.size());
   {
     // Promote so the next access is a RAM hit. The insertion may evict the
     // RAM LRU tail, which demotes in turn — one hop, no recursion.
-    const obs::ScopedTimer timer(&stage_hist("promote"));
-    if (ram_.put(key, doc)) {
-      reg.counter("store_promotions_total").inc();
-    }
+    const obs::ScopedTimer timer(&metrics_->promote_seconds);
+    if (put_ram(key, doc)) metrics_->promotions.inc();
   }
   return doc;
 }
 
 bool TieredObjectStore::put(Key key, runtime::Document doc) {
   if (disk_ == nullptr) return ram_.put(key, std::move(doc));
-  if (ram_.put(key, doc)) return true;
+  if (put_ram(key, doc)) return true;
   // Too large for the RAM tier: straight to disk.
-  auto& reg = obs::Registry::global();
-  const obs::ScopedTimer timer(&stage_hist("demote"));
-  if (!disk_->put(key, doc)) return false;
-  reg.counter("store_demotions_total").inc();
-  reg.counter("store_bytes_total", {{"dir", "written"}}).inc(doc_bytes(doc));
-  return true;
+  return demote(key, doc);
 }
 
 bool TieredObjectStore::contains(Key key) const {
@@ -110,26 +132,16 @@ void TieredObjectStore::sync() {
 }
 
 bool TieredObjectStore::restart(std::string* error) {
-  // clear() (not erase) loses the RAM tier without firing demotions: a
-  // crashing proxy writes nothing on its way down.
+  // clear() reports no evictions, so nothing is demoted: a crashing proxy
+  // writes nothing on its way down.
   ram_.clear();
   if (disk_ == nullptr) return true;
   return disk_->reopen(error);
 }
 
 void register_store_metric_families() {
-  auto& reg = obs::Registry::global();
-  reg.counter("store_probes_total");
-  reg.counter("store_hits_total");
-  reg.counter("store_misses_total");
-  reg.counter("store_demotions_total");
-  reg.counter("store_promotions_total");
-  reg.counter("store_bytes_total", {{"dir", "read"}});
-  reg.counter("store_bytes_total", {{"dir", "written"}});
-  reg.counter("store_integrity_failures_total");
-  stage_hist("probe");
-  stage_hist("demote");
-  stage_hist("promote");
+  const StoreInstruments resolved;
+  obs::Registry::global().counter("store_integrity_failures_total");
 }
 
 }  // namespace baps::store

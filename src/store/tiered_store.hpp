@@ -2,8 +2,8 @@
 // front, the durable DiskStore slab log behind it (DESIGN.md §14).
 //
 // Tier movement policy:
-//  * a RAM capacity eviction DEMOTES the document — the evicted body is
-//    appended to the disk tier instead of vanishing;
+//  * a RAM capacity eviction DEMOTES the document — each victim RAM put()
+//    hands back is appended to the disk tier instead of vanishing;
 //  * a disk hit PROMOTES the document back into RAM (which may in turn
 //    demote whatever that insertion evicts);
 //  * a document too large for RAM goes straight to disk.
@@ -13,7 +13,8 @@
 // registry touch, so a store-off run's report is byte-identical to one from
 // a build that never had a disk tier.
 //
-// Disk-tier traffic publishes to Registry::global():
+// Disk-tier traffic publishes to Registry::global(), resolved once per
+// store (a lookup by name takes the registry's mutex):
 //   store_probes_total / store_hits_total / store_misses_total
 //     (hits + misses == probes; a quarantined-corrupt load counts as a miss
 //      — the object was not served),
@@ -34,6 +35,8 @@
 
 namespace baps::store {
 
+struct StoreInstruments;
+
 class TieredObjectStore {
  public:
   using Key = runtime::DocStore::Key;
@@ -45,6 +48,7 @@ class TieredObjectStore {
   };
 
   explicit TieredObjectStore(const Params& params);
+  ~TieredObjectStore();
 
   bool disk_enabled() const { return disk_ != nullptr; }
 
@@ -53,7 +57,8 @@ class TieredObjectStore {
   bool open(std::string* error);
 
   /// RAM first (LRU-touching), then the disk probe; a disk hit is promoted
-  /// into RAM before returning. nullopt on a full miss — including a
+  /// into RAM before returning. A copy, not a view: a document too large
+  /// for RAM exists only on disk. nullopt on a full miss — including a
   /// quarantined-corrupt disk record, which is never served.
   std::optional<runtime::Document> get(Key key);
 
@@ -67,8 +72,8 @@ class TieredObjectStore {
   /// Durability point for the disk tier (no-op when off).
   void sync();
 
-  /// Crash/warm-restart: RAM contents are lost (no demotions fire — a crash
-  /// sends no messages), then the disk tier reopens and rebuilds its index
+  /// Crash/warm-restart: RAM contents are lost (nothing is demoted — a
+  /// crash writes nothing), then the disk tier reopens and rebuilds its index
   /// from the segment files. That surviving index IS the warm start.
   bool restart(std::string* error);
 
@@ -79,10 +84,14 @@ class TieredObjectStore {
   const DiskStore* disk() const { return disk_.get(); }
 
  private:
-  void demote(Key key, const runtime::Document& doc);
+  /// Puts into RAM and demotes whatever that evicts.
+  bool put_ram(Key key, runtime::Document doc);
+  /// Appends to the disk tier, counted as a demotion.
+  bool demote(Key key, const runtime::Document& doc);
 
   runtime::DocStore ram_;
   std::unique_ptr<DiskStore> disk_;
+  std::unique_ptr<StoreInstruments> metrics_;  ///< iff the disk tier exists
 };
 
 /// Eagerly materializes every store_* instrument — probes/hits/misses/

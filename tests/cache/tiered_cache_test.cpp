@@ -81,7 +81,11 @@ TEST(TieredCacheTest, EvictionFromFullCacheAlsoEvictsMemory) {
 TEST(TieredCacheTest, UserEvictionListenerStillFires) {
   TieredCache c(100, 0.5, PolicyKind::kLru);
   DocId evicted = 0;
-  c.set_eviction_listener([&](DocId d, std::uint64_t) { evicted = d; });
+  c.set_raw_eviction_listener(
+      [](void* ctx, DocId d, std::uint64_t) {
+        *static_cast<DocId*>(ctx) = d;
+      },
+      &evicted);
   c.insert(1, 80);
   c.insert(2, 80);
   EXPECT_EQ(evicted, 1u);

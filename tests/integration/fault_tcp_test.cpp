@@ -27,7 +27,8 @@ ProxyServer::Params proxy_params() {
   // the interesting request through the browser index.
   p.core.proxy_cache_bytes = 8 << 10;
   p.core.seed = kSeed;
-  p.peer_deadlines = netio::Deadlines{300, 1000, 1000};
+  p.peer_connect_ms = 300;
+  p.peer_reply_ms = 1000;
   return p;
 }
 

@@ -32,7 +32,8 @@ ProxyServer::Params proxy_params(std::uint32_t clients,
   p.core.num_clients = clients;
   p.core.proxy_cache_bytes = proxy_cache;
   p.core.seed = kSeed;
-  p.peer_deadlines = netio::Deadlines{300, 1000, 1000};
+  p.peer_connect_ms = 300;
+  p.peer_reply_ms = 1000;
   return p;
 }
 

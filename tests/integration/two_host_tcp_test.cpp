@@ -123,7 +123,8 @@ TEST(TwoHostTcpTest, ConcurrentHostsServeEachOthersPeerFetches) {
   sp.core.num_clients = kClients;
   sp.core.proxy_cache_bytes = 2 << 10;  // about one document
   sp.core.seed = kSeed;
-  sp.peer_deadlines = netio::Deadlines{1000, 5000, 5000};
+  sp.peer_connect_ms = 1000;
+  sp.peer_reply_ms = 5000;
   ProxyServer server(sp);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;

@@ -44,7 +44,8 @@ ProxyServer::Params server_params(const BapsSystem::Params& p) {
   sp.core.proxy_cache_bytes = p.proxy_cache_bytes;
   sp.core.seed = p.seed;
   sp.core.rsa_modulus_bits = p.rsa_modulus_bits;
-  sp.peer_deadlines = netio::Deadlines{200, 500, 500};
+  sp.peer_connect_ms = 200;
+  sp.peer_reply_ms = 500;
   return sp;
 }
 
