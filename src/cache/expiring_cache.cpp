@@ -1,28 +1,12 @@
 #include "cache/expiring_cache.hpp"
 
-#include <vector>
-
 #include "util/assert.hpp"
 
 namespace baps::cache {
 
-ExpiringCache::ExpiringCache(std::uint64_t capacity_bytes, PolicyKind policy)
-    : cache_(capacity_bytes, policy) {
-  // Capacity evictions must drop the expiry record too. The user's own
-  // eviction listener is layered on via set_eviction_listener below.
-  cache_.set_eviction_listener(
-      [this](DocId doc, std::uint64_t) { expires_.erase(doc); });
-}
-
 bool ExpiringCache::expired(DocId doc, double now) const {
   const auto it = expires_.find(doc);
   return it != expires_.end() && it->second <= now;
-}
-
-void ExpiringCache::reclaim(DocId doc) {
-  expires_.erase(doc);
-  cache_.erase(doc);
-  if (on_expire_) on_expire_(doc);
 }
 
 bool ExpiringCache::contains(DocId doc, double now) const {
@@ -33,23 +17,6 @@ std::optional<std::uint64_t> ExpiringCache::peek_size(DocId doc,
                                                       double now) const {
   if (!contains(doc, now)) return std::nullopt;
   return cache_.peek_size(doc);
-}
-
-std::optional<std::uint64_t> ExpiringCache::touch(DocId doc, double now) {
-  if (!cache_.contains(doc)) return std::nullopt;
-  if (expired(doc, now)) {
-    reclaim(doc);
-    return std::nullopt;
-  }
-  return cache_.touch(doc);
-}
-
-bool ExpiringCache::insert(DocId doc, std::uint64_t size, double expires_at) {
-  BAPS_REQUIRE(!cache_.contains(doc),
-               "insert of resident doc — erase it first");
-  if (!cache_.insert(doc, size)) return false;
-  expires_[doc] = expires_at;
-  return true;
 }
 
 bool ExpiringCache::erase(DocId doc) {
@@ -64,28 +31,6 @@ std::optional<double> ExpiringCache::ttl_remaining(DocId doc,
   BAPS_ENSURE(it != expires_.end(), "resident doc missing expiry record");
   if (it->second <= now) return std::nullopt;
   return it->second - now;
-}
-
-std::size_t ExpiringCache::purge_expired(double now) {
-  std::vector<DocId> dead;
-  for (const auto& [doc, at] : expires_) {
-    if (at <= now) dead.push_back(doc);
-  }
-  for (const DocId doc : dead) reclaim(doc);
-  return dead.size();
-}
-
-void ExpiringCache::set_expiry_listener(ExpiryListener listener) {
-  on_expire_ = std::move(listener);
-}
-
-void ExpiringCache::set_eviction_listener(
-    ObjectCache::EvictionListener listener) {
-  cache_.set_eviction_listener(
-      [this, user = std::move(listener)](DocId doc, std::uint64_t size) {
-        expires_.erase(doc);
-        if (user) user(doc, size);
-      });
 }
 
 }  // namespace baps::cache

@@ -38,15 +38,10 @@ ObjectCache::ObjectCache(ObjectCache&& other) noexcept
       lru_(other.lru_),
       entries_(std::move(other.entries_)),
       used_(other.used_),
-      on_evict_(std::move(other.on_evict_)),
-      raw_evict_(other.raw_evict_),
-      raw_evict_ctx_(other.raw_evict_ctx_),
       stats_(other.stats_) {
   other.lru_ = nullptr;
   other.entries_.clear();
   other.used_ = 0;
-  other.raw_evict_ = nullptr;
-  other.raw_evict_ctx_ = nullptr;
   other.stats_ = {};
 }
 
@@ -58,32 +53,40 @@ ObjectCache& ObjectCache::operator=(ObjectCache&& other) noexcept {
   lru_ = other.lru_;
   entries_ = std::move(other.entries_);
   used_ = other.used_;
-  on_evict_ = std::move(other.on_evict_);
-  raw_evict_ = other.raw_evict_;
-  raw_evict_ctx_ = other.raw_evict_ctx_;
   stats_ = other.stats_;
   other.lru_ = nullptr;
   other.entries_.clear();
   other.used_ = 0;
-  other.raw_evict_ = nullptr;
-  other.raw_evict_ctx_ = nullptr;
   other.stats_ = {};
   return *this;
+}
+
+ObjectCache::Evicted ObjectCache::evict_one() {
+  BAPS_ENSURE(!entries_.empty(), "eviction from empty cache");
+  const DocId victim =
+      lru_ != nullptr ? lru_->pop_victim() : policy_->pop_victim();
+  std::uint64_t size = 0;
+  BAPS_ENSURE(entries_.erase(victim, &size), "policy victim not resident");
+  used_ -= size;
+  ++stats_.evictions;
+  return {victim, size};
+}
+
+void ObjectCache::admit(DocId doc, std::uint64_t size) {
+  BAPS_REQUIRE(entries_.insert(doc, size),
+               "insert of resident doc — erase it first");
+  used_ += size;
+  if (lru_ != nullptr) {
+    lru_->on_insert(doc, size);
+  } else {
+    policy_->on_insert(doc, size);
+  }
+  ++stats_.insertions;
 }
 
 void ObjectCache::reserve(std::size_t docs) {
   entries_.reserve(docs);
   policy_->reserve(docs);
-}
-
-void ObjectCache::set_eviction_listener(EvictionListener listener) {
-  on_evict_ = std::move(listener);
-}
-
-void ObjectCache::set_raw_eviction_listener(RawEvictionListener fn,
-                                            void* ctx) {
-  raw_evict_ = fn;
-  raw_evict_ctx_ = ctx;
 }
 
 }  // namespace baps::cache

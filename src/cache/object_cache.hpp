@@ -9,12 +9,12 @@
 //    simulator can detect "hit on a document whose size has changed" and
 //    count it as a miss.
 //
-// An optional eviction listener lets the browsers-aware index send the
-// paper's invalidation messages when a browser cache replaces a document.
+// insert() hands each capacity victim to a caller-supplied callback as it
+// leaves, so the browsers-aware index can send the paper's invalidation
+// message when a browser cache replaces a document.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 
 #include "cache/lru.hpp"
@@ -33,14 +33,6 @@ enum class LookupOutcome : std::uint8_t {
 
 class ObjectCache {
  public:
-  using EvictionListener = std::function<void(DocId, std::uint64_t size)>;
-
-  /// Allocation-free listener flavour for composing caches (TieredCache):
-  /// a plain function pointer plus a context, so the per-eviction callback
-  /// is a direct call instead of a std::function dispatch.
-  using RawEvictionListener = void (*)(void* ctx, DocId doc,
-                                       std::uint64_t size);
-
   /// Per-cache event counters. Plain integers (the cache is single-threaded,
   /// like the simulations that own it); the destructor folds them into the
   /// global obs registry as `cache_*_total{policy=...}` counters, so sweeps
@@ -105,30 +97,30 @@ class ObjectCache {
     return LookupOutcome::kHit;
   }
 
-  /// Inserts (doc, size), evicting victims as needed. Returns false (and
-  /// caches nothing) if size exceeds capacity. Re-inserting a resident doc
-  /// is a programming error — erase first.
-  bool insert(DocId doc, std::uint64_t size) {
+  /// Inserts (doc, size), evicting policy-chosen victims until it fits and
+  /// calling `on_evict(victim, size)` for each, in eviction order, once the
+  /// victim is gone. Returns false (and caches nothing, evicts nothing) if
+  /// size exceeds capacity. Re-inserting a resident doc is a programming
+  /// error — erase first. A template so call-site lambdas inline.
+  template <typename OnEvict>
+  bool insert(DocId doc, std::uint64_t size, OnEvict&& on_evict) {
     if (size > capacity_) {
       ++stats_.rejected_too_large;
       return false;
     }
-    while (used_ + size > capacity_) evict_one();
-    BAPS_REQUIRE(entries_.insert(doc, size),
-                 "insert of resident doc — erase it first");
-    used_ += size;
-    if (lru_ != nullptr) {
-      lru_->on_insert(doc, size);
-    } else {
-      policy_->on_insert(doc, size);
+    while (used_ + size > capacity_) {
+      const Evicted victim = evict_one();
+      on_evict(victim.doc, victim.size);
     }
-    ++stats_.insertions;
+    admit(doc, size);
     return true;
   }
+  bool insert(DocId doc, std::uint64_t size) {
+    return insert(doc, size, [](DocId, std::uint64_t) {});
+  }
 
-  /// Removes a document; returns false if absent. The eviction listener is
-  /// NOT called for explicit erases (they are invalidations the caller
-  /// already knows about), only for capacity evictions.
+  /// Removes a document; returns false if absent. Explicit erases are
+  /// invalidations the caller already knows about, so nothing is notified.
   bool erase(DocId doc) {
     std::uint64_t size = 0;
     if (!entries_.erase(doc, &size)) return false;
@@ -141,13 +133,6 @@ class ObjectCache {
     ++stats_.erases;
     return true;
   }
-
-  /// Called once per capacity-evicted document.
-  void set_eviction_listener(EvictionListener listener);
-
-  /// Function-pointer flavour; wins over the std::function listener when
-  /// both are set. Pass nullptr to clear.
-  void set_raw_eviction_listener(RawEvictionListener fn, void* ctx);
 
   const Stats& stats() const { return stats_; }
 
@@ -169,20 +154,18 @@ class ObjectCache {
     }
   }
 
-  void evict_one() {
-    BAPS_ENSURE(!entries_.empty(), "eviction from empty cache");
-    const DocId victim =
-        lru_ != nullptr ? lru_->pop_victim() : policy_->pop_victim();
-    std::uint64_t size = 0;
-    BAPS_ENSURE(entries_.erase(victim, &size), "policy victim not resident");
-    used_ -= size;
-    ++stats_.evictions;
-    if (raw_evict_ != nullptr) {
-      raw_evict_(raw_evict_ctx_, victim, size);
-    } else if (on_evict_) {
-      on_evict_(victim, size);
-    }
-  }
+  struct Evicted {
+    DocId doc;
+    std::uint64_t size;
+  };
+
+  // Defined out of line and shared by every insert instantiation, so each
+  // caller's callback adds a few instructions, not a copy of the table and
+  // policy updates. Inlined copies used up GCC's per-file inlining budget
+  // in sim/orgs.cpp and pushed the lookup path out of line (replay ~8 %
+  // slower on two organizations).
+  Evicted evict_one();
+  void admit(DocId doc, std::uint64_t size);
 
   std::uint64_t capacity_;
   PolicyKind kind_;
@@ -190,9 +173,6 @@ class ObjectCache {
   LruPolicy* lru_ = nullptr;  // == policy_.get() iff kind_ == kLru
   util::FlatMap<std::uint64_t> entries_;  // doc -> cached size
   std::uint64_t used_ = 0;
-  EvictionListener on_evict_;
-  RawEvictionListener raw_evict_ = nullptr;
-  void* raw_evict_ctx_ = nullptr;
   Stats stats_;
 };
 

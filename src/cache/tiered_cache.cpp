@@ -24,30 +24,11 @@ TieredCache::TieredCache(std::uint64_t capacity_bytes, double memory_fraction,
       // The memory tier is always recency-managed regardless of the disk
       // policy: RAM staging is an OS page/buffer-cache effect, not a cache
       // replacement decision.
-      memory_(memory_bytes(capacity_bytes, memory_fraction), PolicyKind::kLru) {
-  // Documents leaving the full cache must leave the memory tier with them,
-  // for both capacity evictions (listener) and explicit erases (TieredCache
-  // routes those through erase()).
-  full_.set_raw_eviction_listener(&TieredCache::on_full_eviction, this);
-}
-
-void TieredCache::on_full_eviction(void* ctx, DocId doc, std::uint64_t size) {
-  auto* self = static_cast<TieredCache*>(ctx);
-  self->memory_.erase(doc);
-  if (self->user_raw_ != nullptr) {
-    self->user_raw_(self->user_raw_ctx_, doc, size);
-  }
-}
+      memory_(memory_bytes(capacity_bytes, memory_fraction), PolicyKind::kLru) {}
 
 void TieredCache::reserve(std::size_t docs) {
   full_.reserve(docs);
   memory_.reserve(docs / 4 + 1);
-}
-
-void TieredCache::set_raw_eviction_listener(
-    ObjectCache::RawEvictionListener fn, void* ctx) {
-  user_raw_ = fn;
-  user_raw_ctx_ = ctx;
 }
 
 }  // namespace baps::cache

@@ -8,7 +8,8 @@
 // speed, and hits promote the document into the memory tier (standard
 // inclusive staging). Overall hit/miss behaviour is decided *only* by the
 // full cache, so tiering never changes hit ratios — just where the bytes
-// are served from.
+// are served from. A document the full cache evicts leaves the memory tier
+// in the same step, before insert() hands it to the caller's callback.
 #pragma once
 
 #include <cstdint>
@@ -87,13 +88,23 @@ class TieredCache {
     return TieredProbe{LookupOutcome::kHit, HitTier::kDisk};
   }
 
-  /// Inserts into both tiers (a freshly fetched document passes through RAM).
-  bool insert(DocId doc, std::uint64_t size) {
-    if (!full_.insert(doc, size)) return false;
+  /// Inserts into both tiers (a freshly fetched document passes through
+  /// RAM). Each document the full cache evicts to make room leaves the
+  /// memory tier too, then goes to `on_evict(doc, size)`, in eviction order.
+  template <typename OnEvict>
+  bool insert(DocId doc, std::uint64_t size, OnEvict&& on_evict) {
+    const auto evicted = [&](DocId victim, std::uint64_t victim_size) {
+      memory_.erase(victim);
+      on_evict(victim, victim_size);
+    };
+    if (!full_.insert(doc, size, evicted)) return false;
     if (size <= memory_.capacity_bytes() && !memory_.contains(doc)) {
       memory_.insert(doc, size);
     }
     return true;
+  }
+  bool insert(DocId doc, std::uint64_t size) {
+    return insert(doc, size, [](DocId, std::uint64_t) {});
   }
 
   bool erase(DocId doc) {
@@ -101,27 +112,13 @@ class TieredCache {
     return full_.erase(doc);
   }
 
-  /// Called once per capacity-evicted document (after memory-tier cleanup),
-  /// as a direct call: the simulated browser caches evict more often than
-  /// they hit. The internal memory-tier bookkeeping already occupies the
-  /// full cache's listener slot, so register here, not on full().
-  void set_raw_eviction_listener(ObjectCache::RawEvictionListener fn,
-                                 void* ctx);
-
-  /// Exposes the underlying full cache for iteration.
-  ObjectCache& full() { return full_; }
+  /// Exposes the underlying full cache for iteration. Read-only: the memory
+  /// tier follows only changes made through this class.
   const ObjectCache& full() const { return full_; }
 
  private:
-  // Registered on full_ as a raw listener (one direct call per eviction,
-  // no std::function dispatch): documents leaving the full cache must leave
-  // the memory tier with them.
-  static void on_full_eviction(void* ctx, DocId doc, std::uint64_t size);
-
   ObjectCache full_;
   ObjectCache memory_;
-  ObjectCache::RawEvictionListener user_raw_ = nullptr;
-  void* user_raw_ctx_ = nullptr;
 };
 
 }  // namespace baps::cache

@@ -1,6 +1,5 @@
 #include "obs/proc_stats.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 #include <vector>
@@ -158,22 +157,6 @@ std::size_t ThreadCpuTracker::size() const {
 ThreadCpuTracker& ThreadCpuTracker::global() {
   static ThreadCpuTracker* tracker = new ThreadCpuTracker();  // leaked
   return *tracker;
-}
-
-// ---------------------------------------------------------------------------
-// Allocation hook
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<AllocSampler> g_alloc_sampler{nullptr};
-}  // namespace
-
-void set_alloc_sampler(AllocSampler sampler) {
-  g_alloc_sampler.store(sampler, std::memory_order_release);
-}
-
-AllocSampler alloc_sampler() {
-  return g_alloc_sampler.load(std::memory_order_acquire);
 }
 
 }  // namespace baps::obs

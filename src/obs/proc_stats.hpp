@@ -5,11 +5,6 @@
 // tick sees the process as it is at that instant. On platforms without the
 // needed interfaces every reader degrades to "absent" (valid == false or an
 // empty vector) rather than to a lie.
-//
-// Allocation counters ride behind a hook: the sampler calls the installed
-// AllocSampler (if any) once per tick, so a build that wires its allocator
-// (or a test double) gets alloc_count/alloc_bytes in the export and every
-// other build pays nothing — not even an atomic on the allocation path.
 #pragma once
 
 #include <cstdint>
@@ -76,17 +71,5 @@ class ScopedThreadCpu {
  private:
   std::uint64_t token_;
 };
-
-/// Allocation totals supplied by the installed hook.
-struct AllocStats {
-  std::uint64_t count = 0;
-  std::uint64_t bytes = 0;
-};
-
-using AllocSampler = AllocStats (*)();
-
-/// Installs (or with nullptr removes) the allocation hook the sampler polls.
-void set_alloc_sampler(AllocSampler sampler);
-AllocSampler alloc_sampler();
 
 }  // namespace baps::obs

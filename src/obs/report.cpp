@@ -376,7 +376,9 @@ std::string label_value(const JsonValue* labels, std::string_view key) {
 std::string scoped(std::string_view name, std::string_view key,
                    const std::string& value) {
   std::string out(name);
-  if (!key.empty()) out += "{" + std::string(key) + "=" + value + "}";
+  if (!key.empty()) {
+    out.append("{").append(key).append("=").append(value).append("}");
+  }
   return out;
 }
 

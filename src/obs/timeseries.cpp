@@ -241,13 +241,6 @@ void TimeSeriesSampler::tick_locked(double now_seconds) {
                        {"cpu_delta_seconds", JsonValue(t_delta)}}));
     }
     proc.set("threads", JsonValue(std::move(threads)));
-
-    if (AllocSampler hook = alloc_sampler()) {
-      const AllocStats a = hook();
-      proc.set("alloc",
-               JsonValue(json_object({{"count", JsonValue(a.count)},
-                                      {"bytes", JsonValue(a.bytes)}})));
-    }
     rec.set("process", std::move(proc));
 
     prev_process_cpu_ = ps.cpu_seconds;

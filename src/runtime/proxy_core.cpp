@@ -44,7 +44,9 @@ std::vector<std::string> derive_client_mac_keys(std::uint64_t seed,
   keys.reserve(num_clients);
   baps::SplitMix64 key_mixer(seed ^ 0x4D41434B4559ULL);
   for (std::uint32_t c = 0; c < num_clients; ++c) {
-    keys.push_back("k" + std::to_string(key_mixer.next()));
+    std::string key = "k";
+    key.append(std::to_string(key_mixer.next()));
+    keys.push_back(std::move(key));
   }
   return keys;
 }
@@ -67,11 +69,12 @@ ProxyCore::RequestCounters::RequestCounters()
       served_origin(obs::Registry::global().counter(
           "proxy_fetch_served_total", {{"source", "origin-server"}})),
       false_forwards(
-          obs::Registry::global().counter("proxy_false_forwards_total")) {
+          obs::Registry::global().counter("proxy_false_forwards_total")),
+      stale_index_hits(
+          obs::Registry::global().counter("stale_index_hits_total")) {
   // Resolving the handles above eagerly registers the whole family (zeros
   // included), so the sampler's first interval and fetch-free reports still
-  // carry every proxy_* instrument; same contract for the staleness counter.
-  obs::Registry::global().counter("stale_index_hits_total");
+  // carry every proxy_* instrument and the staleness counter.
 }
 
 ProxyCore::ProxyCore(const Params& params)
@@ -182,7 +185,7 @@ ProxyCore::Reply ProxyCore::finish_fetch(NeedPeer&& need,
   // Stale index entry (or dead peer): no delivery came back.
   ++stats_.false_forwards;
   counters_.false_forwards.inc();
-  obs::Registry::global().counter("stale_index_hits_total").inc();
+  counters_.stale_index_hits.inc();
   index_.remove(need.holder, need.key);
   return from_origin(need.url, need.key, true, need.trace);
 }

@@ -152,6 +152,7 @@ class ProxyCore {
     obs::Counter& served_peer;
     obs::Counter& served_origin;
     obs::Counter& false_forwards;
+    obs::Counter& stale_index_hits;
     RequestCounters();
   };
 

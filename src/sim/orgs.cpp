@@ -27,8 +27,8 @@ std::vector<cache::TieredCache> make_browsers(const SimConfig& config,
 /// Empties one browser cache for a churn departure: `fn(doc)` runs before
 /// each erase so callers can propagate the removal to their directory
 /// structures (or not — a silent wipe is the stale-index failure shape).
-/// Docs are wiped in sorted order for cross-run determinism; erase() fires
-/// no eviction listeners, so nothing else observes the wipe.
+/// Docs are wiped in sorted order for cross-run determinism; erase()
+/// notifies nobody, so nothing else observes the wipe.
 template <typename PerDoc>
 std::uint64_t wipe_browser(cache::TieredCache& browser, PerDoc&& fn) {
   std::vector<trace::DocId> docs;
@@ -93,24 +93,17 @@ GlobalBrowsersOnlyOrg::GlobalBrowsersOnlyOrg(const SimConfig& config,
                                              std::uint32_t num_clients)
     : Organization(config, num_clients),
       browsers_(make_browsers(config, num_clients)),
-      index_(num_clients, config.doc_universe, config.client_distinct_docs) {
-  evict_ctx_.resize(num_clients);
-  for (std::uint32_t c = 0; c < num_clients; ++c) {
-    evict_ctx_[c] = EvictCtx{this, c};
-    browsers_[c].set_raw_eviction_listener(
-        &GlobalBrowsersOnlyOrg::on_browser_eviction, &evict_ctx_[c]);
-  }
-}
-
-void GlobalBrowsersOnlyOrg::on_browser_eviction(void* ctx, trace::DocId doc,
-                                                std::uint64_t /*size*/) {
-  auto* e = static_cast<EvictCtx*>(ctx);
-  e->org->index_.remove(e->client, doc);
-}
+      index_(num_clients, config.doc_universe, config.client_distinct_docs) {}
 
 void GlobalBrowsersOnlyOrg::fill_browser(trace::ClientId client,
                                          const trace::Request& r) {
-  if (browsers_[client].insert(r.doc, r.size)) index_.add(client, r.doc);
+  // Replaced documents leave the index before the new one joins it.
+  const auto evicted = [this, client](trace::DocId doc, std::uint64_t) {
+    index_.remove(client, doc);
+  };
+  if (browsers_[client].insert(r.doc, r.size, evicted)) {
+    index_.add(client, r.doc);
+  }
 }
 
 void GlobalBrowsersOnlyOrg::wipe_client(trace::ClientId client) {
@@ -210,18 +203,6 @@ BrowsersAwareOrg::BrowsersAwareOrg(const SimConfig& config,
         num_clients, config.bloom_expected_docs_per_client,
         config.bloom_target_fp);
   }
-  evict_ctx_.resize(num_clients);
-  for (std::uint32_t c = 0; c < num_clients; ++c) {
-    evict_ctx_[c] = EvictCtx{this, c};
-    browsers_[c].set_raw_eviction_listener(
-        &BrowsersAwareOrg::on_browser_eviction, &evict_ctx_[c]);
-  }
-}
-
-void BrowsersAwareOrg::on_browser_eviction(void* ctx, trace::DocId doc,
-                                           std::uint64_t /*size*/) {
-  auto* e = static_cast<EvictCtx*>(ctx);
-  e->org->index_remove(e->client, doc);
 }
 
 std::optional<trace::ClientId> BrowsersAwareOrg::index_lookup(
@@ -240,7 +221,12 @@ std::uint64_t BrowsersAwareOrg::index_bytes() const {
 
 void BrowsersAwareOrg::fill_browser(trace::ClientId client,
                                     const trace::Request& r) {
-  if (browsers_[client].insert(r.doc, r.size)) {
+  // Each replacement is the paper's invalidation message (§2), sent before
+  // the new document's addition.
+  const auto evicted = [this, client](trace::DocId doc, std::uint64_t) {
+    index_remove(client, doc);
+  };
+  if (browsers_[client].insert(r.doc, r.size, evicted)) {
     index_insert(client, r.doc);
   }
 }

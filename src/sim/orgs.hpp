@@ -52,20 +52,10 @@ class GlobalBrowsersOnlyOrg final : public Organization {
   void wipe_client(trace::ClientId client) override;
 
  private:
-  /// Raw eviction-listener context, one per client (stable addresses: the
-  /// vector is sized once in the constructor and never grows).
-  struct EvictCtx {
-    GlobalBrowsersOnlyOrg* org = nullptr;
-    trace::ClientId client = 0;
-  };
-  static void on_browser_eviction(void* ctx, trace::DocId doc,
-                                  std::uint64_t size);
-
   void fill_browser(trace::ClientId client, const trace::Request& r);
 
   std::vector<cache::TieredCache> browsers_;
   index::BrowserIndex index_;
-  std::vector<EvictCtx> evict_ctx_;
 };
 
 /// 4. proxy-and-local-browser: the conventional hierarchy.
@@ -105,15 +95,6 @@ class BrowsersAwareOrg final : public Organization {
   void wipe_client(trace::ClientId client) override;
 
  private:
-  /// Raw eviction-listener context, one per client (stable addresses: the
-  /// vector is sized once in the constructor and never grows).
-  struct EvictCtx {
-    BrowsersAwareOrg* org = nullptr;
-    trace::ClientId client = 0;
-  };
-  static void on_browser_eviction(void* ctx, trace::DocId doc,
-                                  std::uint64_t size);
-
   void fill_browser(trace::ClientId client, const trace::Request& r);
 
   // The index mutation helpers run on every browser insert/evict; the
@@ -153,7 +134,6 @@ class BrowsersAwareOrg final : public Organization {
   std::unique_ptr<index::UpdateProtocol> protocol_;  // exact mode only
   index::ImmediateUpdateProtocol* immediate_ = nullptr;  // == protocol_.get()
   std::unique_ptr<index::SummaryIndex> summary_index_;
-  std::vector<EvictCtx> evict_ctx_;
   std::uint64_t summary_messages_ = 0;
 };
 

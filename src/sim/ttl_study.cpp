@@ -5,38 +5,51 @@
 namespace baps::sim {
 namespace {
 
-/// One TTL-enforcing cache layer plus its bookkeeping.
+/// One TTL-enforcing cache layer plus its bookkeeping. A browser layer of
+/// the browsers-aware study also keeps its entries in `index` exact: every
+/// copy it gains, replaces or expires is added to or removed from it.
 class TtlLayer {
  public:
   TtlLayer(std::uint64_t capacity, cache::PolicyKind policy, double ttl,
-           TtlStudyMetrics& metrics)
-      : cache_(capacity, policy), ttl_(ttl), metrics_(metrics) {
-    cache_.set_expiry_listener([this](trace::DocId) {
-      ++metrics_.expirations;
-    });
-  }
-
-  cache::ExpiringCache& cache() { return cache_; }
+           TtlStudyMetrics& metrics, index::BrowserIndex* index = nullptr,
+           trace::ClientId client = 0)
+      : cache_(capacity, policy),
+        ttl_(ttl),
+        metrics_(metrics),
+        index_(index),
+        client_(client) {}
 
   /// Serves whatever copy is cached and unexpired — stale or not. Returns
   /// the cached size.
   std::optional<std::uint64_t> lookup(const trace::Request& r) {
-    return cache_.touch(r.doc, r.timestamp);
+    return cache_.touch(r.doc, r.timestamp, [this](trace::DocId doc) {
+      unlist(doc);
+      ++metrics_.expirations;
+    });
   }
 
-  bool fill(const trace::Request& r) {
+  void fill(const trace::Request& r) {
     cache_.erase(r.doc);  // replace any expired-or-stale leftover record
     const double expires_at =
         ttl_ == cache::ExpiringCache::kNeverExpires
             ? cache::ExpiringCache::kNeverExpires
             : r.timestamp + ttl_;
-    return cache_.insert(r.doc, r.size, expires_at);
+    const bool cached =
+        cache_.insert(r.doc, r.size, expires_at,
+                      [this](trace::DocId doc, std::uint64_t) { unlist(doc); });
+    if (cached && index_ != nullptr) index_->add(client_, r.doc);
   }
 
  private:
+  void unlist(trace::DocId doc) {
+    if (index_ != nullptr) index_->remove(client_, doc);
+  }
+
   cache::ExpiringCache cache_;
   double ttl_;
   TtlStudyMetrics& metrics_;
+  index::BrowserIndex* index_;  ///< null: proxy layer, or no browser index
+  trace::ClientId client_;
 };
 
 }  // namespace
@@ -48,27 +61,15 @@ TtlStudyMetrics run_ttl_study(const TtlStudyConfig& config,
   BAPS_REQUIRE(config.ttl_seconds > 0.0, "ttl must be positive");
   TtlStudyMetrics metrics;
 
+  index::BrowserIndex index(trace.num_clients());
+  index::BrowserIndex* const listed = config.browsers_aware ? &index : nullptr;
   TtlLayer proxy(config.proxy_cache_bytes, config.policy, config.ttl_seconds,
                  metrics);
   std::vector<TtlLayer> browsers;
   browsers.reserve(trace.num_clients());
   for (std::uint32_t c = 0; c < trace.num_clients(); ++c) {
     browsers.emplace_back(config.browser_cache_bytes[c], config.policy,
-                          config.ttl_seconds, metrics);
-  }
-  index::BrowserIndex index(trace.num_clients());
-  if (config.browsers_aware) {
-    for (std::uint32_t c = 0; c < trace.num_clients(); ++c) {
-      browsers[c].cache().set_eviction_listener(
-          [&index, c](trace::DocId doc, std::uint64_t) {
-            index.remove(c, doc);
-          });
-      browsers[c].cache().set_expiry_listener(
-          [&index, &metrics, c](trace::DocId doc) {
-            index.remove(c, doc);
-            ++metrics.expirations;
-          });
-    }
+                          config.ttl_seconds, metrics, listed, c);
   }
 
   const auto record_hit = [&](const trace::Request& r,
@@ -92,20 +93,14 @@ TtlStudyMetrics run_ttl_study(const TtlStudyConfig& config,
     }
     if (const auto size = proxy.lookup(r)) {
       record_hit(r, *size, /*remote=*/false);
-      if (browser.fill(trace::Request{r.timestamp, r.client, r.doc, *size}) &&
-          config.browsers_aware) {
-        index.add(r.client, r.doc);
-      }
+      browser.fill(trace::Request{r.timestamp, r.client, r.doc, *size});
       continue;
     }
     if (config.browsers_aware) {
       if (const auto holder = index.find_holder(r.doc, r.client)) {
         if (const auto size = browsers[*holder].lookup(r)) {
           record_hit(r, *size, /*remote=*/true);
-          if (browser.fill(
-                  trace::Request{r.timestamp, r.client, r.doc, *size})) {
-            index.add(r.client, r.doc);
-          }
+          browser.fill(trace::Request{r.timestamp, r.client, r.doc, *size});
           continue;
         }
         index.remove(*holder, r.doc);  // expired under us: repair the index
@@ -114,9 +109,7 @@ TtlStudyMetrics run_ttl_study(const TtlStudyConfig& config,
     // Origin fetch: always fresh, fills proxy + browser.
     metrics.hits.miss();
     proxy.fill(r);
-    if (browser.fill(r) && config.browsers_aware) {
-      index.add(r.client, r.doc);
-    }
+    browser.fill(r);
   }
   return metrics;
 }

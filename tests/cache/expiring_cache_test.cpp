@@ -19,9 +19,11 @@ TEST(ExpiringCacheTest, ExpiredEntryMissesAndIsReclaimed) {
   ExpiringCache c(1000, PolicyKind::kLru);
   c.insert(1, 100, 10.0);
   DocId expired_doc = 0;
-  c.set_expiry_listener([&](DocId d) { expired_doc = d; });
+  const auto on_expire = [&](DocId d) { expired_doc = d; };
+  EXPECT_EQ(c.touch(1, 9.0, on_expire), std::optional<std::uint64_t>(100));
+  EXPECT_EQ(expired_doc, 0u);
   EXPECT_FALSE(c.contains(1, 10.0));  // boundary: expires AT its deadline
-  EXPECT_EQ(c.touch(1, 10.0), std::nullopt);
+  EXPECT_EQ(c.touch(1, 10.0, on_expire), std::nullopt);
   EXPECT_EQ(expired_doc, 1u);
   EXPECT_EQ(c.count(), 0u);
   EXPECT_EQ(c.used_bytes(), 0u);
@@ -34,28 +36,12 @@ TEST(ExpiringCacheTest, NeverExpiresLivesForever) {
   EXPECT_TRUE(c.ttl_remaining(1, 1e18).has_value());
 }
 
-TEST(ExpiringCacheTest, PurgeReclaimsOnlyExpired) {
-  ExpiringCache c(1000, PolicyKind::kLru);
-  c.insert(1, 10, 5.0);
-  c.insert(2, 10, 15.0);
-  c.insert(3, 10, 8.0);
-  int expired = 0;
-  c.set_expiry_listener([&](DocId) { ++expired; });
-  EXPECT_EQ(c.purge_expired(9.0), 2u);
-  EXPECT_EQ(expired, 2);
-  EXPECT_FALSE(c.contains(1, 9.0));
-  EXPECT_TRUE(c.contains(2, 9.0));
-  EXPECT_FALSE(c.contains(3, 9.0));
-}
-
 TEST(ExpiringCacheTest, CapacityEvictionDropsExpiryRecord) {
   ExpiringCache c(100, PolicyKind::kLru);
   std::vector<DocId> evicted;
-  c.set_eviction_listener([&](DocId d, std::uint64_t) {
-    evicted.push_back(d);
-  });
-  c.insert(1, 80, 100.0);
-  c.insert(2, 80, 100.0);  // evicts 1
+  const auto on_evict = [&](DocId d, std::uint64_t) { evicted.push_back(d); };
+  c.insert(1, 80, 100.0, on_evict);
+  c.insert(2, 80, 100.0, on_evict);  // evicts 1
   EXPECT_EQ(evicted, std::vector<DocId>{1});
   // Re-inserting doc 1 must not trip the resident-doc precondition.
   EXPECT_TRUE(c.insert(1, 10, 50.0));
@@ -79,10 +65,12 @@ TEST(ExpiringCacheTest, DoubleInsertThrows) {
 TEST(ExpiringCacheTest, ExpiryListenerNotFiredForEvictionOrErase) {
   ExpiringCache c(100, PolicyKind::kLru);
   int expiries = 0;
-  c.set_expiry_listener([&](DocId) { ++expiries; });
+  const auto on_expire = [&](DocId) { ++expiries; };
   c.insert(1, 80, 1000.0);
   c.insert(2, 80, 1000.0);  // capacity-evicts 1
+  EXPECT_EQ(c.touch(1, 0.0, on_expire), std::nullopt);
   c.erase(2);
+  EXPECT_EQ(c.touch(2, 2000.0, on_expire), std::nullopt);
   EXPECT_EQ(expiries, 0);
 }
 
@@ -90,8 +78,9 @@ TEST(ExpiringCacheTest, OversizedInsertRejectedCleanly) {
   ExpiringCache c(50, PolicyKind::kLru);
   EXPECT_FALSE(c.insert(1, 100, 10.0));
   EXPECT_FALSE(c.contains(1, 0.0));
-  // No orphan expiry record: purging finds nothing.
-  EXPECT_EQ(c.purge_expired(1e9), 0u);
+  EXPECT_EQ(c.count(), 0u);
+  EXPECT_EQ(c.used_bytes(), 0u);
+  EXPECT_EQ(c.ttl_remaining(1, 0.0), std::nullopt);
 }
 
 }  // namespace

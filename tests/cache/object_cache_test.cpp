@@ -77,18 +77,21 @@ TEST(ObjectCacheTest, PeekDoesNotDisturbRecency) {
   EXPECT_TRUE(c.contains(2));
 }
 
-TEST(ObjectCacheTest, EvictionListenerFiresOnCapacityEvictionOnly) {
+TEST(ObjectCacheTest, EvictionCallbackGetsCapacityVictimsOnly) {
   ObjectCache c(100, PolicyKind::kLru);
   std::vector<std::pair<DocId, std::uint64_t>> evicted;
-  c.set_eviction_listener([&](DocId d, std::uint64_t s) {
+  const auto on_evict = [&](DocId d, std::uint64_t s) {
+    EXPECT_FALSE(c.contains(d));  // the victim is gone when it is handed over
     evicted.emplace_back(d, s);
-  });
-  c.insert(1, 60);
-  c.insert(2, 60);  // evicts 1
+  };
+  c.insert(1, 60, on_evict);
+  c.insert(2, 60, on_evict);  // evicts 1
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0], (std::pair<DocId, std::uint64_t>{1, 60}));
+  EXPECT_FALSE(c.insert(3, 101, on_evict));  // rejected before evicting
   c.erase(2);  // explicit erase: no callback
   EXPECT_EQ(evicted.size(), 1u);
+  EXPECT_EQ(c.used_bytes(), 0u);
 }
 
 TEST(ObjectCacheTest, SizeChangeHandledByCaller) {
@@ -111,12 +114,12 @@ class CacheAccountingProperty : public ::testing::TestWithParam<PolicyKind> {};
 TEST_P(CacheAccountingProperty, BytesNeverExceedCapacityUnderChurn) {
   ObjectCache c(50'000, GetParam());
   baps::Xoshiro256 rng(11);
-  std::uint64_t listener_bytes = 0;
-  std::uint64_t listener_count = 0;
-  c.set_eviction_listener([&](DocId, std::uint64_t s) {
-    listener_bytes += s;
-    ++listener_count;
-  });
+  std::uint64_t evicted_bytes = 0;
+  std::uint64_t evicted_count = 0;
+  const auto on_evict = [&](DocId, std::uint64_t s) {
+    evicted_bytes += s;
+    ++evicted_count;
+  };
   std::uint64_t inserted_bytes = 0, erased_bytes = 0, rejected = 0;
   for (int i = 0; i < 20'000; ++i) {
     const DocId d = rng.below(5'000);
@@ -124,7 +127,7 @@ TEST_P(CacheAccountingProperty, BytesNeverExceedCapacityUnderChurn) {
     if (u < 0.6) {
       if (!c.contains(d)) {
         const std::uint64_t s = 1 + rng.below(3'000);
-        if (c.insert(d, s)) {
+        if (c.insert(d, s, on_evict)) {
           inserted_bytes += s;
         } else {
           ++rejected;
@@ -140,9 +143,10 @@ TEST_P(CacheAccountingProperty, BytesNeverExceedCapacityUnderChurn) {
     ASSERT_LE(c.used_bytes(), c.capacity_bytes());
   }
   // Conservation: bytes in = bytes resident + bytes evicted + bytes erased.
-  EXPECT_EQ(inserted_bytes, c.used_bytes() + listener_bytes + erased_bytes);
+  EXPECT_EQ(inserted_bytes, c.used_bytes() + evicted_bytes + erased_bytes);
   EXPECT_EQ(rejected, 0u);  // sizes are all below capacity here
-  EXPECT_GT(listener_count, 0u);
+  EXPECT_GT(evicted_count, 0u);
+  EXPECT_EQ(evicted_count, c.stats().evictions);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, CacheAccountingProperty,

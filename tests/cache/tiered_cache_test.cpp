@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -78,17 +81,19 @@ TEST(TieredCacheTest, EvictionFromFullCacheAlsoEvictsMemory) {
   ASSERT_TRUE(hit.has_value());
 }
 
-TEST(TieredCacheTest, UserEvictionListenerStillFires) {
+TEST(TieredCacheTest, EvictionCallbackGetsFullCacheVictims) {
   TieredCache c(100, 0.5, PolicyKind::kLru);
-  DocId evicted = 0;
-  c.set_raw_eviction_listener(
-      [](void* ctx, DocId d, std::uint64_t) {
-        *static_cast<DocId*>(ctx) = d;
-      },
-      &evicted);
-  c.insert(1, 80);
-  c.insert(2, 80);
-  EXPECT_EQ(evicted, 1u);
+  std::vector<std::pair<DocId, std::uint64_t>> evicted;
+  const auto on_evict = [&](DocId d, std::uint64_t s) {
+    EXPECT_FALSE(c.contains(d));
+    evicted.emplace_back(d, s);
+  };
+  c.insert(1, 40, on_evict);
+  c.insert(2, 40, on_evict);  // pushes 1 out of the 50-byte memory tier only
+  EXPECT_TRUE(evicted.empty());
+  c.insert(3, 80, on_evict);  // the full cache evicts 1, then 2
+  EXPECT_EQ(evicted,
+            (std::vector<std::pair<DocId, std::uint64_t>>{{1, 40}, {2, 40}}));
 }
 
 TEST(TieredCacheTest, EraseRemovesFromBothTiers) {
