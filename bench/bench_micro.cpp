@@ -10,6 +10,7 @@
 #include "trace/generator.hpp"
 #include "trace/zipf.hpp"
 #include "util/rng.hpp"
+#include "wire/crc32.hpp"
 
 namespace {
 
@@ -22,6 +23,19 @@ void BM_Md5_8KB(benchmark::State& state) {
                           8192);
 }
 BENCHMARK(BM_Md5_8KB);
+
+// The frame CRC over a small control frame, a typical document body and a
+// large payload.
+void BM_Crc32(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::string body(n, 'x');
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(baps::wire::crc32(body));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(1229)->Arg(64 << 10);
 
 void BM_RsaSignDigest(benchmark::State& state) {
   const auto keys = baps::crypto::generate_rsa_keypair(256, 5);

@@ -13,7 +13,9 @@ ObjectCache::ObjectCache(std::uint64_t capacity_bytes, PolicyKind policy)
       lru_(policy == PolicyKind::kLru ? static_cast<LruPolicy*>(policy_.get())
                                       : nullptr) {}
 
-ObjectCache::~ObjectCache() {
+ObjectCache::~ObjectCache() { fold_stats(); }
+
+void ObjectCache::fold_stats() {
   // Fold this cache's lifetime totals into the per-policy registry family.
   // One resolve+bump per cache teardown keeps the per-operation path free of
   // atomics while sweeps still get exact per-policy accounting.
@@ -47,6 +49,9 @@ ObjectCache::ObjectCache(ObjectCache&& other) noexcept
 
 ObjectCache& ObjectCache::operator=(ObjectCache&& other) noexcept {
   if (this == &other) return *this;
+  // What this cache counted is about to be overwritten: flush it first,
+  // under its own policy label, as the destructor would.
+  fold_stats();
   capacity_ = other.capacity_;
   kind_ = other.kind_;
   policy_ = std::move(other.policy_);

@@ -51,7 +51,8 @@ class ObjectCache {
   ObjectCache(const ObjectCache&) = delete;
   ObjectCache& operator=(const ObjectCache&) = delete;
   // Moves transfer the stats (and zero the source) so each event is flushed
-  // to the registry exactly once.
+  // to the registry exactly once; move-assignment first flushes what the
+  // destination had counted.
   ObjectCache(ObjectCache&& other) noexcept;
   ObjectCache& operator=(ObjectCache&& other) noexcept;
 
@@ -166,6 +167,10 @@ class ObjectCache {
   // slower on two organizations).
   Evicted evict_one();
   void admit(DocId doc, std::uint64_t size);
+  /// Adds stats_ to the registry's `cache_*_total{policy}` counters (a
+  /// no-op when nothing was counted); the destructor and move-assignment
+  /// call it.
+  void fold_stats();
 
   std::uint64_t capacity_;
   PolicyKind kind_;

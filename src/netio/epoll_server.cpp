@@ -34,6 +34,13 @@ constexpr std::uint64_t kAcceptParkMs = 50;
 // processing pauses until the queue drains below half.
 constexpr std::size_t kMaxWriteQueueBytes = 4u << 20;
 
+// Event bits after which a read goes on to EOF instead of stopping at the
+// first short recv (see read_drain).
+constexpr std::uint32_t kHangupEvents = EPOLLRDHUP | EPOLLHUP | EPOLLERR;
+// A read resumed after a pause: its hang-up edge, if any, was consumed
+// while paused, so it reads on to EOF as if the edge had just come.
+constexpr std::uint32_t kResumeEvents = EPOLLIN | EPOLLRDHUP;
+
 struct EpollCounters {
   obs::Counter& wakeups;
   obs::Counter& accept_errors;
@@ -298,9 +305,8 @@ void EpollFrameServer::loop() {
         if (c.closed_ || c.connecting_) continue;
       }
       if ((evs & EPOLLOUT) != 0) flush_writes(c);
-      if (!c.closed_ &&
-          (evs & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR)) != 0) {
-        read_drain(c, now);
+      if (!c.closed_ && (evs & (EPOLLIN | kHangupEvents)) != 0) {
+        read_drain(c, now, evs);
       }
     }
 
@@ -377,7 +383,7 @@ void EpollFrameServer::run_deferred(std::uint64_t now) {
       process_frames(*c, now);
       if (!c->closed_ && !c->blocked() && c->read_pending_) {
         c->read_pending_ = false;
-        read_drain(*c, now);
+        read_drain(*c, now, kResumeEvents);
       }
     }
   }
@@ -510,7 +516,8 @@ void EpollFrameServer::accept_drain(std::uint64_t now) {
   }
 }
 
-void EpollFrameServer::read_drain(Connection& c, std::uint64_t now) {
+void EpollFrameServer::read_drain(Connection& c, std::uint64_t now,
+                                  std::uint32_t events) {
   if (c.blocked()) {
     // Backpressured or parked: leave bytes in the kernel. ET won't re-edge
     // for data already queued, so remember to resume reading on unpause.
@@ -528,6 +535,13 @@ void EpollFrameServer::read_drain(Connection& c, std::uint64_t now) {
       process_frames(c, now);
       if (c.closed_ || c.blocked()) {
         c.read_pending_ = c.blocked();
+        return;
+      }
+      // A short read emptied the socket: bytes arriving later raise a new
+      // edge, so one more recv would only return EAGAIN. A hang-up raises
+      // none, so after one the read goes on to EOF.
+      if (static_cast<std::size_t>(rc) < sizeof(buf) &&
+          (events & kHangupEvents) == 0) {
         return;
       }
       continue;
@@ -623,7 +637,7 @@ void EpollFrameServer::flush_writes(Connection& c) {
     process_frames(c, now_ms());
     if (!c.closed_ && !c.paused_ && c.read_pending_) {
       c.read_pending_ = false;
-      read_drain(c, now_ms());
+      read_drain(c, now_ms(), kResumeEvents);
     }
   }
   (void)counters;

@@ -10,12 +10,13 @@
 // (EMFILE parks accepting behind a retry timer instead of spinning); each
 // connection owns a growing read buffer decoded incrementally with
 // wire::decode_frame (kNeedMore ⇒ wait for the next edge, so partial
-// frames resume exactly where they left off) and a bounded write queue
-// flushed until EAGAIN (queue over budget ⇒ inbound processing pauses —
-// true backpressure, not unbounded buffering). Idle connections, and ones
-// that never send a first frame, expire via a hashed timer wheel. stop()
-// drains gracefully: accepting stops, queued writes flush within
-// drain_timeout_ms, stragglers are cut.
+// frames resume exactly where they left off; a short recv ends the read,
+// except after a hang-up) and a bounded write queue flushed until EAGAIN
+// (queue over budget ⇒ inbound processing pauses — true backpressure, not
+// unbounded buffering). Idle connections, and ones that never send a first
+// frame, expire via a hashed timer wheel. stop() drains gracefully:
+// accepting stops, queued writes flush within drain_timeout_ms, stragglers
+// are cut.
 //
 // The handler seam is per-frame, not per-session: the loop calls the
 // handler once per fully-decoded inbound frame, and the handler replies
@@ -215,7 +216,11 @@ class EpollFrameServer {
  private:
   void loop();
   void accept_drain(std::uint64_t now_ms);
-  void read_drain(Connection& c, std::uint64_t now_ms);
+  /// Reads and decodes what `c` has queued. `events` are the epoll bits
+  /// that prompted the read: a short recv ends it (the socket is empty;
+  /// new bytes raise a new edge), unless they carry a hang-up, which no
+  /// later edge would repeat, so it reads on to EOF.
+  void read_drain(Connection& c, std::uint64_t now_ms, std::uint32_t events);
   void process_frames(Connection& c, std::uint64_t now_ms);
   void flush_writes(Connection& c);
   void finish_connect(Connection& c);

@@ -1,7 +1,6 @@
 #include "netio/frame_channel.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "netio/netio_metrics.hpp"
 #include "obs/registry.hpp"
@@ -48,79 +47,81 @@ std::optional<wire::Frame> FrameChannel::recv(NetError* err) {
   return recv(deadlines_.read_ms, err);
 }
 
+namespace {
+
+/// Initial read-ahead size: a reply frame (body, watermark, header) and
+/// whatever follows it fit in one recv.
+constexpr std::size_t kReadAheadBytes = 16 * 1024;
+
+/// Total size of the frame whose (already validated) header starts `p`.
+std::size_t frame_size(const char* p) {
+  std::uint32_t payload_len = 0;
+  wire::Reader r(std::string_view(p + 8, 4));  // length field, offset 8
+  r.u32(&payload_len);
+  return wire::kHeaderSize + payload_len;
+}
+
+}  // namespace
+
+void FrameChannel::make_room(std::size_t frame_bytes) {
+  if (rbeg_ + frame_bytes <= rbuf_.size()) return;
+  const std::size_t held = rend_ - rbeg_;
+  if (rbeg_ > 0) {
+    std::copy(rbuf_.begin() + static_cast<std::ptrdiff_t>(rbeg_),
+              rbuf_.begin() + static_cast<std::ptrdiff_t>(rend_),
+              rbuf_.begin());
+    rbeg_ = 0;
+    rend_ = held;
+  }
+  const std::size_t want = std::max(frame_bytes, kReadAheadBytes);
+  if (rbuf_.size() < want) rbuf_.resize(want);
+}
+
 std::optional<wire::Frame> FrameChannel::recv(int timeout_ms, NetError* err) {
   NetError local;
   NetError* e = (err != nullptr) ? err : &local;
-  // One deadline for the whole frame: the payload read gets whatever budget
-  // the header read left over, not a fresh timeout_ms — otherwise a
-  // slow-loris peer that trickles the header holds the worker for ~2x the
+  // One deadline for the whole frame: each read gets whatever budget the
+  // earlier ones left over, not a fresh timeout_ms — otherwise a slow-loris
+  // peer that trickles the header holds the caller for a multiple of the
   // configured deadline.
-  const auto started = std::chrono::steady_clock::now();
+  const auto deadline = deadline_after(timeout_ms);
   // Only pay for a clock read when a tracer could use it; the context (and
   // whether it is sampled) is only known after the bytes are decoded.
   const bool may_trace = tracer_ != nullptr && tracer_->enabled();
   const std::uint64_t t0 = may_trace ? obs::monotonic_ns() : 0;
-  std::string buf(wire::kHeaderSize, '\0');
-  if (!conn_.read_exact(buf.data(), buf.size(), timeout_ms, e)) {
-    if (e->status == NetStatus::kTimeout) count_netio_timeout("read");
-    return std::nullopt;
+  for (;;) {
+    const std::string_view held(rbuf_.data() + rbeg_, rend_ - rbeg_);
+    // A complete header is validated here before any wait for its payload:
+    // a bad one must not drive a huge allocation or a bottomless read.
+    wire::DecodeResult r = wire::decode_frame(held, max_payload_);
+    if (r.status == wire::DecodeStatus::kOk) {
+      rbeg_ += r.consumed;
+      if (rbeg_ == rend_) rbeg_ = rend_ = 0;
+      count_wire_frame(r.frame.kind, "rx", r.consumed);
+      if (may_trace && r.frame.trace.sampled) {
+        tracer_->record_span(obs::SpanKind::kFrameRecv, r.frame.trace, t0,
+                             obs::monotonic_ns());
+      }
+      *e = {};
+      return std::move(r.frame);
+    }
+    if (r.status != wire::DecodeStatus::kNeedMore) {
+      const std::string reason = wire::decode_status_name(r.status);
+      count_decode_error(reason);
+      e->status = NetStatus::kError;
+      e->message = "frame rejected: " + reason;
+      return std::nullopt;
+    }
+    make_room(held.size() >= wire::kHeaderSize ? frame_size(held.data())
+                                               : wire::kHeaderSize);
+    const std::size_t got = conn_.read_some(
+        rbuf_.data() + rend_, rbuf_.size() - rend_, deadline, e);
+    if (got == 0) {
+      if (e->status == NetStatus::kTimeout) count_netio_timeout("read");
+      return std::nullopt;
+    }
+    rend_ += got;
   }
-  // Validate the header before committing to the payload read; a bad header
-  // must not drive a huge allocation or a bottomless read.
-  wire::DecodeResult header = wire::decode_frame(buf, max_payload_);
-  if (header.status != wire::DecodeStatus::kOk &&
-      header.status != wire::DecodeStatus::kNeedMore) {
-    const std::string reason = wire::decode_status_name(header.status);
-    count_decode_error(reason);
-    e->status = NetStatus::kError;
-    e->message = "frame rejected: " + reason;
-    return std::nullopt;
-  }
-  // Header is well-formed; read the payload the length field promises.
-  std::uint32_t payload_len = 0;
-  {
-    wire::Reader r(buf);
-    std::uint32_t magic = 0, skip32 = 0;
-    std::uint16_t skip16 = 0;
-    std::uint8_t skip8 = 0;
-    r.u32(&magic);
-    r.u8(&skip8);
-    r.u8(&skip8);
-    r.u16(&skip16);
-    r.u32(&payload_len);
-    r.u32(&skip32);
-  }
-  buf.resize(wire::kHeaderSize + payload_len);
-  int payload_timeout_ms = timeout_ms;  // negative = wait forever
-  if (timeout_ms >= 0) {
-    const long long elapsed =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - started)
-            .count();
-    payload_timeout_ms = static_cast<int>(
-        timeout_ms - std::min<long long>(elapsed, timeout_ms));
-  }
-  if (payload_len > 0 &&
-      !conn_.read_exact(buf.data() + wire::kHeaderSize, payload_len,
-                        payload_timeout_ms, e)) {
-    if (e->status == NetStatus::kTimeout) count_netio_timeout("read");
-    return std::nullopt;
-  }
-  wire::DecodeResult full = wire::decode_frame(buf, max_payload_);
-  if (full.status != wire::DecodeStatus::kOk) {
-    const std::string reason = wire::decode_status_name(full.status);
-    count_decode_error(reason);
-    e->status = NetStatus::kError;
-    e->message = "frame rejected: " + reason;
-    return std::nullopt;
-  }
-  count_wire_frame(full.frame.kind, "rx", buf.size());
-  if (may_trace && full.frame.trace.sampled) {
-    tracer_->record_span(obs::SpanKind::kFrameRecv, full.frame.trace, t0,
-                         obs::monotonic_ns());
-  }
-  *e = {};
-  return std::move(full.frame);
 }
 
 }  // namespace baps::netio

@@ -4,12 +4,20 @@
 // timeout counters. A frame that fails validation (bad magic/CRC/size) is a
 // hard error: the caller is expected to drop the connection, which is
 // exactly how tampered traffic is contained.
+//
+// Reads go through a per-channel read-ahead buffer: one recv takes whatever
+// has arrived — often a whole reply frame, sometimes more than one — and
+// frames are decoded from the buffer, so a reply already queued costs one
+// syscall and a second frame that came with it costs none. A header is
+// validated as soon as its 16 bytes are in, before any wait for its payload.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "netio/socket.hpp"
 #include "obs/span.hpp"
@@ -42,7 +50,8 @@ class FrameChannel {
   bool send(wire::FrameKind kind, std::string_view payload,
             const obs::TraceContext& trace, NetError* err);
 
-  /// Receives one frame within `timeout_ms` (default: the read deadline).
+  /// Receives one frame within `timeout_ms` (default: the read deadline),
+  /// one deadline for the whole frame however many reads it takes.
   /// Frame-validation failures surface as NetStatus::kError with the decode
   /// status in the message, after bumping `wire_decode_errors_total{reason}`.
   /// A received frame carrying a sampled trace context gets a frame_recv
@@ -91,10 +100,20 @@ class FrameChannel {
   void close() { conn_.close(); }
 
  private:
+  /// Makes room for `frame_bytes` starting at rbeg_, compacting the
+  /// partial frame to the front and growing only when it cannot fit.
+  void make_room(std::size_t frame_bytes);
+
   TcpConnection conn_;
   Deadlines deadlines_;
   std::uint64_t max_payload_;
   obs::Tracer* tracer_ = nullptr;  ///< optional, not owned
+  /// Read-ahead: [rbeg_, rend_) is received and not yet decoded. Sized on
+  /// the first recv and grown only for a frame larger than it, never
+  /// zero-filled per read.
+  std::vector<char> rbuf_;
+  std::size_t rbeg_ = 0;
+  std::size_t rend_ = 0;
 };
 
 }  // namespace baps::netio

@@ -114,6 +114,10 @@ NetStatus poll_fd(int fd, short events, int wait_ms) {
   }
 }
 
+Clock::time_point deadline_after(int timeout_ms) {
+  return timeout_ms < 0 ? Clock::time_point::max() : deadline_from(timeout_ms);
+}
+
 std::size_t raise_fd_limit(std::size_t want) {
   rlimit lim{};
   if (::getrlimit(RLIMIT_NOFILE, &lim) != 0) return 0;
@@ -249,32 +253,47 @@ bool TcpConnection::write_all(const void* data, std::size_t n, int timeout_ms,
 
 bool TcpConnection::read_exact(void* data, std::size_t n, int timeout_ms,
                                NetError* err) {
-  if (fd_ < 0) return fill_error(err, NetStatus::kClosed, "read: closed fd");
   auto* p = static_cast<std::uint8_t*>(data);
-  const auto deadline = deadline_from(timeout_ms);
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t rc = ::recv(fd_, p + got, n - got, 0);
+  const auto deadline = deadline_after(timeout_ms);
+  for (std::size_t got = 0; got < n;) {
+    const std::size_t rc = read_some(p + got, n - got, deadline, err);
+    if (rc == 0) return false;
+    got += rc;
+  }
+  if (err != nullptr) *err = {};
+  return true;
+}
+
+std::size_t TcpConnection::read_some(void* data, std::size_t n,
+                                     Clock::time_point deadline,
+                                     NetError* err) {
+  if (fd_ < 0) {
+    fill_error(err, NetStatus::kClosed, "read: closed fd");
+    return 0;
+  }
+  for (;;) {
+    const ssize_t rc = ::recv(fd_, data, n, 0);
     if (rc > 0) {
-      got += static_cast<std::size_t>(rc);
-      continue;
+      if (err != nullptr) *err = {};
+      return static_cast<std::size_t>(rc);
     }
     if (rc == 0) {
-      return fill_error(err, NetStatus::kClosed, "read: peer closed");
+      fill_error(err, NetStatus::kClosed, "read: peer closed");
+      return 0;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      const NetStatus waited = poll_wait(fd_, POLLIN, deadline, timeout_ms < 0);
+      const NetStatus waited = poll_wait(fd_, POLLIN, deadline,
+                                         deadline == Clock::time_point::max());
       if (waited != NetStatus::kOk) {
-        return fill_error(err, waited, "read: " + net_status_name(waited));
+        fill_error(err, waited, "read: " + net_status_name(waited));
+        return 0;
       }
       continue;
     }
     if (errno == EINTR) continue;
-    return fill_error(err, status_of_errno(errno),
-                      "read: " + errno_text(errno));
+    fill_error(err, status_of_errno(errno), "read: " + errno_text(errno));
+    return 0;
   }
-  if (err != nullptr) *err = {};
-  return true;
 }
 
 // --- TcpListener ----------------------------------------------------------

@@ -9,6 +9,7 @@
 // dependencies.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -53,6 +54,11 @@ struct Deadlines {
 /// POLLHUP to kClosed instead of reporting the fd as ready.
 NetStatus poll_fd(int fd, short events, int wait_ms);
 
+/// The absolute deadline `timeout_ms` from now, for operations that span
+/// several reads; a negative timeout gives time_point::max(), which never
+/// expires.
+std::chrono::steady_clock::time_point deadline_after(int timeout_ms);
+
 /// Best-effort RLIMIT_NOFILE raise to at least `want` fds (clamped to the
 /// hard limit). Returns the resulting soft limit. The 10k-connection paths
 /// (epoll server, bench_connload) call this so default 1024-fd shells don't
@@ -85,6 +91,13 @@ class TcpConnection {
                  NetError* err);
   /// Reads exactly `n` bytes or fails with kClosed / kTimeout / kReset.
   bool read_exact(void* data, std::size_t n, int timeout_ms, NetError* err);
+  /// Reads whatever has arrived, at least 1 and at most `n` bytes (n > 0).
+  /// Bytes already queued cost one recv and no poll; otherwise it waits
+  /// until `deadline` (see deadline_after) for some. Returns the count, or
+  /// 0 with `err` set to kClosed / kTimeout / kReset / kError.
+  std::size_t read_some(void* data, std::size_t n,
+                        std::chrono::steady_clock::time_point deadline,
+                        NetError* err);
 
   /// Unblocks any thread blocked in read/write on this socket (used for
   /// clean shutdown from another thread) without releasing the fd.

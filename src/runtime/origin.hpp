@@ -1,5 +1,6 @@
 // Simulated origin web server: deterministic bodies per URL, with explicit
-// mutation (publishing a new version) for staleness scenarios.
+// mutation (publishing a new version) for staleness scenarios. A body is
+// sized once and its filler written in place, one SplitMix64 draw per byte.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +16,9 @@ class OriginServer {
   explicit OriginServer(std::uint64_t seed = 1) : seed_(seed) {}
 
   /// Current body of a URL. Deterministic in (url, version, seed).
-  std::string fetch(const Url& url) const;
+  std::string fetch(const Url& url) const { return fetch(url, url_key(url)); }
+  /// The same, for a caller that already holds `key` == url_key(url).
+  std::string fetch(const Url& url, std::uint64_t key) const;
 
   /// Publishes a new version of the document (its body changes).
   void mutate(const Url& url);

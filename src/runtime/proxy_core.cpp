@@ -200,7 +200,7 @@ ProxyCore::Reply ProxyCore::from_origin(const Url& url, DocStore::Key key,
       traced ? tracer_->start_span(obs::SpanKind::kOriginFetch, trace)
              : obs::Span();
   record(MsgKind::kOriginFetch, "proxy", "origin", key);
-  std::string body = origin_.fetch(url);
+  std::string body = origin_.fetch(url, key);
   record(MsgKind::kOriginResponse, "origin", "proxy", key);
   ++stats_.origin_fetches;
   counters_.served_origin.inc();

@@ -172,8 +172,8 @@ void BapsSystem::emit_fetch(ClientId client, DocStore::Key key,
                   .with("false_forward", false_forward));
 }
 
-void BapsSystem::client_store(ClientId client, const Url& url, Document doc) {
-  const DocStore::Key key = url_key(url);
+void BapsSystem::client_store(ClientId client, DocStore::Key key,
+                              Document doc) {
   // Browser-cache replacement sends the paper's invalidation messages: the
   // removes for what put() evicted first, in eviction order, then the add.
   DocStore::Evicted evicted;
@@ -245,7 +245,7 @@ FetchOutcome BapsSystem::browse(ClientId client, const Url& url) {
   }
 
   out.body = reply.doc.body;
-  client_store(client, url, std::move(reply.doc));
+  client_store(client, key, std::move(reply.doc));
   emit_fetch(client, key, out, false_forward);
   // The request was served with verified content (the BAPS_ENSURE above
   // guarantees it on the retry path): every fault injected in its window

@@ -197,7 +197,7 @@ class BapsSystem : private PeerHost {
   /// the host lock while the request is on the wire.
   ProxyCore::Reply request(ClientId client, const Url& url, DocStore::Key key,
                            bool avoid_peers, const obs::TraceContext& trace);
-  void client_store(ClientId client, const Url& url, Document doc);
+  void client_store(ClientId client, DocStore::Key key, Document doc);
 
   /// The host lock (see the file comment).
   mutable std::mutex mu_;

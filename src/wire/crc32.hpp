@@ -2,6 +2,13 @@
 // Every wire frame carries a CRC of its payload so bit-level corruption —
 // a flipped bit on the wire, a tampering middlebox, a short write — is
 // detected before the payload is ever interpreted.
+//
+// Every frame body is checksummed once per codec it crosses (twice for an
+// origin reply, four times for a relayed peer hit), so the kernel runs
+// slicing-by-8: eight constexpr 256-entry tables (8 KiB) consume eight bytes
+// per step, and a bytewise loop takes the tail. It is one portable
+// implementation — no CPU dispatch, no intrinsics — and bit-identical to the
+// bytewise definition.
 #pragma once
 
 #include <cstdint>

@@ -2,12 +2,14 @@
 // resume (bytes dribbled across many writes decode to the same frames), write
 // backpressure bounds, idle-timeout reaping, graceful drain, per-connection
 // handler state, a concurrent many-connection sweep, prompt stop with idle
-// sessions open, and bind failure reported from start() — the properties the
-// proxy's and the client hosts' edge-triggered loops rely on.
+// sessions open, a frame-then-close session ending at once, and bind
+// failure reported from start() — the properties the proxy's and the client
+// hosts' edge-triggered loops rely on.
 #include "netio/epoll_server.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -214,6 +216,44 @@ TEST(EpollFrameServerTest, IdleConnectionsAreReaped) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_EQ(server.connections_active(), 0u);
+  server.stop();
+}
+
+TEST(EpollFrameServerTest, FrameThenCloseEndsTheSessionPromptly) {
+  // One frame and the FIN usually arrive before the loop wakes, so the
+  // hang-up rides the same edge as the data. The read must go on to EOF
+  // after the frame's short read: no later edge would report the close, and
+  // the session would sit open until the idle timeout.
+  constexpr int kIdleMs = 5000;
+  EpollFrameServer::Params params = fast_params();
+  params.idle_timeout_ms = kIdleMs;
+  std::atomic<int> frames{0};
+  EpollFrameServer server(
+      params, [&frames](EpollFrameServer::Connection&, wire::Frame&& frame) {
+        if (frame.payload == "last words") frames.fetch_add(1);
+        return true;
+      });
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  NetError err;
+  auto conn = TcpConnection::connect("127.0.0.1", server.port(), 2000, &err);
+  ASSERT_TRUE(conn.has_value()) << err.message;
+  const std::string bytes =
+      wire::encode_frame(wire::FrameKind::kHello, "last words");
+  const auto started = Clock::now();
+  ASSERT_TRUE(conn->write_all(bytes.data(), bytes.size(), 2000, &err));
+  conn->close();
+  const auto deadline = started + std::chrono::milliseconds(kIdleMs);
+  while (server.sessions_handled() == 0 && Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+      Clock::now() - started);
+  EXPECT_EQ(frames.load(), 1);
+  EXPECT_EQ(server.sessions_handled(), 1u);
+  EXPECT_EQ(server.connections_active(), 0u);
+  EXPECT_LT(waited.count(), kIdleMs / 5);
   server.stop();
 }
 

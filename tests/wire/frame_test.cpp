@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "util/rng.hpp"
 #include "wire/crc32.hpp"
@@ -25,6 +28,50 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
     crc = crc32_update(crc, {&byte, 1});
   }
   EXPECT_EQ(crc, crc32(data));
+}
+
+// The bytewise definition the sliced kernel must reproduce exactly.
+std::uint32_t reference_crc32(const std::uint8_t* p, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  SplitMix64 sm(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(sm.next());
+  return out;
+}
+
+TEST(Crc32Test, SlicedMatchesBytewiseAtEveryLengthAndOffset) {
+  // Eight spare bytes in front let each length start at every offset mod 8,
+  // so the 8-byte steps see every alignment and every tail length.
+  const std::vector<std::uint8_t> pool = random_bytes(1100 + 8, 42);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const std::uint8_t* p = pool.data() + offset;
+      ASSERT_EQ(crc32({p, len}), reference_crc32(p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, UpdateSplitAtEveryOffsetMatchesOneShot) {
+  const std::vector<std::uint8_t> data = random_bytes(1100, 7);
+  const std::uint32_t whole = crc32({data.data(), data.size()});
+  ASSERT_EQ(whole, reference_crc32(data.data(), data.size()));
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    const std::uint32_t head = crc32({data.data(), split});
+    ASSERT_EQ(crc32_update(head, {data.data() + split, data.size() - split}),
+              whole)
+        << "split at " << split;
+  }
 }
 
 TEST(FrameTest, RoundTripsEveryKind) {
