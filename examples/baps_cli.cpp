@@ -21,15 +21,6 @@ namespace {
 
 using namespace baps;
 
-std::optional<trace::Preset> preset_by_name(const std::string& name) {
-  if (name == "nlanr-uc") return trace::Preset::kNlanrUc;
-  if (name == "nlanr-bo1") return trace::Preset::kNlanrBo1;
-  if (name == "bu95") return trace::Preset::kBu95;
-  if (name == "bu98") return trace::Preset::kBu98;
-  if (name == "canet2") return trace::Preset::kCanet2;
-  return std::nullopt;
-}
-
 std::optional<core::OrgKind> org_by_name(const std::string& name) {
   if (name == "proxy") return core::OrgKind::kProxyOnly;
   if (name == "local") return core::OrgKind::kLocalBrowserOnly;
@@ -153,7 +144,7 @@ int main(int argc, char** argv) {
   {
     const auto load_scope = phases.scope("load_trace");
     if (!preset_name.empty()) {
-      const auto preset = preset_by_name(preset_name);
+      const auto preset = trace::preset_from_name(preset_name);
       if (!preset.has_value()) {
         std::cerr << "unknown preset: " << preset_name << "\n";
         return 2;

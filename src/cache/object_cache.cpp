@@ -47,25 +47,6 @@ ObjectCache::ObjectCache(ObjectCache&& other) noexcept
   other.stats_ = {};
 }
 
-ObjectCache& ObjectCache::operator=(ObjectCache&& other) noexcept {
-  if (this == &other) return *this;
-  // What this cache counted is about to be overwritten: flush it first,
-  // under its own policy label, as the destructor would.
-  fold_stats();
-  capacity_ = other.capacity_;
-  kind_ = other.kind_;
-  policy_ = std::move(other.policy_);
-  lru_ = other.lru_;
-  entries_ = std::move(other.entries_);
-  used_ = other.used_;
-  stats_ = other.stats_;
-  other.lru_ = nullptr;
-  other.entries_.clear();
-  other.used_ = 0;
-  other.stats_ = {};
-  return *this;
-}
-
 ObjectCache::Evicted ObjectCache::evict_one() {
   BAPS_ENSURE(!entries_.empty(), "eviction from empty cache");
   const DocId victim =

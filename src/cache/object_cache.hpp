@@ -50,11 +50,12 @@ class ObjectCache {
 
   ObjectCache(const ObjectCache&) = delete;
   ObjectCache& operator=(const ObjectCache&) = delete;
-  // Moves transfer the stats (and zero the source) so each event is flushed
-  // to the registry exactly once; move-assignment first flushes what the
-  // destination had counted.
+  // A move transfers the stats (and zeroes the source) so each event is
+  // flushed to the registry exactly once. Move construction is all a vector
+  // of caches needs; there is no move-assignment, so TieredCache and
+  // ExpiringCache have none either.
   ObjectCache(ObjectCache&& other) noexcept;
-  ObjectCache& operator=(ObjectCache&& other) noexcept;
+  ObjectCache& operator=(ObjectCache&&) = delete;
 
   std::uint64_t capacity_bytes() const { return capacity_; }
   std::uint64_t used_bytes() const { return used_; }
@@ -168,8 +169,7 @@ class ObjectCache {
   Evicted evict_one();
   void admit(DocId doc, std::uint64_t size);
   /// Adds stats_ to the registry's `cache_*_total{policy}` counters (a
-  /// no-op when nothing was counted); the destructor and move-assignment
-  /// call it.
+  /// no-op when nothing was counted); the destructor calls it.
   void fold_stats();
 
   std::uint64_t capacity_;

@@ -13,12 +13,18 @@
 // Layering (each header is usable on its own):
 //   trace/   workload model: generator, presets, parsers, statistics
 //   cache/   replacement policies, object cache, two-tier cache
-//   index/   browser index, update protocols, Bloom summaries
+//   index/   browser index, update protocols, counting-Bloom summaries
 //   net/     shared-Ethernet LAN model
 //   sim/     the five caching organizations and their metrics
 //   core/    experiment runner and parameter sweeps (this layer)
-//   crypto/  MD5 / RSA / XTEA and the document watermark
-//   runtime/ in-process message-passing BAPS protocol engine
+//   crypto/  MD5 / RSA / HMAC-MD5 and the document watermark
+//   fault/   seeded fault plans and peer churn
+//   obs/     metrics registry, events, spans, reports, time series
+//   wire/    binary frame format and message codecs
+//   netio/   TCP sockets with deadlines and the epoll frame server
+//   store/   durable slab-log tier of the proxy cache
+//   runtime/ the BAPS protocol engine: proxy core, clients, origin, over a
+//            loopback or a TCP transport
 #pragma once
 
 #include "core/runner.hpp"

@@ -76,13 +76,6 @@ bool fault_kind_recoverable(FaultKind kind) {
   return false;
 }
 
-bool FaultRates::any() const {
-  for (const double r : rate) {
-    if (r > 0.0) return true;
-  }
-  return false;
-}
-
 std::optional<FaultRates> FaultRates::parse(std::string_view spec,
                                             std::string* error) {
   const auto fail = [error](const std::string& what) {

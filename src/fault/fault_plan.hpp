@@ -72,7 +72,6 @@ struct FaultRates {
   double of(FaultKind kind) const {
     return rate[static_cast<std::size_t>(kind)];
   }
-  bool any() const;
 
   static std::optional<FaultRates> parse(std::string_view spec,
                                          std::string* error);

@@ -44,50 +44,6 @@ Dimensions dimension_for(std::uint64_t expected_items, double target_fp) {
 
 }  // namespace
 
-BloomFilter::BloomFilter(std::uint64_t bits, unsigned hashes)
-    : bits_(bits), hashes_(hashes), words_((bits + 63) / 64, 0) {
-  BAPS_REQUIRE(bits > 0, "bloom filter needs at least one bit");
-  BAPS_REQUIRE(hashes > 0, "bloom filter needs at least one hash");
-}
-
-BloomFilter BloomFilter::sized_for(std::uint64_t expected_items,
-                                   double target_fp_rate) {
-  const Dimensions d = dimension_for(expected_items, target_fp_rate);
-  return BloomFilter(d.slots, d.hashes);
-}
-
-std::uint64_t BloomFilter::bit_index(std::uint64_t key, unsigned i) const {
-  const HashPair h = hash_key(key);
-  return (h.h1 + static_cast<std::uint64_t>(i) * h.h2) % bits_;
-}
-
-void BloomFilter::add(std::uint64_t key) {
-  for (unsigned i = 0; i < hashes_; ++i) {
-    const std::uint64_t b = bit_index(key, i);
-    words_[b / 64] |= (1ULL << (b % 64));
-  }
-  ++items_;
-}
-
-bool BloomFilter::maybe_contains(std::uint64_t key) const {
-  for (unsigned i = 0; i < hashes_; ++i) {
-    const std::uint64_t b = bit_index(key, i);
-    if ((words_[b / 64] & (1ULL << (b % 64))) == 0) return false;
-  }
-  return true;
-}
-
-void BloomFilter::clear() {
-  std::fill(words_.begin(), words_.end(), 0);
-  items_ = 0;
-}
-
-double BloomFilter::expected_fp_rate() const {
-  const double kn = static_cast<double>(hashes_) * static_cast<double>(items_);
-  const double m = static_cast<double>(bits_);
-  return std::pow(1.0 - std::exp(-kn / m), static_cast<double>(hashes_));
-}
-
 CountingBloomFilter::CountingBloomFilter(std::uint64_t counters,
                                          unsigned hashes)
     : counters_(counters), hashes_(hashes), nibbles_((counters + 1) / 2, 0) {

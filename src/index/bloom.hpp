@@ -2,7 +2,6 @@
 // Summary Cache, and URL-table compression) for shrinking the browser index
 // when exact MD5 directories are too big.
 //
-// BloomFilter: classic m-bit / k-hash filter (no deletions).
 // CountingBloomFilter: 4-bit counters supporting remove — what a proxy needs
 // because browser caches evict constantly.
 //
@@ -16,41 +15,12 @@
 
 namespace baps::index {
 
-class BloomFilter {
- public:
-  /// m bits, k hash functions. Prefer sized_for() to pick them.
-  BloomFilter(std::uint64_t bits, unsigned hashes);
-
-  /// Filter dimensioned for `expected_items` at `target_fp_rate`.
-  static BloomFilter sized_for(std::uint64_t expected_items,
-                               double target_fp_rate);
-
-  void add(std::uint64_t key);
-  bool maybe_contains(std::uint64_t key) const;
-  void clear();
-
-  std::uint64_t bit_count() const { return bits_; }
-  unsigned hash_count() const { return hashes_; }
-  std::uint64_t byte_size() const { return (bits_ + 7) / 8; }
-  std::uint64_t items_added() const { return items_; }
-
-  /// Expected false-positive rate at the current load:
-  /// (1 - e^{-kn/m})^k.
-  double expected_fp_rate() const;
-
- private:
-  std::uint64_t bit_index(std::uint64_t key, unsigned i) const;
-
-  std::uint64_t bits_;
-  unsigned hashes_;
-  std::vector<std::uint64_t> words_;
-  std::uint64_t items_ = 0;
-};
-
 class CountingBloomFilter {
  public:
+  /// m counters, k hash functions. Prefer sized_for() to pick them.
   CountingBloomFilter(std::uint64_t counters, unsigned hashes);
 
+  /// Filter dimensioned for `expected_items` at `target_fp_rate`.
   static CountingBloomFilter sized_for(std::uint64_t expected_items,
                                        double target_fp_rate);
 

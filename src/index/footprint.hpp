@@ -4,7 +4,8 @@
 // clients with 100 MB browser caches and ~8 KB average documents give ~12.8K
 // pages per browser → the proxy stores the whole browser index in ~tens of
 // MB, and compression (Bloom summaries) shrinks it several-fold further.
-// bench_overhead reproduces that arithmetic against measured index sizes.
+// bench_overhead prints this arithmetic for the paper's example; it is a
+// model, not a measurement of a built index.
 #pragma once
 
 #include <cstdint>

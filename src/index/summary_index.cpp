@@ -25,11 +25,6 @@ void SummaryIndex::remove(ClientId client, DocId doc) {
   filters_[client].remove(doc);
 }
 
-bool SummaryIndex::maybe_holds(ClientId client, DocId doc) const {
-  BAPS_REQUIRE(client < filters_.size(), "client id out of range");
-  return filters_[client].maybe_contains(doc);
-}
-
 std::optional<ClientId> SummaryIndex::find_candidate(
     DocId doc, ClientId requester) const {
   const std::size_t n = filters_.size();
@@ -42,15 +37,6 @@ std::optional<ClientId> SummaryIndex::find_candidate(
     }
   }
   return std::nullopt;
-}
-
-std::vector<ClientId> SummaryIndex::candidates(DocId doc,
-                                               ClientId requester) const {
-  std::vector<ClientId> out;
-  for (ClientId c = 0; c < filters_.size(); ++c) {
-    if (c != requester && filters_[c].maybe_contains(doc)) out.push_back(c);
-  }
-  return out;
 }
 
 std::uint64_t SummaryIndex::byte_size() const {

@@ -33,14 +33,10 @@ class SummaryIndex {
 
   void add(ClientId client, DocId doc);
   void remove(ClientId client, DocId doc);
-  bool maybe_holds(ClientId client, DocId doc) const;
 
   /// First candidate holder ≠ requester (round-robin start). May be a false
   /// positive — the caller must verify against the real browser cache.
   std::optional<ClientId> find_candidate(DocId doc, ClientId requester) const;
-
-  /// All candidate holders ≠ requester.
-  std::vector<ClientId> candidates(DocId doc, ClientId requester) const;
 
   /// Total index memory (all filters).
   std::uint64_t byte_size() const;

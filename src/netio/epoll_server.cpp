@@ -154,8 +154,7 @@ EpollFrameServer::EpollFrameServer(Params params, FrameHandler handler,
                                    CloseHook on_outbound_close)
     : params_(std::move(params)),
       handler_(std::move(handler)),
-      on_outbound_close_(std::move(on_outbound_close)),
-      tracer_(params_.tracer) {
+      on_outbound_close_(std::move(on_outbound_close)) {
   BAPS_REQUIRE(handler_ != nullptr, "EpollFrameServer needs a handler");
 }
 
@@ -562,7 +561,6 @@ void EpollFrameServer::read_drain(Connection& c, std::uint64_t now,
 }
 
 void EpollFrameServer::process_frames(Connection& c, std::uint64_t now) {
-  auto& counters = EpollCounters::get();
   while (!c.closed_ && !c.blocked()) {
     const std::string_view view(c.rbuf_.data() + c.rbuf_off_,
                                 c.rbuf_.size() - c.rbuf_off_);
@@ -570,7 +568,7 @@ void EpollFrameServer::process_frames(Connection& c, std::uint64_t now) {
     obs::Tracer* const tracer = tracer_.load();
     const bool may_trace = tracer != nullptr && tracer->enabled();
     const std::uint64_t t0 = may_trace ? obs::monotonic_ns() : 0;
-    wire::DecodeResult r = wire::decode_frame(view, params_.max_frame_payload);
+    wire::DecodeResult r = wire::decode_frame(view, wire::kDefaultMaxPayload);
     if (r.status == wire::DecodeStatus::kNeedMore) break;
     if (r.status != wire::DecodeStatus::kOk) {
       count_decode_error(wire::decode_status_name(r.status));
@@ -590,7 +588,6 @@ void EpollFrameServer::process_frames(Connection& c, std::uint64_t now) {
       c.close_after_flush();
       break;
     }
-    (void)counters;
   }
   // Reclaim the consumed prefix once it dominates the buffer; amortized
   // O(1) per byte.
@@ -602,7 +599,6 @@ void EpollFrameServer::process_frames(Connection& c, std::uint64_t now) {
 
 void EpollFrameServer::flush_writes(Connection& c) {
   if (c.closed_ || c.connecting_) return;
-  auto& counters = EpollCounters::get();
   while (!c.wq_.empty()) {
     Connection::OutFrame& f = c.wq_.front();
     const ssize_t rc = ::send(c.fd_, f.bytes.data() + f.off,
@@ -640,7 +636,6 @@ void EpollFrameServer::flush_writes(Connection& c) {
       read_drain(c, now_ms(), kResumeEvents);
     }
   }
-  (void)counters;
 }
 
 std::uint64_t EpollFrameServer::deadline_ms(const Connection& c) const {

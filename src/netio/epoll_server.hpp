@@ -64,7 +64,6 @@ class EpollFrameServer {
     std::string host = "127.0.0.1";
     std::uint16_t port = 0;  ///< 0 → ephemeral
     int backlog = 1024;
-    std::uint64_t max_frame_payload = wire::kDefaultMaxPayload;
     /// Close connections silent for this long; 0 disables (sessions then
     /// end only when the peer goes away or the server stops).
     int idle_timeout_ms = 0;
@@ -79,10 +78,6 @@ class EpollFrameServer {
     /// Accept ceiling; 0 = bounded only by fds. At the ceiling accepting
     /// parks (like EMFILE) until a connection closes.
     std::size_t max_connections = 0;
-    /// When set, frame send/recv spans are recorded exactly like
-    /// FrameChannel records them (sampled contexts only). set_tracer()
-    /// replaces it on a running server.
-    obs::Tracer* tracer = nullptr;
   };
 
   /// One live connection, only ever touched from the loop thread. Handlers
@@ -190,8 +185,9 @@ class EpollFrameServer {
   /// Graceful drain then join; idempotent.
   void stop();
 
-  /// Swaps the frame-span tracer (nullptr detaches; not owned). Safe while
-  /// the loop runs.
+  /// Attaches the frame-span tracer: send/recv spans are recorded exactly
+  /// like FrameChannel records them (sampled contexts only). nullptr
+  /// detaches; not owned. Safe while the loop runs.
   void set_tracer(obs::Tracer* tracer) { tracer_.store(tracer); }
 
   /// Loop thread only (a handler or the close hook). Dials host:port
@@ -243,7 +239,7 @@ class EpollFrameServer {
   Params params_;
   FrameHandler handler_;
   CloseHook on_outbound_close_;
-  std::atomic<obs::Tracer*> tracer_;
+  std::atomic<obs::Tracer*> tracer_{nullptr};
   TcpListener listener_;
   std::uint16_t port_ = 0;
 

@@ -6,31 +6,7 @@
 
 namespace baps::obs {
 
-const FieldValue* Event::field(const std::string& key) const {
-  for (const auto& [k, v] : fields) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-std::string Event::str(const std::string& key) const {
-  const FieldValue* v = field(key);
-  if (!v) return {};
-  if (const auto* s = std::get_if<std::string>(v)) return *s;
-  return {};
-}
-
-JsonValue Event::to_json() const {
-  JsonObject o;
-  o.emplace_back("event", JsonValue(name));
-  for (const auto& [k, v] : fields) {
-    o.emplace_back(
-        k, std::visit([](const auto& x) { return JsonValue(x); }, v));
-  }
-  return JsonValue(std::move(o));
-}
-
-void MemorySink::emit(const Event& event) {
+void MemorySink::emit(const JsonValue& event) {
   {
     std::scoped_lock lock(mu_);
     if (events_.size() < capacity_) {
@@ -44,16 +20,19 @@ void MemorySink::emit(const Event& event) {
   Registry::global().counter("events_dropped_total").inc();
 }
 
-std::vector<Event> MemorySink::events() const {
+std::vector<JsonValue> MemorySink::events() const {
   std::scoped_lock lock(mu_);
   return events_;
 }
 
-std::vector<Event> MemorySink::named(const std::string& name) const {
+std::vector<JsonValue> MemorySink::named(const std::string& name) const {
   std::scoped_lock lock(mu_);
-  std::vector<Event> out;
+  std::vector<JsonValue> out;
   for (const auto& e : events_) {
-    if (e.name == name) out.push_back(e);
+    const JsonValue* n = e.find("event");
+    if (n != nullptr && n->is_string() && n->as_string() == name) {
+      out.push_back(e);
+    }
   }
   return out;
 }
@@ -76,8 +55,8 @@ void MemorySink::clear() {
 
 JsonlSink::~JsonlSink() { flush(); }
 
-void JsonlSink::emit(const Event& event) {
-  const std::string line = event.to_json().dump();
+void JsonlSink::emit(const JsonValue& event) {
+  const std::string line = event.dump();
   std::scoped_lock lock(mu_);
   os_ << line << '\n';
   if (flush_each_) os_.flush();

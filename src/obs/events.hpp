@@ -1,7 +1,8 @@
-// Structured event tracing: instrumented components emit typed key/value
-// events into an EventSink. The runtime protocol engine feeds one event per
-// fetch and one per message envelope, so audits (e.g. the §6.2 anonymity
-// property) query records instead of poking at counters.
+// Structured event tracing: instrumented components emit events into an
+// EventSink. Each event is a JSON object whose first member is "event" (the
+// event's name) followed by its fields. The runtime protocol engine feeds
+// one event per fetch and one per message envelope, so audits (e.g. the §6.2
+// anonymity property) query records instead of poking at counters.
 //
 // Sinks: MemorySink buffers events for tests and in-process queries;
 // JsonlSink streams one JSON object per line (the standard greppable /
@@ -12,41 +13,17 @@
 #include <iosfwd>
 #include <mutex>
 #include <string>
-#include <utility>
-#include <variant>
 #include <vector>
 
 #include "obs/json.hpp"
 
 namespace baps::obs {
 
-using FieldValue =
-    std::variant<bool, std::int64_t, std::uint64_t, double, std::string>;
-
-struct Event {
-  std::string name;
-  std::vector<std::pair<std::string, FieldValue>> fields;
-
-  Event() = default;
-  explicit Event(std::string event_name) : name(std::move(event_name)) {}
-
-  Event& with(std::string key, FieldValue value) {
-    fields.emplace_back(std::move(key), std::move(value));
-    return *this;
-  }
-
-  /// First field with this key, nullptr if absent.
-  const FieldValue* field(const std::string& key) const;
-  /// String field value, or empty when absent / not a string.
-  std::string str(const std::string& key) const;
-
-  JsonValue to_json() const;
-};
-
 class EventSink {
  public:
   virtual ~EventSink() = default;
-  virtual void emit(const Event& event) = 0;
+  /// `event` is an object whose first member is "event".
+  virtual void emit(const JsonValue& event) = 0;
 };
 
 /// Buffers events in memory up to a capacity cap; the query surface for
@@ -63,11 +40,11 @@ class MemorySink final : public EventSink {
   explicit MemorySink(std::size_t capacity = kDefaultCapacity)
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
-  void emit(const Event& event) override;
+  void emit(const JsonValue& event) override;
 
-  std::vector<Event> events() const;
-  /// Events with the given name.
-  std::vector<Event> named(const std::string& name) const;
+  std::vector<JsonValue> events() const;
+  /// Events whose "event" member is `name`.
+  std::vector<JsonValue> named(const std::string& name) const;
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
   /// Events rejected because the sink was full.
@@ -77,7 +54,7 @@ class MemorySink final : public EventSink {
  private:
   const std::size_t capacity_;
   mutable std::mutex mu_;
-  std::vector<Event> events_;
+  std::vector<JsonValue> events_;
   std::uint64_t dropped_ = 0;
 };
 
@@ -91,7 +68,7 @@ class JsonlSink final : public EventSink {
       : os_(os), flush_each_(flush_each) {}
   ~JsonlSink() override;
 
-  void emit(const Event& event) override;
+  void emit(const JsonValue& event) override;
   void flush();
 
  private:

@@ -67,14 +67,6 @@ ProcessSample sample_process() {
   return s;
 }
 
-double current_thread_cpu_seconds() {
-#if defined(__unix__) || defined(__APPLE__)
-  return clock_seconds(CLOCK_THREAD_CPUTIME_ID);
-#else
-  return 0.0;
-#endif
-}
-
 // ---------------------------------------------------------------------------
 // ThreadCpuTracker
 // ---------------------------------------------------------------------------

@@ -23,10 +23,6 @@ struct ProcessSample {
 /// Reads RSS + process CPU. valid == false when the platform offers neither.
 ProcessSample sample_process();
 
-/// CPU seconds consumed by the calling thread
-/// (clock_gettime(CLOCK_THREAD_CPUTIME_ID)); 0.0 when unsupported.
-double current_thread_cpu_seconds();
-
 /// Registry of named threads whose CPU time the sampler reads cross-thread
 /// (pthread_getcpuclockid). Threads MUST unregister before exiting — reading
 /// the clock of a dead thread is undefined — so use ScopedThreadCpu, whose

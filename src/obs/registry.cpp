@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/assert.hpp"
 
@@ -69,21 +68,6 @@ bool sample_less(const Sample& a, const Sample& b) {
   return a.labels < b.labels;
 }
 
-std::string labels_text(const Labels& labels) {
-  if (labels.empty()) return {};
-  std::string out = "{";
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (i) out += ',';
-    out += labels[i].first;
-    out += '=';
-    out += '"';
-    out += labels[i].second;
-    out += '"';
-  }
-  out += '}';
-  return out;
-}
-
 JsonValue labels_json(const Labels& labels) {
   JsonObject o;
   for (const auto& [k, v] : labels) o.emplace_back(k, JsonValue(v));
@@ -124,21 +108,6 @@ double sample_quantile(const HistogramSample& sample, double q) {
     seen += n;
   }
   return value_at(sample.hi);
-}
-
-std::string to_text(const Snapshot& snapshot) {
-  std::ostringstream os;
-  for (const auto& c : snapshot.counters) {
-    os << c.name << labels_text(c.labels) << ' ' << c.value << '\n';
-  }
-  for (const auto& g : snapshot.gauges) {
-    os << g.name << labels_text(g.labels) << ' ' << g.value << '\n';
-  }
-  for (const auto& h : snapshot.histograms) {
-    os << h.name << labels_text(h.labels) << "_count " << h.count << '\n';
-    os << h.name << labels_text(h.labels) << "_sum " << h.sum << '\n';
-  }
-  return os.str();
 }
 
 JsonValue to_json(const Snapshot& snapshot) {

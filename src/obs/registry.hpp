@@ -182,9 +182,6 @@ void sort_snapshot(Snapshot& snapshot);
 /// Returns 0 for an empty sample.
 double sample_quantile(const HistogramSample& sample, double q);
 
-/// Prometheus-flavoured text exposition (one `name{labels} value` per line).
-std::string to_text(const Snapshot& snapshot);
-
 /// JSON exposition used inside report files.
 JsonValue to_json(const Snapshot& snapshot);
 

@@ -207,16 +207,11 @@ void Tracer::record(const SpanRecord& rec) {
     }
   }
   if (sink != nullptr) {
-    Event ev("span");
-    ev.with("service", params_.service)
-        .with("trace_id", rec.trace_id)
-        .with("span_id", rec.span_id)
-        .with("parent_id", rec.parent_id)
-        .with("kind", kind_name)
-        .with("start_ns", rec.start_ns)
-        .with("end_ns", rec.end_ns)
-        .with("duration_ns", rec.duration_ns());
-    sink->emit(ev);
+    JsonValue span = rec.to_json();
+    JsonObject ev{{"event", JsonValue("span")},
+                  {"service", JsonValue(params_.service)}};
+    for (auto& member : span.as_object()) ev.push_back(std::move(member));
+    sink->emit(JsonValue(std::move(ev)));
   }
 }
 

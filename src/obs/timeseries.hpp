@@ -3,11 +3,10 @@
 // snapshot pair into an interval record — counter deltas and per-second
 // rates, histogram delta distributions with windowed p50/p95/p99, gauge
 // levels — attaches process self-profiling (RSS, process + named-thread CPU
-// time, allocation counters behind a hook), and exports the records as a
-// `baps.timeseries.v1` JSONL stream while keeping the most recent intervals
-// in a bounded ring buffer for live queries (the proxy's `timeseries`
-// introspection section, which `baps_top` polls, reads the ring via
-// window_json()).
+// time), and exports the records as a `baps.timeseries.v1` JSONL stream
+// while keeping the most recent intervals in a bounded ring buffer for live
+// queries (the proxy's `timeseries` introspection section, which `baps_top`
+// polls, reads the ring via window_json()).
 //
 // The record math lives in a pure function (timeseries_record) so tests can
 // drive reset/wraparound edge cases without threads, and the validator

@@ -60,10 +60,8 @@ ProxyServer::ProxyServer(const Params& params)
 ProxyServer::~ProxyServer() { stop(); }
 
 bool ProxyServer::start(std::string* error) {
-  netio::EpollFrameServer::Params net = params_.net;
-  net.tracer = tracer_;
   server_ = std::make_unique<netio::EpollFrameServer>(
-      net,
+      params_.net,
       [this](Connection& conn, wire::Frame&& frame) {
         if (conn.outbound()) return on_link_frame(conn, frame);
         auto state = std::static_pointer_cast<Session>(conn.state());
@@ -74,6 +72,7 @@ bool ProxyServer::start(std::string* error) {
         return on_session_frame(*state, frame, conn);
       },
       [this](Connection& link) { on_link_closed(link); });
+  server_->set_tracer(tracer_);
   return server_->start(error);
 }
 

@@ -49,9 +49,8 @@ class ProxyServer {
  public:
   struct Params {
     ProxyCore::Params core;
-    /// Listener and loop behaviour: host/port, frame size, idle timeout,
-    /// drain, connection ceiling. `net.tracer` is ignored — set_tracer()
-    /// supplies it.
+    /// Listener and loop behaviour: host/port, idle timeout, drain,
+    /// connection ceiling.
     netio::EpollFrameServer::Params net;
     /// Peer-fetch deadlines, kept short so a dead holder degrades to the
     /// origin quickly: peer_connect_ms bounds a dial, peer_reply_ms the wait

@@ -163,13 +163,15 @@ std::optional<Document> BapsSystem::serve_peer_fetch(ClientId holder,
 void BapsSystem::emit_fetch(ClientId client, DocStore::Key key,
                             const FetchOutcome& out, bool false_forward) {
   if (sink_ == nullptr) return;
-  sink_->emit(obs::Event("fetch")
-                  .with("client", client_name(client))
-                  .with("url", key)
-                  .with("source", source_name(out.source))
-                  .with("verified", out.verified)
-                  .with("tamper_recovered", out.tamper_recovered)
-                  .with("false_forward", false_forward));
+  sink_->emit(obs::json_object({
+      {"event", obs::JsonValue("fetch")},
+      {"client", obs::JsonValue(client_name(client))},
+      {"url", obs::JsonValue(key)},
+      {"source", obs::JsonValue(source_name(out.source))},
+      {"verified", obs::JsonValue(out.verified)},
+      {"tamper_recovered", obs::JsonValue(out.tamper_recovered)},
+      {"false_forward", obs::JsonValue(false_forward)},
+  }));
 }
 
 void BapsSystem::client_store(ClientId client, DocStore::Key key,

@@ -55,10 +55,10 @@ void TcpTransport::bind_peer_host(PeerHost* host) {
   // each PeerFetch names the browser that serves it.
   netio::EpollFrameServer::Params net;
   net.host = params_.proxy_host;
-  net.tracer = tracer_;
   peer_server_ = std::make_unique<netio::EpollFrameServer>(
       net, [this](netio::EpollFrameServer::Connection& conn,
                   wire::Frame&& frame) { return serve(conn, frame); });
+  peer_server_->set_tracer(tracer_);
   std::string error;
   BAPS_REQUIRE(peer_server_->start(&error),
                "peer server failed to start: " + error);

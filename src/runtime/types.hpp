@@ -87,11 +87,13 @@ class MessageTrace {
   void record(MsgKind kind, std::string from, std::string to,
               std::uint64_t url) {
     if (sink_ != nullptr) {
-      sink_->emit(obs::Event("message")
-                      .with("kind", msg_kind_name(kind))
-                      .with("from", from)
-                      .with("to", to)
-                      .with("url", url));
+      sink_->emit(obs::json_object({
+          {"event", obs::JsonValue("message")},
+          {"kind", obs::JsonValue(msg_kind_name(kind))},
+          {"from", obs::JsonValue(from)},
+          {"to", obs::JsonValue(to)},
+          {"url", obs::JsonValue(url)},
+      }));
     }
     log_.push_back(MsgRecord{kind, std::move(from), std::move(to), url});
   }

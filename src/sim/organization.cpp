@@ -1,6 +1,5 @@
 #include "sim/organization.hpp"
 
-#include "sim/orgs.hpp"
 #include "util/assert.hpp"
 
 namespace baps::sim {
@@ -30,25 +29,6 @@ void Organization::churn_step_slow(const trace::Request& r) {
       ++metrics_.churn_rejoins;
     }
   }
-}
-
-std::unique_ptr<Organization> Organization::create(OrgKind kind,
-                                                   const SimConfig& config,
-                                                   std::uint32_t num_clients) {
-  switch (kind) {
-    case OrgKind::kProxyOnly:
-      return std::make_unique<ProxyOnlyOrg>(config, num_clients);
-    case OrgKind::kLocalBrowserOnly:
-      return std::make_unique<LocalBrowserOnlyOrg>(config, num_clients);
-    case OrgKind::kGlobalBrowsersOnly:
-      return std::make_unique<GlobalBrowsersOnlyOrg>(config, num_clients);
-    case OrgKind::kProxyAndLocalBrowser:
-      return std::make_unique<ProxyAndLocalBrowserOrg>(config, num_clients);
-    case OrgKind::kBrowsersAware:
-      return std::make_unique<BrowsersAwareOrg>(config, num_clients);
-  }
-  BAPS_REQUIRE(false, "unknown organization kind");
-  return nullptr;
 }
 
 }  // namespace baps::sim

@@ -1,8 +1,9 @@
-// The five web caching organizations of §3.2, behind one interface.
-//
-// An Organization consumes a trace request-by-request, maintains whatever
-// caches/indexes its scheme prescribes, and accumulates Metrics. All five
-// share the §3.2 ground rules:
+// The state and accounting the five web caching organizations of §3.2
+// share. Each concrete organization (orgs.hpp) consumes a trace
+// request-by-request through its own process(), maintains whatever
+// caches/indexes its scheme prescribes, and accumulates Metrics;
+// run_organization() picks the concrete type once per trace. All five share
+// the §3.2 ground rules:
 //   * replacement policy per SimConfig (the paper: LRU);
 //   * a hit on a document whose size has changed counts as a miss and the
 //     stale copy is discarded;
@@ -33,19 +34,7 @@ namespace baps::sim {
 
 class Organization {
  public:
-  static std::unique_ptr<Organization> create(OrgKind kind,
-                                              const SimConfig& config,
-                                              std::uint32_t num_clients);
-
   virtual ~Organization() = default;
-
-  virtual OrgKind kind() const = 0;
-
-  /// Processes one trace request. Requests must arrive in trace order.
-  virtual void process(const trace::Request& r) = 0;
-
-  /// End-of-trace hook (flush index protocols, close accounting).
-  virtual void finish() {}
 
   /// One churn decision per request, called by the driver BEFORE process().
   /// With churn disabled (config.churn_rate == 0) this is a null check and

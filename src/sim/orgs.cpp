@@ -211,14 +211,6 @@ std::optional<trace::ClientId> BrowsersAwareOrg::index_lookup(
   return summary_index_->find_candidate(doc, requester);
 }
 
-std::uint64_t BrowsersAwareOrg::index_bytes() const {
-  if (exact_index_) {
-    // 16-byte MD5 signature + client id + timestamp/TTL, per §5.
-    return exact_index_->entry_count() * (16 + 4 + 4);
-  }
-  return summary_index_->byte_size();
-}
-
 void BrowsersAwareOrg::fill_browser(trace::ClientId client,
                                     const trace::Request& r) {
   // Each replacement is the paper's invalidation message (§2), sent before
@@ -293,9 +285,9 @@ void BrowsersAwareOrg::finish() {
 
 namespace {
 
-// One kind dispatch per trace, not one vtable dispatch per request: with the
-// concrete (final) type the per-request process() call is direct and inlines
-// into the replay loop.
+// One kind dispatch per trace: the per-request process() call is on the
+// concrete type, so it inlines into the replay loop. Only BrowsersAwareOrg
+// has end-of-trace work.
 template <typename Org>
 Metrics run_concrete(const SimConfig& config, const trace::Trace& trace) {
   Org org(config, trace.num_clients());
@@ -303,7 +295,7 @@ Metrics run_concrete(const SimConfig& config, const trace::Trace& trace) {
     org.churn_step(r);  // inlines to a null check when churn is off
     org.process(r);
   }
-  org.finish();
+  if constexpr (requires { org.finish(); }) org.finish();
   return org.metrics();
 }
 

@@ -1,4 +1,6 @@
-// Concrete implementations of the five caching organizations (§3.2).
+// Concrete implementations of the five caching organizations (§3.2). Each
+// has its own process(const trace::Request&); requests must arrive in trace
+// order.
 #pragma once
 
 #include <memory>
@@ -15,8 +17,7 @@ namespace baps::sim {
 class ProxyOnlyOrg final : public Organization {
  public:
   ProxyOnlyOrg(const SimConfig& config, std::uint32_t num_clients);
-  OrgKind kind() const override { return OrgKind::kProxyOnly; }
-  void process(const trace::Request& r) override;
+  void process(const trace::Request& r);
 
  private:
   cache::TieredCache proxy_;
@@ -26,8 +27,7 @@ class ProxyOnlyOrg final : public Organization {
 class LocalBrowserOnlyOrg final : public Organization {
  public:
   LocalBrowserOnlyOrg(const SimConfig& config, std::uint32_t num_clients);
-  OrgKind kind() const override { return OrgKind::kLocalBrowserOnly; }
-  void process(const trace::Request& r) override;
+  void process(const trace::Request& r);
 
  protected:
   void wipe_client(trace::ClientId client) override;
@@ -42,8 +42,7 @@ class LocalBrowserOnlyOrg final : public Organization {
 class GlobalBrowsersOnlyOrg final : public Organization {
  public:
   GlobalBrowsersOnlyOrg(const SimConfig& config, std::uint32_t num_clients);
-  OrgKind kind() const override { return OrgKind::kGlobalBrowsersOnly; }
-  void process(const trace::Request& r) override;
+  void process(const trace::Request& r);
 
  protected:
   /// The index is replicated across all browsers here: every one of them
@@ -62,8 +61,7 @@ class GlobalBrowsersOnlyOrg final : public Organization {
 class ProxyAndLocalBrowserOrg final : public Organization {
  public:
   ProxyAndLocalBrowserOrg(const SimConfig& config, std::uint32_t num_clients);
-  OrgKind kind() const override { return OrgKind::kProxyAndLocalBrowser; }
-  void process(const trace::Request& r) override;
+  void process(const trace::Request& r);
 
  protected:
   void wipe_client(trace::ClientId client) override;
@@ -79,14 +77,9 @@ class ProxyAndLocalBrowserOrg final : public Organization {
 class BrowsersAwareOrg final : public Organization {
  public:
   BrowsersAwareOrg(const SimConfig& config, std::uint32_t num_clients);
-  OrgKind kind() const override { return OrgKind::kBrowsersAware; }
-  void process(const trace::Request& r) override;
-  void finish() override;
-
-  /// Bytes the proxy spends on the index in this configuration (for the §5
-  /// footprint comparisons): exact entries at 24 B each, or the summary
-  /// filters' actual size.
-  std::uint64_t index_bytes() const;
+  void process(const trace::Request& r);
+  /// End of trace: flushes the index protocol and closes its accounting.
+  void finish();
 
  protected:
   /// A departing browser wipes silently — no invalidation messages reach

@@ -32,6 +32,15 @@ std::string preset_name(Preset p) {
   return {};
 }
 
+std::optional<Preset> preset_from_name(std::string_view name) {
+  if (name == "nlanr-uc") return Preset::kNlanrUc;
+  if (name == "nlanr-bo1") return Preset::kNlanrBo1;
+  if (name == "bu95") return Preset::kBu95;
+  if (name == "bu98") return Preset::kBu98;
+  if (name == "canet2") return Preset::kCanet2;
+  return std::nullopt;
+}
+
 GeneratorParams preset_params(Preset p) {
   GeneratorParams g;
   switch (p) {

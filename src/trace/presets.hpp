@@ -6,7 +6,9 @@
 // characteristics. bench_table1 regenerates Table 1 from these presets.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/generator.hpp"
@@ -24,7 +26,12 @@ enum class Preset {
 /// All presets in Table 1 order.
 std::vector<Preset> all_presets();
 
+/// Display name, as Table 1 prints it ("NLANR-uc", "BU-95", ...).
 std::string preset_name(Preset p);
+
+/// The preset a command line names: "nlanr-uc", "nlanr-bo1", "bu95", "bu98"
+/// or "canet2". nullopt for any other name.
+std::optional<Preset> preset_from_name(std::string_view name);
 
 /// Generator parameters for a preset.
 GeneratorParams preset_params(Preset p);

@@ -1,48 +1,14 @@
 // Streaming statistics accumulators used throughout the simulator and the
-// benchmark harnesses: mean/variance (Welford), min/max, ratio counters, and
-// a fixed-resolution histogram good enough for latency distributions.
+// benchmark harnesses: ratio counters and a fixed-resolution histogram good
+// enough for latency distributions.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "util/assert.hpp"
 
 namespace baps {
-
-/// Welford online mean/variance plus min/max.
-class RunningStats {
- public:
-  void add(double x) {
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    if (x < min_) min_ = x;
-    if (x > max_) max_ = x;
-    sum_ += x;
-  }
-
-  std::uint64_t count() const { return n_; }
-  double sum() const { return sum_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-  double stddev() const { return std::sqrt(variance()); }
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Numerator/denominator pair reported as a percentage; the shape of every
 /// hit-ratio metric in the paper.

@@ -1,12 +1,12 @@
 // Moved caches keep working: a TieredCache or ExpiringCache that is
-// move-constructed or move-assigned from another, whose source is then
-// destroyed, must keep its own bookkeeping in step with its full cache on
+// move-constructed from another, whose source is then destroyed, must keep its own bookkeeping in step with its full cache on
 // every later eviction. Nothing in a cache may point back at the object it
 // was moved from; under ASan a stale self-pointer shows up here as a
 // heap-use-after-free on the first eviction after the move.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -15,6 +15,12 @@
 
 namespace baps::cache {
 namespace {
+
+// Caches move-construct only; assigning over a live cache does not compile.
+static_assert(std::is_move_constructible_v<TieredCache>);
+static_assert(!std::is_move_assignable_v<TieredCache>);
+static_assert(std::is_move_constructible_v<ExpiringCache>);
+static_assert(!std::is_move_assignable_v<ExpiringCache>);
 
 using Victims = std::vector<std::pair<DocId, std::uint64_t>>;
 
@@ -61,16 +67,6 @@ TEST(MoveSafetyTest, MoveConstructedTieredCacheKeepsTiersInStep) {
   std::unique_ptr<TieredCache> source = three_doc_tiered();
   TieredCache c(std::move(*source));
   source.reset();
-  expect_tiers_follow_full_cache(c);
-}
-
-TEST(MoveSafetyTest, MoveAssignedTieredCacheKeepsTiersInStep) {
-  std::unique_ptr<TieredCache> source = three_doc_tiered();
-  TieredCache c(50, 0.5, PolicyKind::kLru);
-  c.insert(9, 10);
-  c = std::move(*source);
-  source.reset();
-  EXPECT_FALSE(c.contains(9));
   expect_tiers_follow_full_cache(c);
 }
 
@@ -124,16 +120,6 @@ TEST(MoveSafetyTest, MoveConstructedExpiringCacheKeepsExpiryInStep) {
   std::unique_ptr<ExpiringCache> source = three_doc_expiring();
   ExpiringCache c(std::move(*source));
   source.reset();
-  expect_expiry_follows_cache(c);
-}
-
-TEST(MoveSafetyTest, MoveAssignedExpiringCacheKeepsExpiryInStep) {
-  std::unique_ptr<ExpiringCache> source = three_doc_expiring();
-  ExpiringCache c(50, PolicyKind::kLru);
-  c.insert(9, 10, 5.0);
-  c = std::move(*source);
-  source.reset();
-  EXPECT_FALSE(c.contains(9, 0.0));
   expect_expiry_follows_cache(c);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -79,6 +80,32 @@ TEST(ObjectCacheTest, PeekDoesNotDisturbRecency) {
   EXPECT_TRUE(c.contains(2));
 }
 
+TEST(ObjectCacheTest, MoveConstructionFoldsEachEventOnce) {
+  // Every event a cache counts reaches `cache_*_total{policy}` exactly
+  // once: the moved-to cache folds it when it dies, the moved-from one
+  // folds nothing.
+  auto& reg = obs::Registry::global();
+  const auto total = [&](const char* name) {
+    return reg.counter(name, {{"policy", policy_name(PolicyKind::kGdsf)}})
+        .value();
+  };
+  const std::uint64_t inserts = total("cache_insertions_total");
+  const std::uint64_t hits = total("cache_hits_total");
+  {
+    auto source = std::make_unique<ObjectCache>(1000, PolicyKind::kGdsf);
+    ASSERT_TRUE(source->insert(1, 100));
+    ASSERT_TRUE(source->insert(2, 100));
+    ASSERT_TRUE(source->touch(1).has_value());
+    ObjectCache target(std::move(*source));
+    EXPECT_EQ(target.stats().insertions, 2u);
+    EXPECT_EQ(source->stats().insertions, 0u);
+    source.reset();
+    EXPECT_EQ(total("cache_insertions_total"), inserts);
+  }
+  EXPECT_EQ(total("cache_insertions_total"), inserts + 2);
+  EXPECT_EQ(total("cache_hits_total"), hits + 1);
+}
+
 TEST(ObjectCacheTest, EvictionCallbackGetsCapacityVictimsOnly) {
   ObjectCache c(100, PolicyKind::kLru);
   std::vector<std::pair<DocId, std::uint64_t>> evicted;
@@ -109,40 +136,6 @@ TEST(ObjectCacheTest, SizeChangeHandledByCaller) {
   c.insert(1, new_size);
   EXPECT_EQ(c.peek_size(1), std::optional<std::uint64_t>(150));
   EXPECT_EQ(c.used_bytes(), 150u);
-}
-
-TEST(ObjectCacheTest, MoveAssignmentFoldsTheOverwrittenStats) {
-  // Every event a cache counts reaches `cache_*_total{policy}` exactly
-  // once, including the events of a cache that is move-assigned over.
-  auto& reg = obs::Registry::global();
-  const auto total = [&](const char* name, PolicyKind kind) {
-    return reg.counter(name, {{"policy", policy_name(kind)}}).value();
-  };
-  const std::uint64_t gdsf_inserts =
-      total("cache_insertions_total", PolicyKind::kGdsf);
-  const std::uint64_t gdsf_hits = total("cache_hits_total", PolicyKind::kGdsf);
-  const std::uint64_t lfu_inserts =
-      total("cache_insertions_total", PolicyKind::kLfu);
-  {
-    ObjectCache target(1000, PolicyKind::kGdsf);
-    ASSERT_TRUE(target.insert(1, 100));
-    ASSERT_TRUE(target.insert(2, 100));
-    ASSERT_TRUE(target.touch(1).has_value());
-    ObjectCache source(1000, PolicyKind::kLfu);
-    ASSERT_TRUE(source.insert(3, 100));
-    target = std::move(source);
-    // The overwritten GDSF counts are in the registry at once.
-    EXPECT_EQ(total("cache_insertions_total", PolicyKind::kGdsf),
-              gdsf_inserts + 2);
-    EXPECT_EQ(total("cache_hits_total", PolicyKind::kGdsf), gdsf_hits + 1);
-    EXPECT_EQ(target.stats().insertions, 1u);
-  }
-  // The moved-in LFU counts are folded once, when the target dies; the
-  // moved-from source folds nothing.
-  EXPECT_EQ(total("cache_insertions_total", PolicyKind::kLfu),
-            lfu_inserts + 1);
-  EXPECT_EQ(total("cache_insertions_total", PolicyKind::kGdsf),
-            gdsf_inserts + 2);
 }
 
 class CacheAccountingProperty : public ::testing::TestWithParam<PolicyKind> {};

@@ -40,14 +40,13 @@ TEST(FaultRatesTest, ParsesFullSpec) {
   EXPECT_EQ(rates->slow_peer_delay_ms, 80);
   EXPECT_EQ(rates->slow_peer_budget_ms, 40);
   EXPECT_TRUE(rates->polite_departures);
-  EXPECT_TRUE(rates->any());
 }
 
 TEST(FaultRatesTest, EmptySpecIsAllZero) {
   std::string error;
   const auto rates = FaultRates::parse("", &error);
   ASSERT_TRUE(rates.has_value()) << error;
-  EXPECT_FALSE(rates->any());
+  for (const double r : rates->rate) EXPECT_EQ(r, 0.0);
 }
 
 TEST(FaultRatesTest, RejectsBadInput) {

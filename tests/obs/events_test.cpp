@@ -5,31 +5,25 @@
 #include <sstream>
 
 #include "obs/registry.hpp"
+#include "obs/span.hpp"
 #include "runtime/system.hpp"
 
 namespace baps::obs {
 namespace {
 
-TEST(EventTest, FieldAccessorsAndJson) {
-  const Event e = Event("fetch")
-                      .with("client", std::string("client0"))
-                      .with("verified", true)
-                      .with("url", std::uint64_t{77});
-  EXPECT_EQ(e.str("client"), "client0");
-  EXPECT_EQ(e.str("missing"), "");
-  ASSERT_NE(e.field("verified"), nullptr);
-  EXPECT_TRUE(std::get<bool>(*e.field("verified")));
+JsonValue event(const char* name) {
+  return json_object({{"event", JsonValue(name)}});
+}
 
-  const JsonValue j = e.to_json();
-  EXPECT_EQ(j.at("event").as_string(), "fetch");
-  EXPECT_EQ(j.at("url").as_uint(), 77u);
+JsonValue event(const char* name, const char* key, JsonValue value) {
+  return json_object({{"event", JsonValue(name)}, {key, std::move(value)}});
 }
 
 TEST(EventTest, JsonlSinkWritesOneObjectPerLine) {
   std::ostringstream os;
   JsonlSink sink(os);
-  sink.emit(Event("a").with("n", std::int64_t{1}));
-  sink.emit(Event("b").with("s", std::string("x")));
+  sink.emit(event("a", "n", JsonValue(std::int64_t{1})));
+  sink.emit(event("b", "s", JsonValue("x")));
   std::istringstream is(os.str());
   std::string line;
   std::size_t lines = 0;
@@ -79,14 +73,14 @@ TEST(MemorySinkTest, BoundedCapacityDropsNewestAndCounts) {
   MemorySink sink(/*capacity=*/3);
   EXPECT_EQ(sink.capacity(), 3u);
   for (int i = 0; i < 5; ++i) {
-    sink.emit(Event("e").with("i", std::uint64_t(i)));
+    sink.emit(event("e", "i", JsonValue(std::uint64_t(i))));
   }
   EXPECT_EQ(sink.size(), 3u);
   EXPECT_EQ(sink.dropped(), 2u);
   // Oldest retained: the buffer is evidence of how the run started.
   const auto events = sink.events();
-  EXPECT_EQ(std::get<std::uint64_t>(*events[0].field("i")), 0u);
-  EXPECT_EQ(std::get<std::uint64_t>(*events[2].field("i")), 2u);
+  EXPECT_EQ(events[0].at("i").as_uint(), 0u);
+  EXPECT_EQ(events[2].at("i").as_uint(), 2u);
   // The truncation is also visible in the global registry.
   const Snapshot snap = Registry::global().snapshot();
   const CounterSample* dropped = snap.counter("events_dropped_total");
@@ -100,8 +94,8 @@ TEST(MemorySinkTest, BoundedCapacityDropsNewestAndCounts) {
 TEST(MemorySinkTest, ZeroCapacityClampsToOne) {
   MemorySink sink(0);
   EXPECT_EQ(sink.capacity(), 1u);
-  sink.emit(Event("a"));
-  sink.emit(Event("b"));
+  sink.emit(event("a"));
+  sink.emit(event("b"));
   EXPECT_EQ(sink.size(), 1u);
   EXPECT_EQ(sink.dropped(), 1u);
 }
@@ -110,10 +104,10 @@ TEST(JsonlSinkTest, FlushesOnDestructionAndOnRequest) {
   std::ostringstream os;
   {
     JsonlSink sink(os);
-    sink.emit(Event("first"));
+    sink.emit(event("first"));
     sink.flush();
     EXPECT_NE(os.str().find("first"), std::string::npos);
-    sink.emit(Event("second"));
+    sink.emit(event("second"));
   }  // destructor flushes the second line
   const std::string out = os.str();
   EXPECT_NE(out.find("second"), std::string::npos);
@@ -129,16 +123,16 @@ TEST_F(SystemEventsTest, OneFetchEventPerBrowseWithOutcome) {
 
   const auto fetches = sink_.named("fetch");
   ASSERT_EQ(fetches.size(), 3u);
-  EXPECT_EQ(fetches[0].str("source"), "local-browser");
-  EXPECT_EQ(fetches[1].str("source"), "remote-browser");
-  EXPECT_EQ(fetches[2].str("source"), "origin-server");
+  EXPECT_EQ(fetches[0].at("source").as_string(), "local-browser");
+  EXPECT_EQ(fetches[1].at("source").as_string(), "remote-browser");
+  EXPECT_EQ(fetches[2].at("source").as_string(), "origin-server");
   for (const auto& f : fetches) {
-    EXPECT_TRUE(std::get<bool>(*f.field("verified")));
-    EXPECT_FALSE(std::get<bool>(*f.field("tamper_recovered")));
-    EXPECT_FALSE(std::get<bool>(*f.field("false_forward")));
+    EXPECT_TRUE(f.at("verified").as_bool());
+    EXPECT_FALSE(f.at("tamper_recovered").as_bool());
+    EXPECT_FALSE(f.at("false_forward").as_bool());
   }
-  EXPECT_EQ(fetches[0].str("client"), "client0");
-  EXPECT_EQ(fetches[1].str("client"), "client1");
+  EXPECT_EQ(fetches[0].at("client").as_string(), "client0");
+  EXPECT_EQ(fetches[1].at("client").as_string(), "client1");
 }
 
 TEST_F(SystemEventsTest, MessageEventsMirrorTheTrace) {
@@ -149,9 +143,10 @@ TEST_F(SystemEventsTest, MessageEventsMirrorTheTrace) {
             system_.messages().log().size() - already_logged);
   for (std::size_t i = 0; i < messages.size(); ++i) {
     const auto& rec = system_.messages().log()[already_logged + i];
-    EXPECT_EQ(messages[i].str("kind"), runtime::msg_kind_name(rec.kind));
-    EXPECT_EQ(messages[i].str("from"), rec.from);
-    EXPECT_EQ(messages[i].str("to"), rec.to);
+    EXPECT_EQ(messages[i].at("kind").as_string(),
+              runtime::msg_kind_name(rec.kind));
+    EXPECT_EQ(messages[i].at("from").as_string(), rec.from);
+    EXPECT_EQ(messages[i].at("to").as_string(), rec.to);
   }
 }
 
@@ -162,9 +157,9 @@ TEST_F(SystemEventsTest, TamperedPeerDeliveryIsFlaggedInTheStream) {
 
   const auto fetches = sink_.named("fetch");
   ASSERT_EQ(fetches.size(), 1u);
-  EXPECT_TRUE(std::get<bool>(*fetches[0].field("tamper_recovered")));
-  EXPECT_TRUE(std::get<bool>(*fetches[0].field("verified")));
-  EXPECT_EQ(fetches[0].str("source"), "origin-server");
+  EXPECT_TRUE(fetches[0].at("tamper_recovered").as_bool());
+  EXPECT_TRUE(fetches[0].at("verified").as_bool());
+  EXPECT_EQ(fetches[0].at("source").as_string(), "origin-server");
 }
 
 TEST_F(SystemEventsTest, FalseForwardIsFlaggedInTheStream) {
@@ -174,7 +169,7 @@ TEST_F(SystemEventsTest, FalseForwardIsFlaggedInTheStream) {
 
   const auto fetches = sink_.named("fetch");
   ASSERT_EQ(fetches.size(), 1u);
-  EXPECT_TRUE(std::get<bool>(*fetches[0].field("false_forward")));
+  EXPECT_TRUE(fetches[0].at("false_forward").as_bool());
 }
 
 // The §6.2 anonymity property, audited on the emitted event stream: a
@@ -186,25 +181,80 @@ TEST_F(SystemEventsTest, PeerFetchEventsCarryNoRequesterIdentity) {
 
   std::size_t peer_fetches = 0;
   for (const auto& m : sink_.named("message")) {
-    if (m.str("kind") != "peer-fetch") continue;
+    if (m.at("kind").as_string() != "peer-fetch") continue;
     ++peer_fetches;
-    EXPECT_EQ(m.str("from"), "proxy");
-    EXPECT_EQ(m.str("to"), "client0");  // the holder
+    EXPECT_EQ(m.at("from").as_string(), "proxy");
+    EXPECT_EQ(m.at("to").as_string(), "client0");  // the holder
     // Exactly the envelope fields — nothing that could smuggle the
     // requester in.
-    ASSERT_EQ(m.fields.size(), 4u);
-    EXPECT_EQ(m.fields[0].first, "kind");
-    EXPECT_EQ(m.fields[1].first, "from");
-    EXPECT_EQ(m.fields[2].first, "to");
-    EXPECT_EQ(m.fields[3].first, "url");
-    for (const auto& [key, value] : m.fields) {
-      if (const auto* s = std::get_if<std::string>(&value)) {
-        EXPECT_NE(*s, "client1") << "peer-fetch leaked the requester";
-        EXPECT_NE(*s, "client2") << "peer-fetch leaked the requester";
+    const JsonObject& fields = m.as_object();
+    ASSERT_EQ(fields.size(), 5u);
+    EXPECT_EQ(fields[0].first, "event");
+    EXPECT_EQ(fields[1].first, "kind");
+    EXPECT_EQ(fields[2].first, "from");
+    EXPECT_EQ(fields[3].first, "to");
+    EXPECT_EQ(fields[4].first, "url");
+    for (const auto& [key, value] : fields) {
+      if (value.is_string()) {
+        EXPECT_NE(value.as_string(), "client1")
+            << "peer-fetch leaked the requester";
+        EXPECT_NE(value.as_string(), "client2")
+            << "peer-fetch leaked the requester";
       }
     }
   }
   EXPECT_EQ(peer_fetches, 2u);
+}
+
+// The exact bytes of each event kind's JSONL line: trace_check and
+// --trace-out read these lines, so a field's name, order or spelling is part
+// of the format. One peer browse gives the message and fetch lines.
+TEST_F(SystemEventsTest, JsonlLinesArePinned) {
+  std::ostringstream os;
+  JsonlSink jsonl(os);
+  system_.set_event_sink(&jsonl);
+  system_.browse(1, kUrlX);
+  jsonl.flush();
+  const std::string url = "\"url\":6086018008079535931";
+  EXPECT_EQ(os.str(),
+            "{\"event\":\"message\",\"kind\":\"client-request\","
+            "\"from\":\"client1\",\"to\":\"proxy\"," + url + "}\n"
+            "{\"event\":\"message\",\"kind\":\"peer-fetch\","
+            "\"from\":\"proxy\",\"to\":\"client0\"," + url + "}\n"
+            "{\"event\":\"message\",\"kind\":\"peer-deliver\","
+            "\"from\":\"client0\",\"to\":\"proxy\"," + url + "}\n"
+            "{\"event\":\"message\",\"kind\":\"proxy-response\","
+            "\"from\":\"proxy\",\"to\":\"client1\"," + url + "}\n"
+            "{\"event\":\"message\",\"kind\":\"index-add\","
+            "\"from\":\"client1\",\"to\":\"proxy\"," + url + "}\n"
+            "{\"event\":\"fetch\",\"client\":\"client1\"," + url +
+            ",\"source\":\"remote-browser\",\"verified\":true,"
+            "\"tamper_recovered\":false,\"false_forward\":false}\n");
+}
+
+TEST(JsonlSinkTest, SpanLineIsPinned) {
+  Registry reg;
+  Tracer::Params p;
+  p.seed = 7;
+  p.sample_rate = 1.0;
+  p.service = "proxyd";
+  Tracer tracer(p, &reg);
+  std::ostringstream os;
+  JsonlSink jsonl(os);
+  tracer.set_sink(&jsonl);
+  TraceContext parent;
+  parent.trace_id = 0x1234;
+  parent.span_id = 0x56;
+  parent.sampled = true;
+  tracer.record_span(SpanKind::kPeerTransfer, parent, 1000, 3500);
+  jsonl.flush();
+  // Span ids are salted per tracer instance; read this one back.
+  const std::uint64_t span_id = tracer.recent_spans(1).at(0).span_id;
+  EXPECT_EQ(os.str(),
+            "{\"event\":\"span\",\"service\":\"proxyd\",\"trace_id\":4660,"
+            "\"span_id\":" + std::to_string(span_id) +
+            ",\"parent_id\":86,\"kind\":\"peer_transfer\","
+            "\"start_ns\":1000,\"end_ns\":3500,\"duration_ns\":2500}\n");
 }
 
 TEST_F(SystemEventsTest, DetachingTheSinkStopsTheStream) {

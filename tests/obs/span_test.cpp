@@ -251,11 +251,9 @@ TEST(TracerTest, ExportsSpanEventsToSink) {
   root.end();
   const auto events = sink.named("span");
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].str("service"), "test");
-  EXPECT_EQ(events[0].str("kind"), "client_fetch");
-  const FieldValue* tid = events[0].field("trace_id");
-  ASSERT_NE(tid, nullptr);
-  EXPECT_EQ(std::get<std::uint64_t>(*tid), trace_id);
+  EXPECT_EQ(events[0].at("service").as_string(), "test");
+  EXPECT_EQ(events[0].at("kind").as_string(), "client_fetch");
+  EXPECT_EQ(events[0].at("trace_id").as_uint(), trace_id);
 }
 
 TEST(SampleQuantileTest, InterpolatesAndClampsTails) {

@@ -47,10 +47,9 @@ class Digest {
 /// one outcome field FetchOutcome does not carry).
 class FalseForwardSink final : public obs::EventSink {
  public:
-  void emit(const obs::Event& event) override {
-    if (event.name != "fetch") return;
-    const obs::FieldValue* v = event.field("false_forward");
-    flags += (v != nullptr && std::get<bool>(*v)) ? '1' : '0';
+  void emit(const obs::JsonValue& event) override {
+    if (event.at("event").as_string() != "fetch") return;
+    flags += event.at("false_forward").as_bool() ? '1' : '0';
   }
   std::string flags;
 };

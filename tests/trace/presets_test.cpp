@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <iterator>
+#include <utility>
 
 #include "trace/stats.hpp"
 #include "util/assert.hpp"
@@ -66,6 +68,28 @@ TEST(PresetCatalogTest, Bu95HasStrongerLocalityThanBu98) {
 TEST(PresetCatalogTest, ScaledLoaderValidatesFactor) {
   EXPECT_THROW(load_preset_scaled(Preset::kBu95, 0.0), baps::InvariantError);
   EXPECT_THROW(load_preset_scaled(Preset::kBu95, 2.0), baps::InvariantError);
+}
+
+TEST(PresetCatalogTest, CommandLineNamesRoundTripEveryPreset) {
+  const std::pair<const char*, Preset> names[] = {
+      {"nlanr-uc", Preset::kNlanrUc}, {"nlanr-bo1", Preset::kNlanrBo1},
+      {"bu95", Preset::kBu95},        {"bu98", Preset::kBu98},
+      {"canet2", Preset::kCanet2},
+  };
+  ASSERT_EQ(std::size(names), all_presets().size());
+  for (const Preset p : all_presets()) {
+    std::size_t named = 0;
+    for (const auto& [name, preset] : names) {
+      if (preset != p) continue;
+      ++named;
+      EXPECT_EQ(preset_from_name(name), p) << name;
+    }
+    EXPECT_EQ(named, 1u) << preset_name(p);
+  }
+  EXPECT_EQ(preset_from_name("bogus"), std::nullopt);
+  EXPECT_EQ(preset_from_name(""), std::nullopt);
+  // Display names are not command-line names.
+  EXPECT_EQ(preset_from_name(preset_name(Preset::kNlanrUc)), std::nullopt);
 }
 
 }  // namespace

@@ -9,44 +9,6 @@
 namespace baps {
 namespace {
 
-TEST(RunningStatsTest, EmptyIsZeroed) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStatsTest, KnownSequence) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-  // Sample variance of the classic example is 32/7.
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-}
-
-TEST(RunningStatsTest, MatchesDirectComputationOnRandomData) {
-  Xoshiro256 rng(31);
-  RunningStats s;
-  std::vector<double> xs;
-  for (int i = 0; i < 5000; ++i) {
-    const double x = rng.uniform() * 100.0 - 50.0;
-    xs.push_back(x);
-    s.add(x);
-  }
-  double mean = 0.0;
-  for (double x : xs) mean += x;
-  mean /= static_cast<double>(xs.size());
-  double var = 0.0;
-  for (double x : xs) var += (x - mean) * (x - mean);
-  var /= static_cast<double>(xs.size() - 1);
-  EXPECT_NEAR(s.mean(), mean, 1e-9);
-  EXPECT_NEAR(s.variance(), var, 1e-6);
-}
-
 TEST(RatioCounterTest, EmptyRatioIsZero) {
   RatioCounter r;
   EXPECT_DOUBLE_EQ(r.ratio(), 0.0);

@@ -26,7 +26,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "fault/fault_plan.hpp"
@@ -39,21 +38,7 @@
 #include "trace/presets.hpp"
 #include "util/args.hpp"
 
-namespace {
-
 using namespace baps;
-
-// Same CLI-style names as baps_cli.
-std::optional<trace::Preset> preset_by_name(const std::string& name) {
-  if (name == "nlanr-uc") return trace::Preset::kNlanrUc;
-  if (name == "nlanr-bo1") return trace::Preset::kNlanrBo1;
-  if (name == "bu95") return trace::Preset::kBu95;
-  if (name == "bu98") return trace::Preset::kBu98;
-  if (name == "canet2") return trace::Preset::kCanet2;
-  return std::nullopt;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string transport_name = "tcp";
@@ -306,7 +291,7 @@ int main(int argc, char** argv) {
     const auto fetch_scope = phases.scope("fetch");
     run_one(client, url);
   } else {
-    const auto preset = preset_by_name(preset_name);
+    const auto preset = trace::preset_from_name(preset_name);
     if (!preset.has_value()) {
       std::cerr << "unknown preset: " << preset_name << "\n";
       return 2;
