@@ -101,7 +101,6 @@ class EpollFrameServer {
     void close_after_flush();
 
     bool closed() const { return closed_; }
-    std::size_t write_queue_bytes() const { return wq_bytes_; }
 
     /// True for a link this loop dialed with connect(); false for an
     /// accepted session.

@@ -140,12 +140,6 @@ std::vector<ThreadCpuTracker::ThreadCpu> ThreadCpuTracker::sample() const {
   return out;
 }
 
-std::size_t ThreadCpuTracker::size() const {
-  TrackerState& st = tracker_state();
-  std::lock_guard<std::mutex> lock(st.mu);
-  return st.threads.size();
-}
-
 ThreadCpuTracker& ThreadCpuTracker::global() {
   static ThreadCpuTracker* tracker = new ThreadCpuTracker();  // leaked
   return *tracker;

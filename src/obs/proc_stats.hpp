@@ -45,8 +45,6 @@ class ThreadCpuTracker {
   /// are omitted.
   std::vector<ThreadCpu> sample() const;
 
-  std::size_t size() const;
-
   /// The process-wide tracker the sampler reads.
   static ThreadCpuTracker& global();
 

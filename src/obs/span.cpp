@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <tuple>
 #include <utility>
 
 namespace baps::obs {
@@ -24,6 +25,16 @@ constexpr double kStageLo = -7.0;
 constexpr double kStageHi = 3.0;
 constexpr std::size_t kStageBuckets = 50;
 
+/// trace_spans_total{kind} and trace_stage_seconds{stage} for one kind.
+std::pair<Counter*, Histogram*> kind_instruments(Registry* registry,
+                                                 SpanKind kind) {
+  const std::string name = span_kind_name(kind);
+  return {&registry->counter("trace_spans_total", {{"kind", name}}),
+          &registry->histogram(kStageHistName, kStageLo, kStageHi,
+                               kStageBuckets, HistScale::kLog10,
+                               {{"stage", name}})};
+}
+
 }  // namespace
 
 std::string span_kind_name(SpanKind kind) {
@@ -42,15 +53,8 @@ std::string span_kind_name(SpanKind kind) {
 }
 
 void register_trace_metric_families(Registry* registry) {
-  static constexpr SpanKind kAllKinds[] = {
-      SpanKind::kClientFetch, SpanKind::kIndexLookup, SpanKind::kCacheProbe,
-      SpanKind::kPeerTransfer, SpanKind::kOriginFetch, SpanKind::kFrameSend,
-      SpanKind::kFrameRecv, SpanKind::kSign, SpanKind::kVerify};
-  for (SpanKind kind : kAllKinds) {
-    const std::string name = span_kind_name(kind);
-    registry->counter("trace_spans_total", {{"kind", name}});
-    registry->histogram(kStageHistName, kStageLo, kStageHi, kStageBuckets,
-                        HistScale::kLog10, {{"stage", name}});
+  for (std::size_t k = 1; k < kSpanKindSlots; ++k) {
+    kind_instruments(registry, static_cast<SpanKind>(k));
   }
 }
 
@@ -140,9 +144,8 @@ Span Tracer::start_span(SpanKind kind, const TraceContext& parent) {
 Span Tracer::start_root_span(SpanKind kind) {
   // Rate 0 means "tracing off": nothing this root could mint is observable
   // (unsampled contexts never go on the wire and never record), so the whole
-  // call collapses to this one branch — that is the cost a disabled tracer
-  // adds to a runtime request, and bench_replay --overhead-guard holds it
-  // to its budget.
+  // call collapses to this one branch, minting no id and reading no clock.
+  // FreeWhenOffTest checks that on the loopback and TCP runtimes.
   if (!enabled()) return Span();
   return start_span(kind, make_root_context());
 }
@@ -172,12 +175,17 @@ void Tracer::record_span(SpanKind kind, const TraceContext& parent,
 }
 
 void Tracer::record(const SpanRecord& rec) {
-  const std::string kind_name = span_kind_name(rec.kind);
-  registry_->counter("trace_spans_total", {{"kind", kind_name}}).inc();
-  registry_
-      ->histogram(kStageHistName, kStageLo, kStageHi, kStageBuckets,
-                  HistScale::kLog10, {{"stage", kind_name}})
-      .observe(static_cast<double>(rec.duration_ns()) * 1e-9);
+  const auto slot = static_cast<std::size_t>(rec.kind);
+  Counter* spans = spans_total_[slot].load(std::memory_order_acquire);
+  Histogram* stage = stage_seconds_[slot].load(std::memory_order_acquire);
+  if (spans == nullptr || stage == nullptr) {
+    // Threads racing to resolve a kind get the same instruments.
+    std::tie(spans, stage) = kind_instruments(registry_, rec.kind);
+    spans_total_[slot].store(spans, std::memory_order_release);
+    stage_seconds_[slot].store(stage, std::memory_order_release);
+  }
+  spans->inc();
+  stage->observe(static_cast<double>(rec.duration_ns()) * 1e-9);
 
   EventSink* sink = nullptr;
   {

@@ -17,8 +17,10 @@
 // keeps sampling-off runs bit-identical to untraced ones.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -44,6 +46,11 @@ enum class SpanKind : std::uint8_t {
   kSign = 8,          ///< proxy: watermark issuance, inside origin_fetch
   kVerify = 9,        ///< client: watermark verification in browse()
 };
+
+/// One past the last kind: kinds run 1 .. kSpanKindSlots - 1 without gaps,
+/// so per-kind tables index by the kind's value.
+inline constexpr std::size_t kSpanKindSlots =
+    static_cast<std::size_t>(SpanKind::kVerify) + 1;
 
 std::string span_kind_name(SpanKind kind);
 
@@ -192,6 +199,11 @@ class Tracer {
 
   Params params_;
   Registry* registry_;
+  // trace_spans_total{kind} and trace_stage_seconds{stage} by kind, resolved
+  // on the kind's first record (a tracer that records nothing leaves its
+  // registry empty); later spans skip the registry's lookup and lock.
+  std::array<std::atomic<Counter*>, kSpanKindSlots> spans_total_{};
+  std::array<std::atomic<Histogram*>, kSpanKindSlots> stage_seconds_{};
 
   mutable std::mutex mu_;
   EventSink* sink_ = nullptr;  ///< optional, not owned

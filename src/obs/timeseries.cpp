@@ -193,6 +193,9 @@ JsonValue TimeSeriesSampler::window_json(std::size_t max_intervals) const {
 }
 
 void TimeSeriesSampler::run() {
+  // Every record this thread takes lists the sampler's own CPU, so its cost
+  // is measured in each stream.
+  const ScopedThreadCpu cpu("ts_sampler");
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_requested_) {
     cv_.wait_for(lock,
@@ -209,46 +212,44 @@ void TimeSeriesSampler::tick_locked(double now_seconds) {
   JsonValue rec = timeseries_record(have_prev_ ? prev_ : Snapshot{}, cur,
                                     interval, now_seconds, seq_);
 
-  if (params_.process_stats) {
-    const ProcessSample ps = sample_process();
-    JsonValue proc = json_object({});
-    proc.set("valid", JsonValue(ps.valid));
-    proc.set("rss_bytes", JsonValue(ps.rss_bytes));
-    proc.set("cpu_seconds", JsonValue(ps.cpu_seconds));
-    double cpu_delta = have_prev_ ? ps.cpu_seconds - prev_process_cpu_ : 0.0;
-    if (cpu_delta < 0.0) cpu_delta = 0.0;
-    proc.set("cpu_delta_seconds", JsonValue(cpu_delta));
+  const ProcessSample ps = sample_process();
+  JsonValue proc = json_object({});
+  proc.set("valid", JsonValue(ps.valid));
+  proc.set("rss_bytes", JsonValue(ps.rss_bytes));
+  proc.set("cpu_seconds", JsonValue(ps.cpu_seconds));
+  double cpu_delta = have_prev_ ? ps.cpu_seconds - prev_process_cpu_ : 0.0;
+  if (cpu_delta < 0.0) cpu_delta = 0.0;
+  proc.set("cpu_delta_seconds", JsonValue(cpu_delta));
 
-    JsonArray threads;
-    auto samples = ThreadCpuTracker::global().sample();
-    std::vector<bool> used(prev_thread_cpu_.size(), false);
-    for (const auto& t : samples) {
-      // Names repeat (e.g. several "netio_epoll"s); pair each current
-      // reading with the first unconsumed previous reading of the same name.
-      double before = -1.0;
-      for (std::size_t i = 0; i < prev_thread_cpu_.size(); ++i) {
-        if (!used[i] && prev_thread_cpu_[i].first == t.name) {
-          used[i] = true;
-          before = prev_thread_cpu_[i].second;
-          break;
-        }
+  JsonArray threads;
+  auto samples = ThreadCpuTracker::global().sample();
+  std::vector<bool> used(prev_thread_cpu_.size(), false);
+  for (const auto& t : samples) {
+    // Names repeat (e.g. several "netio_epoll"s); pair each current
+    // reading with the first unconsumed previous reading of the same name.
+    double before = -1.0;
+    for (std::size_t i = 0; i < prev_thread_cpu_.size(); ++i) {
+      if (!used[i] && prev_thread_cpu_[i].first == t.name) {
+        used[i] = true;
+        before = prev_thread_cpu_[i].second;
+        break;
       }
-      double t_delta = before >= 0.0 ? t.cpu_seconds - before : 0.0;
-      if (t_delta < 0.0) t_delta = 0.0;
-      threads.push_back(
-          json_object({{"name", JsonValue(t.name)},
-                       {"cpu_seconds", JsonValue(t.cpu_seconds)},
-                       {"cpu_delta_seconds", JsonValue(t_delta)}}));
     }
-    proc.set("threads", JsonValue(std::move(threads)));
-    rec.set("process", std::move(proc));
+    double t_delta = before >= 0.0 ? t.cpu_seconds - before : 0.0;
+    if (t_delta < 0.0) t_delta = 0.0;
+    threads.push_back(
+        json_object({{"name", JsonValue(t.name)},
+                     {"cpu_seconds", JsonValue(t.cpu_seconds)},
+                     {"cpu_delta_seconds", JsonValue(t_delta)}}));
+  }
+  proc.set("threads", JsonValue(std::move(threads)));
+  rec.set("process", std::move(proc));
 
-    prev_process_cpu_ = ps.cpu_seconds;
-    prev_thread_cpu_.clear();
-    prev_thread_cpu_.reserve(samples.size());
-    for (const auto& t : samples) {
-      prev_thread_cpu_.emplace_back(t.name, t.cpu_seconds);
-    }
+  prev_process_cpu_ = ps.cpu_seconds;
+  prev_thread_cpu_.clear();
+  prev_thread_cpu_.reserve(samples.size());
+  for (const auto& t : samples) {
+    prev_thread_cpu_.emplace_back(t.name, t.cpu_seconds);
   }
 
   if (sink_ != nullptr) {

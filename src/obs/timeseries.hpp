@@ -58,7 +58,6 @@ class TimeSeriesSampler {
   struct Params {
     double interval_seconds = 1.0;
     std::size_t ring_capacity = 120;  ///< intervals kept for live queries
-    bool process_stats = true;        ///< attach the "process" block
   };
 
   explicit TimeSeriesSampler(Params params,

@@ -125,9 +125,6 @@ class ProxyCore {
     return static_cast<std::uint32_t>(mac_keys_.size());
   }
   OriginServer& origin() { return origin_; }
-  /// The proxy's two-tier object store (RAM DocStore + optional disk tier).
-  store::TieredObjectStore& object_store() { return proxy_cache_; }
-  const store::TieredObjectStore& object_store() const { return proxy_cache_; }
   const index::BrowserIndex& index() const { return index_; }
   const crypto::RsaPublicKey& public_key() const { return keys_.pub; }
   const crypto::RsaPrivateKey& private_key() const { return keys_.priv; }

@@ -29,7 +29,6 @@ class Table {
   /// but commas in cells are escaped by quoting anyway).
   std::string to_csv() const;
 
-  std::size_t row_count() const { return rows_.size(); }
   const std::vector<std::vector<std::string>>& rows() const { return rows_; }
 
  private:

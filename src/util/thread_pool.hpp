@@ -43,9 +43,6 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Summed execution seconds across all completed tasks.
-  double busy_seconds() const { return busy_seconds_->value(); }
-
   /// Enqueues a task and returns a future for its result. Exceptions thrown
   /// by the task propagate through the future.
   template <typename F>

@@ -7,9 +7,16 @@
 // peer-served request must stitch all three roles — requester, proxy, and
 // holder — into one trace. With sampling at 0 the same setup must record
 // nothing on either side.
+//
+// FreeWhenOffTest checks "free when off" exactly where it runs: a preset
+// slice through the loopback runtime, or one host over TCP, gives the same
+// FetchOutcomes, MessageTrace, ProxyStats and wire counts with no tracer, a
+// rate-0 tracer and a tracer that samples none of its traces.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -20,6 +27,7 @@
 #include "runtime/proxy_server.hpp"
 #include "runtime/system.hpp"
 #include "runtime/tcp_transport.hpp"
+#include "trace/presets.hpp"
 
 namespace baps::runtime {
 namespace {
@@ -256,6 +264,131 @@ TEST(TraceStitchTest, SamplingOffRecordsNothingOnEitherSide) {
   EXPECT_TRUE(client_reg.snapshot().counters.empty());
   EXPECT_TRUE(proxy_reg.snapshot().counters.empty());
   server.stop();
+}
+
+constexpr double kNoTracer = -1.0;
+/// On, so every browse mints a root context, but samples no trace here.
+constexpr double kUnsampled = 1e-12;
+
+/// A tracer at `rate` with a registry of its own (none for kNoTracer).
+struct ArmTracer {
+  ArmTracer(double rate, const char* service) {
+    if (rate < 0.0) return;
+    tracer = std::make_unique<obs::Tracer>(tracer_params(rate, service),
+                                           &registry);
+  }
+
+  /// Recorded nothing, left its registry empty and minted exactly `roots`
+  /// trace ids: its next root context is a fresh twin's (roots+1)-th.
+  void expect_idle(std::uint64_t roots) {
+    if (tracer == nullptr) return;
+    const std::string& name = tracer->params().service;
+    EXPECT_EQ(tracer->spans_recorded(), 0u) << name;
+    const obs::Snapshot snap = registry.snapshot();
+    EXPECT_TRUE(snap.counters.empty() && snap.histograms.empty()) << name;
+    obs::Registry scratch;
+    obs::Tracer twin(tracer->params(), &scratch);
+    for (std::uint64_t i = 0; i < roots; ++i) twin.make_root_context();
+    EXPECT_EQ(tracer->make_root_context().trace_id,
+              twin.make_root_context().trace_id)
+        << name << " did not mint exactly " << roots << " trace ids";
+  }
+
+  obs::Registry registry;
+  std::unique_ptr<obs::Tracer> tracer;
+};
+
+/// The global wire_* counters, keyed by name and labels.
+std::map<std::string, std::uint64_t> wire_counters() {
+  std::map<std::string, std::uint64_t> out;
+  for (const obs::CounterSample& c :
+       obs::Registry::global().snapshot().counters) {
+    std::string key = c.name;
+    for (const auto& [k, v] : c.labels) key += "," + k + "=" + v;
+    if (key.starts_with("wire_")) out[key] = c.value;
+  }
+  return out;
+}
+
+/// One line per browse outcome and per MessageTrace envelope, then the
+/// proxy's counters and the wire counters that moved. Client 1 tampers, and
+/// every tenth request is dropped silently, leaving a stale index entry.
+std::vector<std::string> observe(bool tcp, double rate) {
+  static const trace::Trace t = trace::load_preset(trace::Preset::kBu95);
+  ArmTracer client(rate, "client"), proxy(rate, "proxyd");
+  BapsSystem::Params sp;
+  sp.seed = kSeed;
+  sp.browser_cache_bytes = 8 << 10;  // a handful of bodies per browser
+  sp.proxy_cache_bytes = 6 << 10;
+  ProxyServer server(proxy_params(sp.num_clients, sp.proxy_cache_bytes));
+  server.set_tracer(proxy.tracer.get());
+  std::string error;  // a loopback run never starts the server
+  EXPECT_TRUE(!tcp || server.start(&error)) << error;
+  const std::map<std::string, std::uint64_t> before = wire_counters();
+  std::unique_ptr<TcpTransport> wire;
+  std::unique_ptr<BapsSystem> sys;
+  if (tcp) {
+    wire = std::make_unique<TcpTransport>(
+        TcpTransport::Params{"127.0.0.1", server.port(), {}});
+    sys = std::make_unique<BapsSystem>(sp, *wire);
+  } else {
+    sys = std::make_unique<BapsSystem>(sp);
+  }
+  sys->set_tracer(client.tracer.get());
+  sys->set_tampering(1, true);
+  std::vector<std::string> lines;
+  for (std::size_t i = 0; i < 1500; ++i) {
+    const trace::Request& req = t.requests()[i];
+    const auto c = static_cast<ClientId>(req.client % sp.num_clients);
+    const FetchOutcome out = sys->browse(c, t.url_of(req.doc));
+    lines.push_back(source_name(out.source) + (out.verified ? " v" : " -") +
+                    (out.tamper_recovered ? "t " : "- ") +
+                    std::to_string(std::hash<std::string>{}(out.body)));
+    if (i % 10 == 9) sys->drop_silently(c, t.url_of(req.doc));
+  }
+  const std::size_t browses = lines.size();
+  for (const MsgRecord& m : sys->messages().log()) {
+    lines.push_back(msg_kind_name(m.kind) + "|" + m.from + "|" + m.to + "|" +
+                    std::to_string(m.url));
+  }
+  // Over TCP each read is a round trip, so it also fences the index updates
+  // the proxy has not acknowledged before the wire counters are read.
+  const ProxyStats stats{sys->proxy_hits(), sys->peer_hits(),
+                         sys->origin_fetches(), sys->false_forwards(),
+                         sys->rejected_index_updates()};
+  EXPECT_GT(stats.peer_hits * stats.false_forwards, 0u)
+      << "the slice must reach a peer and a stale index entry";
+  lines.push_back(proxy_stats_json(stats).dump());
+  // Moved counters only: an earlier run may have registered a kind (its
+  // teardown's "bye") that this one has not sent yet.
+  for (const auto& [key, value] : wire_counters()) {
+    const auto it = before.find(key);
+    const std::uint64_t delta = value - (it == before.end() ? 0 : it->second);
+    if (delta != 0) lines.push_back(key + " +" + std::to_string(delta));
+  }
+  server.stop();
+  client.expect_idle(rate > 0.0 ? browses : 0);  // one root per browse
+  proxy.expect_idle(0);
+  return lines;
+}
+
+void expect_unchanged_by_idle_tracers(bool tcp) {
+  const std::vector<std::string> none = observe(tcp, kNoTracer);
+  for (const double rate : {0.0, kUnsampled}) {
+    const std::vector<std::string> got = observe(tcp, rate);
+    ASSERT_EQ(got.size(), none.size()) << "rate " << rate;
+    for (std::size_t i = 0; i < none.size(); ++i) {
+      ASSERT_EQ(got[i], none[i]) << "rate " << rate << ", line " << i;
+    }
+  }
+}
+
+TEST(FreeWhenOffTest, LoopbackRuntimeIsUnchangedByAnIdleTracer) {
+  expect_unchanged_by_idle_tracers(/*tcp=*/false);
+}
+
+TEST(FreeWhenOffTest, TcpRuntimeIsUnchangedByAnIdleTracer) {
+  expect_unchanged_by_idle_tracers(/*tcp=*/true);
 }
 
 }  // namespace

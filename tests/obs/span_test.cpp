@@ -131,7 +131,7 @@ TEST(TracerTest, UnsampledTraceRecordsNothingButPropagates) {
 
 TEST(TracerTest, DisabledTracerRootSpanIsInert) {
   // Rate 0 is "tracing off": start_root_span must not mint a context at
-  // all — the one-branch cost contract bench_replay --overhead-guard times.
+  // all. FreeWhenOffTest checks the same on the runtimes that call it.
   Registry reg;
   Tracer::Params p;
   p.seed = 5;

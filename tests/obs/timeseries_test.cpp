@@ -167,13 +167,25 @@ TEST(TimeSeriesSamplerTest, StartStopThreadProducesValidStream) {
     c.inc(100);
     std::this_thread::sleep_for(std::chrono::milliseconds(15));
   }
+  for (int i = 0; i < 5000 && sampler.intervals_captured() < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   sampler.stop();
   sampler.stop();  // idempotent
 
   const std::vector<JsonValue> lines = parse_lines(sink.str());
-  // seq-0 baseline + the final flush tick, plus however many periodic ticks
-  // the scheduler allowed (usually several at this interval).
-  ASSERT_GE(lines.size(), 2u);
+  // seq-0 baseline + the final flush tick, plus at least one periodic tick.
+  ASSERT_GE(lines.size(), 3u);
+  // The sampler's cost is in its own stream: each record its thread took
+  // lists "ts_sampler", while the baseline and the final record, which
+  // start() and stop() took on this thread, do not.
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const bool by_thread = i > 0 && i + 1 < lines.size();
+    EXPECT_EQ(find_named(lines[i].at("process"), "threads", "ts_sampler") !=
+                  nullptr,
+              by_thread)
+        << "record " << i;
+  }
   std::string error;
   EXPECT_TRUE(validate_timeseries_lines(lines, &error)) << error;
   // The final tick captured the end state: all 500 increments accounted for.
