@@ -201,7 +201,9 @@ trap - EXIT
 echo "check.sh: live baps_top frame rendered, time-series stream validated"
 
 # Connection-load smoke: bench_connload must hold 2000 concurrent
-# connections through a daemon with valid quantile gauges in its report.
+# connections through a daemon with valid quantile gauges in its report. Its
+# fleet is EpollFrameServer outbound links, the code the proxy dials holder
+# links with.
 # 2000 keeps the smoke inside default fd limits; the 10k headline run is the
 # same commands with --connections 10000 (see README).
 CONNLOAD_LOG="$BUILD_DIR/check_connload_proxyd.log"

@@ -167,6 +167,15 @@ std::uint64_t EpollFrameServer::now_ms() const {
           .count());
 }
 
+bool EpollFrameServer::post(std::function<void()> task) {
+  const std::lock_guard<std::mutex> lock(posted_mu_);
+  if (!running_.load() || stop_requested_.load()) return false;
+  posted_.push_back(std::move(task));
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t rc = ::write(wake_fd_, &one, sizeof(one));
+  return true;
+}
+
 bool EpollFrameServer::start(std::string* error) {
   BAPS_REQUIRE(!running_.load(), "server already started");
   NetError err;
@@ -212,11 +221,17 @@ bool EpollFrameServer::start(std::string* error) {
 
 void EpollFrameServer::stop() {
   if (!running_.exchange(false)) return;
-  stop_requested_.store(true);
+  {
+    // Under the lock: every post() either sees the flag or has already
+    // written to wake_fd_, which is closed below.
+    const std::lock_guard<std::mutex> lock(posted_mu_);
+    stop_requested_.store(true);
+  }
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t rc =
       ::write(wake_fd_, &one, sizeof(one));
   if (loop_thread_.joinable()) loop_thread_.join();
+  posted_.clear();
   conns_.clear();
   dead_.clear();
   closed_outbound_.clear();
@@ -289,6 +304,12 @@ void EpollFrameServer::loop() {
         std::uint64_t buf = 0;
         while (::read(wake_fd_, &buf, sizeof(buf)) > 0) {
         }
+        std::vector<std::function<void()>> tasks;
+        {
+          const std::lock_guard<std::mutex> lock(posted_mu_);
+          tasks.swap(posted_);
+        }
+        for (auto& task : tasks) task();
         continue;
       }
       if (tag == kListenerTag) {

@@ -36,7 +36,8 @@
 // refused, reset, EOF, a bad frame, a missed deadline, stop() — the close
 // hook runs for it on the loop thread after the event that closed it has
 // been handled, never inside the call that closed it, so a hook may dial,
-// send and unpark freely.
+// send and unpark freely. post() is the way in from other threads: posted
+// tasks run in order on the loop thread (so they may dial), woken by eventfd.
 #pragma once
 
 #include <atomic>
@@ -45,6 +46,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -198,6 +200,11 @@ class EpollFrameServer {
   Connection& connect(const std::string& host, std::uint16_t port,
                       int connect_timeout_ms);
 
+  /// Any thread: queues `task` to run on the loop thread, in post order.
+  /// False, with `task` dropped unrun, before start() or once stop() has
+  /// begun; a task still queued when the loop ends is dropped unrun too.
+  bool post(std::function<void()> task);
+
   /// Loop thread only: the open connection with this id, or nullptr once it
   /// has closed.
   Connection* find(std::uint64_t id);
@@ -259,6 +266,9 @@ class EpollFrameServer {
 
   bool draining_ = false;
   std::uint64_t drain_deadline_ms_ = 0;
+
+  std::mutex posted_mu_;  ///< guards posted_ and the stop_requested_ edge
+  std::vector<std::function<void()>> posted_;
 
   std::chrono::steady_clock::time_point epoch_;
   std::atomic<bool> stop_requested_{false};
